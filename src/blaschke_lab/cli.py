@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -43,8 +44,6 @@ __all__ = [
 
 THREADS_ENV = "BLASCHKE_LAB_THREADS"
 
-KINDS = ("criteria", "interpolate", "union", "nearby", "perturb", "shift")
-
 AGREEMENT_SAMPLES = 256
 
 
@@ -52,61 +51,68 @@ AGREEMENT_SAMPLES = 256
 # sequence files
 
 
-def _sequence_to_payload(seq: ZeroSequence, meta: dict) -> dict:
-    return {
-        "points": [{"re": p.re, "im": p.im} for p in seq],
-        "meta": meta,
-    }
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigInvalid(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _sequence_text(seq: ZeroSequence, meta: dict) -> str:
+    payload = {"points": [{"re": p.re, "im": p.im} for p in seq], "meta": meta}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def write_sequence_file(path, seq: ZeroSequence, meta: Optional[dict] = None) -> None:
-    payload = _sequence_to_payload(seq, dict(meta or {"name": "sequence"}))
-    _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+    _write_text(Path(path), _sequence_text(seq, dict(meta or {"name": "sequence"})))
 
 
 def load_sequence_file(path) -> tuple[ZeroSequence, dict]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read sequence file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"sequence file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "sequence file")
     _require_keys(raw, {"points"}, {"meta"}, context=str(path))
     points = []
-    for i, entry in enumerate(raw["points"]):
-        _require_keys(entry, {"re", "im"}, set(), context=f"{path} point {i}")
-        points.append(DiskPoint(float(entry["re"]), float(entry["im"])))
-    return ZeroSequence(points), dict(raw.get("meta", {}))
+    for i, entry in enumerate(_list(raw["points"], f"{path} points")):
+        point = _check_section(_RE_IM, entry, f"{path} point {i}")
+        points.append(DiskPoint(point["re"], point["im"]))
+    meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigInvalid(f"{path} meta: expected a mapping, got {type(meta).__name__}")
+    return ZeroSequence(points), dict(meta)
 
 
 # ---------------------------------------------------------------------------
 # experiment configuration
+#
+# Each config key is a Field; the experiment tables after the pipelines list
+# them, and validate_config, build_parser and _raw_from_args walk them.
+
+
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    inputs: dict
-    grid: dict
-    seed: int
-    N_schedule: tuple[int, ...]
-    tolerances: dict
+class Field:
+    """One config key and the CLI flags that set it.
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": self.inputs,
-            "grid": self.grid,
-            "seed": self.seed,
-            "N_schedule": list(self.N_schedule),
-            "tolerances": self.tolerances,
-        }
+    check(value, context) normalizes a value or raises ConfigInvalid; a
+    field without one is a section whose keys are its sub-fields, while a
+    checked field's sub-fields only add flags for its to_raw to read.  A
+    default of _REQUIRED makes the key mandatory, None leaves it out when
+    absent, and any other default is checked like a given value.  Flags
+    are text and default to None, so an omitted flag takes the field's
+    default.  The first flag given sets the value, through the matching
+    to_raw(text, args) if any.
+    """
 
-    def circle_grid(self) -> CircleGrid:
-        return CircleGrid(
-            base_count=self.grid["base_count"],
-            refinement_rounds=self.grid["refinement_rounds"],
-        )
+    key: str
+    check: Optional[Callable[[Any, str], Any]] = None
+    default: Any = _REQUIRED
+    flags: tuple[str, ...] = ()
+    help: Optional[str] = None
+    to_raw: tuple[Callable[[str, argparse.Namespace], Any], ...] = ()
+    fields: tuple["Field", ...] = ()
 
 
 def _require_keys(mapping, required: set, optional: set, context: str) -> None:
@@ -120,51 +126,135 @@ def _require_keys(mapping, required: set, optional: set, context: str) -> None:
         raise ConfigInvalid(f"{context}: missing keys {sorted(missing)}")
 
 
-_SEQ_SPEC_KEYS = ({"path"}, {"generator"})
-
-_GENERATOR_PARAMS = {
-    "frostman_example": ({"N"}, set()),
-    "radial_sequence": ({"q", "N"}, {"arg"}),
-}
-
-_INPUT_KEYS = {
-    "criteria": ({"sequence"}, set()),
-    "interpolate": ({"sequence", "targets"}, set()),
-    "union": ({"sequence", "sequence_b", "targets", "targets_b"}, set()),
-    "nearby": ({"sequence", "targets"}, {"radius_scale", "max_iter", "min_sep"}),
-    "perturb": ({"sequence", "radius"}, {"trials", "min_sep"}),
-    "shift": ({"sequence", "point"}, set()),
-}
+def _check_section(fields: tuple[Field, ...], value, context: str) -> dict:
+    keys = {f.key for f in fields}
+    _require_keys(value, {f.key for f in fields if f.default is _REQUIRED}, keys, context)
+    out = {}
+    for f in fields:
+        if f.key in value or f.default is not None:
+            item, where = value.get(f.key, f.default), f"{context}.{f.key}"
+            out[f.key] = f.check(item, where) if f.check else _check_section(f.fields, item, where)
+    return out
 
 
-def _validate_sequence_spec(spec, context: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"{context}: sequence spec must be a mapping")
-    if "path" in spec:
-        _require_keys(spec, {"path"}, set(), context)
-        return {"path": str(spec["path"])}
-    _require_keys(spec, {"generator", "params"}, set(), context)
-    name = spec["generator"]
-    if name not in _GENERATOR_PARAMS:
+def _add_flags(parser: argparse.ArgumentParser, fields: tuple[Field, ...]) -> None:
+    for f in fields:
+        for flag in f.flags:
+            required = f.default is _REQUIRED and len(f.flags) == 1
+            parser.add_argument(flag, required=required, help=f.help)
+        _add_flags(parser, f.fields)
+
+
+def _raw_from_args(fields: tuple[Field, ...], args) -> dict:
+    """The raw config that the given flags describe."""
+    raw = {}
+    for f in fields:
+        value = None if f.flags or f.check else _raw_from_args(f.fields, args)
+        for i, flag in enumerate(f.flags):
+            text = getattr(args, flag.lstrip("-").replace("-", "_"))
+            if text is not None:
+                value = f.to_raw[i](text, args) if f.to_raw else text
+                break
+        if value is None and f.default is _REQUIRED:
+            raise ConfigInvalid(f"provide {' or '.join(f.flags)}")
+        if value is not None:
+            raw[f.key] = value
+    return raw
+
+
+def _number(cast, positive: bool = False) -> Callable[[Any, str], Any]:
+    """A check for ints or floats: numeric strings pass; bools and non-finite values do not."""
+
+    def check(value, context: str):
+        try:
+            number = cast(value)
+            # int(2.5) would truncate silently
+            ok = not isinstance(value, bool) and math.isfinite(number)
+            ok = ok and not (isinstance(value, float) and number != value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok or positive and number < 1:
+            kind = f"{'a positive ' if positive else ''}{cast.__name__}"
+            raise ConfigInvalid(f"{context}: expected {kind}, got {value!r}")
+        return number
+
+    return check
+
+
+_INT = _number(int)
+_FLOAT = _number(float)
+_POSITIVE_INT = _number(int, positive=True)
+_RE_IM = (Field("re", _FLOAT), Field("im", _FLOAT))
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{context}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _pair(value, context: str) -> list[float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigInvalid(f"{context}: expected [re, im], got {value!r}")
+    return [_FLOAT(v, context) for v in value]
+
+
+def _targets(value, context: str) -> dict:
+    """{"values": [[re, im], ...]} or {"fill": [re, im]}."""
+    if isinstance(value, dict) and "values" in value:
+        _require_keys(value, {"values"}, set(), context)
+        values = _list(value["values"], f"{context}.values")
+        return {"values": [_pair(v, f"{context}.values[{i}]") for i, v in enumerate(values)]}
+    _require_keys(value, {"fill"}, set(), context)
+    return {"fill": _pair(value["fill"], f"{context}.fill")}
+
+
+def _sequence(value, context: str) -> dict:
+    """{"path": file} or {"generator": name, "params": {...}}."""
+    if isinstance(value, dict) and "path" in value:
+        _require_keys(value, {"path"}, set(), context)
+        if not isinstance(value["path"], str):
+            raise ConfigInvalid(f"{context}.path: expected a string, got {value['path']!r}")
+        return {"path": value["path"]}
+    _require_keys(value, {"generator", "params"}, set(), context)
+    name = value["generator"]
+    if not isinstance(name, str) or name not in _GENERATORS:
         raise ConfigInvalid(
-            f"{context}: unknown generator {name!r}; "
-            f"expected one of {sorted(_GENERATOR_PARAMS)}"
+            f"{context}: unknown generator {name!r}; expected one of {sorted(_GENERATORS)}"
         )
-    required, optional = _GENERATOR_PARAMS[name]
-    _require_keys(spec["params"], required, optional, f"{context} params")
-    return {"generator": name, "params": dict(spec["params"])}
+    params = _check_section(_GENERATORS[name][1], value["params"], f"{context}.params")
+    return {"generator": name, "params": params}
 
 
-def _validate_target_spec(spec, context: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"{context}: target spec must be a mapping")
-    if "values" in spec:
-        _require_keys(spec, {"values"}, set(), context)
-        values = [[float(v[0]), float(v[1])] for v in spec["values"]]
-        return {"values": values}
-    _require_keys(spec, {"fill"}, set(), context)
-    fill = spec["fill"]
-    return {"fill": [float(fill[0]), float(fill[1])]}
+def _schedule(value, context: str) -> tuple[int, ...]:
+    return tuple(_POSITIVE_INT(n, f"{context}[{i}]") for i, n in enumerate(_list(value, context)))
+
+
+def _values_file(path: str, args) -> dict:
+    raw = _read_json(path, "target file")
+    _require_keys(raw, {"values"}, set(), context=path)
+    return raw
+
+
+def _generator_spec(name: str, args) -> dict:
+    params = _GENERATORS[name][1] if name in _GENERATORS else ()
+    return {"generator": name, "params": _raw_from_args(params, args)}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    kind: str
+    inputs: dict
+    grid: dict
+    seed: int
+    N_schedule: tuple[int, ...]
+    tolerances: dict
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "N_schedule": list(self.N_schedule)}
+
+    def circle_grid(self) -> CircleGrid:
+        return CircleGrid(**self.grid)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -173,82 +263,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
     Defaults are filled deterministically; the resolved form is echoed
     into every report bundle.
     """
-    _require_keys(
-        raw,
-        {"kind", "inputs"},
-        {"grid", "seed", "N_schedule", "tolerances"},
-        context="config",
-    )
-    kind = raw["kind"]
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"config: expected a mapping, got {type(raw).__name__}")
+    kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigInvalid(f"config: unknown kind {kind!r}; expected one of {list(KINDS)}")
-
-    grid_raw = raw.get("grid", {})
-    _require_keys(grid_raw, set(), {"base_count", "refinement_rounds"}, context="config grid")
-    grid = {
-        "base_count": int(grid_raw.get("base_count", 4096)),
-        "refinement_rounds": int(grid_raw.get("refinement_rounds", 3)),
-    }
+    rest = {key: value for key, value in raw.items() if key != "kind"}
+    config = ExperimentConfig(kind=kind, **_check_section(_config_fields(kind), rest, "config"))
     try:
-        CircleGrid(**grid)
+        config.circle_grid()
     except ValueError as exc:
         raise ConfigInvalid(f"config grid: {exc}") from exc
-
-    tol_raw = raw.get("tolerances", {})
-    _require_keys(tol_raw, set(), {"tol"}, context="config tolerances")
-    tolerances = {"tol": float(tol_raw.get("tol", 1e-8))}
-
-    required, optional = _INPUT_KEYS[kind]
-    _require_keys(raw["inputs"], required, optional, context=f"config inputs ({kind})")
-    inputs = dict(raw["inputs"])
-    inputs["sequence"] = _validate_sequence_spec(inputs["sequence"], "config inputs sequence")
-    if "sequence_b" in inputs:
-        inputs["sequence_b"] = _validate_sequence_spec(inputs["sequence_b"], "config inputs sequence_b")
-    for key in ("targets", "targets_b"):
-        if key in inputs:
-            inputs[key] = _validate_target_spec(inputs[key], f"config inputs {key}")
-    if kind == "nearby":
-        inputs.setdefault("radius_scale", 0.8)
-        inputs["radius_scale"] = float(inputs["radius_scale"])
-        inputs.setdefault("max_iter", 30)
-        inputs["max_iter"] = int(inputs["max_iter"])
-    if kind == "perturb":
-        inputs["radius"] = float(inputs["radius"])
-        inputs.setdefault("trials", 100)
-        inputs["trials"] = int(inputs["trials"])
-        if inputs["trials"] < 1:
-            raise ConfigInvalid("config inputs (perturb): trials must be positive")
-    if kind in ("nearby", "perturb") and "min_sep" in inputs:
-        inputs["min_sep"] = float(inputs["min_sep"])
-    if kind == "shift":
-        point = inputs["point"]
-        _require_keys(point, {"re", "im"}, set(), context="config inputs point")
-        inputs["point"] = {"re": float(point["re"]), "im": float(point["im"])}
-
-    schedule = tuple(int(n) for n in raw.get("N_schedule", []))
-    if kind == "criteria" and not schedule:
+    if kind == "criteria" and not config.N_schedule:
         raise ConfigInvalid("config: criteria runs need a nonempty N_schedule")
-    if any(n < 1 for n in schedule):
-        raise ConfigInvalid("config: N_schedule entries must be positive")
-
-    return ExperimentConfig(
-        kind=kind,
-        inputs=inputs,
-        grid=grid,
-        seed=int(raw.get("seed", 0)),
-        N_schedule=schedule,
-        tolerances=tolerances,
-    )
-
-
-def load_config_file(path) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +309,9 @@ class ReportBundle:
         return {
             "config": self.config,
             "results": self.results,
-            "tables": {
-                name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-                for name, t in self.tables.items()
-            },
-            "series": {
-                name: {
-                    "label": s.label,
-                    "x_label": s.x_label,
-                    "y_label": s.y_label,
-                    "x": list(s.x),
-                    "y": list(s.y),
-                }
-                for name, s in self.series.items()
-            },
+            # fields in declaration order; json writes their tuples as lists
+            "tables": {name: dict(vars(t)) for name, t in self.tables.items()},
+            "series": {name: dict(vars(s)) for name, s in self.series.items()},
         }
 
 
@@ -332,26 +349,33 @@ def _report_detail_table(report: crit.CriterionReport, kind_label: str) -> Table
     return Table(columns=("index", "value"), rows=tuple(rows))
 
 
+def _complex_table(columns: tuple[str, str], values, residuals) -> Table:
+    """Index, real part, imaginary part and residual of each value."""
+    rows = tuple((j, w.real, w.imag, float(r)) for j, (w, r) in enumerate(zip(values, residuals)))
+    return Table(columns=("index", *columns, "residual"), rows=rows)
+
+
+def _column_series(table: Table, column: str, label: str, y_label: Optional[str] = None) -> Series:
+    """A table column plotted against the table's first column."""
+    j = table.columns.index(column)
+    return Series(
+        label=label,
+        x_label=table.columns[0],
+        y_label=y_label or column,
+        x=tuple(float(row[0]) for row in table.rows),
+        y=tuple(float(row[j]) for row in table.rows),
+    )
+
+
 # ---------------------------------------------------------------------------
 # input resolution
 
 
-def _resolve_sequence(spec: dict, n_override: Optional[int] = None) -> ZeroSequence:
+def _resolve_sequence(spec: dict) -> ZeroSequence:
     if "path" in spec:
-        seq, _ = load_sequence_file(spec["path"])
-        if n_override is not None:
-            if n_override > len(seq):
-                raise ConfigInvalid(
-                    f"schedule entry {n_override} exceeds the {len(seq)} stored points"
-                )
-            seq = seq[:n_override]
-        return seq
-    params = dict(spec["params"])
-    if n_override is not None:
-        params["N"] = n_override
-    if spec["generator"] == "frostman_example":
-        return frostman_example(int(params["N"]))
-    return radial_sequence(float(params["q"]), int(params["N"]), float(params.get("arg", 0.0)))
+        return load_sequence_file(spec["path"])[0]
+    # validated params are in the generator's positional order
+    return _GENERATORS[spec["generator"]][0](*spec["params"].values())
 
 
 def _resolve_targets(spec: dict, length: int) -> TargetVector:
@@ -366,30 +390,28 @@ def _resolve_targets(spec: dict, length: int) -> TargetVector:
     return TargetVector(values)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if count <= 0:
-        count = min(32, os.cpu_count() or 1)
-    return count
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 
 
 def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     grid = config.circle_grid()
-    per_n = []
+    spec, deepest = config.inputs["sequence"], max(config.N_schedule)
+    if "generator" in spec:
+        # the schedule, not params.N, sets how many points are generated
+        spec = {**spec, "params": {**spec["params"], "N": deepest}}
+    full = _resolve_sequence(spec)
+    if deepest > len(full):
+        raise ConfigInvalid(f"schedule entry {deepest} exceeds the {len(full)} stored points")
+    per_n, rows = [], []
     for n in config.N_schedule:
-        seq = _resolve_sequence(config.inputs["sequence"], n_override=n)
+        seq = full[:n]
         product = BlaschkeProduct(seq)
         carleson = product.carleson()
         frostman = crit.frostman_sum(seq, grid)
         cohn = crit.cohn_sum(seq)
+        vasyunin = crit.vasyunin_sum(seq)
+        rows.append((n, carleson.delta, frostman.value, cohn.value, vasyunin))
         per_n.append(
             {
                 "N": n,
@@ -399,50 +421,19 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
                 },
                 "frostman": _report_json(frostman),
                 "cohn": _report_json(cohn),
-                "vasyunin": crit.vasyunin_sum(seq),
+                "vasyunin": vasyunin,
             }
         )
-
-    trend_rows = tuple(
-        (
-            entry["N"],
-            entry["carleson"]["delta"],
-            entry["frostman"]["value"],
-            entry["cohn"]["value"],
-            entry["vasyunin"],
-        )
-        for entry in per_n
+    trend = Table(
+        columns=("N", "carleson_delta", "frostman_sum", "cohn_sum", "vasyunin_sum"), rows=tuple(rows)
     )
+    # frostman and cohn still hold the reports of the last schedule entry
     tables = {
-        "criteria_trend": Table(
-            columns=("N", "carleson_delta", "frostman_sum", "cohn_sum", "vasyunin_sum"),
-            rows=trend_rows,
-        )
+        "criteria_trend": trend,
+        "frostman_detail": _report_detail_table(frostman, "sup"),
+        "cohn_detail": _report_detail_table(cohn, "sup"),
     }
-
-    last = per_n[-1]
-    seq = _resolve_sequence(config.inputs["sequence"], n_override=last["N"])
-    frostman = crit.frostman_sum(seq, grid)
-    cohn = crit.cohn_sum(seq)
-    tables["frostman_detail"] = _report_detail_table(frostman, "sup")
-    tables["cohn_detail"] = _report_detail_table(cohn, "sup")
-
-    xs = tuple(float(entry["N"]) for entry in per_n)
-    series = {
-        name: Series(
-            label=f"{name} vs N",
-            x_label="N",
-            y_label=name,
-            x=xs,
-            y=tuple(float(row[i]) for row in trend_rows),
-        )
-        for i, name in (
-            (1, "carleson_delta"),
-            (2, "frostman_sum"),
-            (3, "cohn_sum"),
-            (4, "vasyunin_sum"),
-        )
-    }
+    series = {name: _column_series(trend, name, f"{name} vs N") for name in trend.columns[1:]}
     return ReportBundle(config=config.as_dict(), results={"per_N": per_n}, tables=tables, series=series)
 
 
@@ -482,13 +473,7 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
         "sup_norm": interp.sup_norm(rep, grid),
         "lebesgue_constant": interp.lebesgue_constant(product, grid),
     }
-    rows = tuple(
-        (j, targets.values[j].real, targets.values[j].imag, float(residuals[j]))
-        for j in range(len(seq))
-    )
-    tables = {
-        "nodes": Table(columns=("index", "target_re", "target_im", "residual"), rows=rows)
-    }
+    tables = {"nodes": _complex_table(("target_re", "target_im"), targets.values, residuals)}
     series = {"boundary_modulus": _boundary_series(rep, "interpolant modulus on the circle")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
@@ -516,14 +501,8 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
         "tilde_gamma": [_complex_pair(t) for t in union.tilde_gamma],
     }
     tables = {
-        "nodes_a": Table(
-            columns=("index", "residual"),
-            rows=tuple((j, float(r)) for j, r in enumerate(res_a)),
-        ),
-        "nodes_z": Table(
-            columns=("index", "residual"),
-            rows=tuple((j, float(r)) for j, r in enumerate(res_z)),
-        ),
+        name: Table(columns=("index", "residual"), rows=tuple((j, float(r)) for j, r in enumerate(res)))
+        for name, res in (("nodes_a", res_a), ("nodes_z", res_z))
     }
     series = {"boundary_modulus": _boundary_series(union, "union interpolant modulus")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
@@ -560,31 +539,15 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
         "contraction_marginal": trace.contraction_marginal,
         "final_residual": trace.residual_sup[-1],
     }
-    steps = tuple(range(len(trace.residual_sup)))
-    tables = {
-        "steps": Table(
-            columns=("step", "residual_sup", "bound_curve"),
-            rows=tuple(
-                (m, trace.residual_sup[m], trace.bound_curve[m]) for m in steps
-            ),
-        )
-    }
+    steps = Table(
+        columns=("step", "residual_sup", "bound_curve"),
+        rows=tuple(zip(range(len(trace.residual_sup)), trace.residual_sup, trace.bound_curve)),
+    )
     series = {
-        "residual_vs_step": Series(
-            label="residual per correction step",
-            x_label="step",
-            y_label="residual_sup",
-            x=tuple(float(m) for m in steps),
-            y=trace.residual_sup,
-        ),
-        "bound_vs_step": Series(
-            label="geometric bound per step",
-            x_label="step",
-            y_label="bound",
-            x=tuple(float(m) for m in steps),
-            y=trace.bound_curve,
-        ),
+        "residual_vs_step": _column_series(steps, "residual_sup", "residual per correction step"),
+        "bound_vs_step": _column_series(steps, "bound_curve", "geometric bound per step", "bound"),
     }
+    tables = {"steps": steps}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -609,7 +572,8 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
     jobs = [(seq, radius, s, min_sep, grid) for s in trial_seeds]
 
-    threads = _thread_count()
+    threads = _INT(os.environ.get(THREADS_ENV, "0"), THREADS_ENV)
+    threads = threads if threads > 0 else min(32, os.cpu_count() or 1)
     if threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(_perturb_trial, jobs))
@@ -627,56 +591,24 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
         "min_C4": min(r["empirical_C4"] for r in reports),
         "C_r": reports[0]["C_r"],
     }
-    columns = (
-        "trial",
-        "violations",
-        "nearness",
-        "D1",
-        "D2",
-        "C1",
-        "C2",
-        "C3",
-        "C4",
-        "frostman_Z",
-    )
-    rows = tuple(
-        (
-            i,
-            r["violations"],
-            r["nearness"],
-            r["empirical_D1"],
-            r["empirical_D2"],
-            r["empirical_C1"],
-            r["empirical_C2"],
-            r["empirical_C3"],
-            r["empirical_C4"],
-            r["frostman_Z"],
-        )
-        for i, r in enumerate(reports)
+    # table column -> perturbation report key
+    keys = {
+        "violations": "violations",
+        "nearness": "nearness",
+        **{c: f"empirical_{c}" for c in ("D1", "D2", "C1", "C2", "C3", "C4")},
+        "frostman_Z": "frostman_Z",
+    }
+    table = Table(
+        columns=("trial", *keys),
+        rows=tuple((i, *(r[k] for k in keys.values())) for i, r in enumerate(reports)),
     )
     series = {
-        "d1_vs_trial": Series(
-            label="lower size-ratio envelope per trial",
-            x_label="trial",
-            y_label="D1",
-            x=tuple(float(i) for i in range(trials)),
-            y=tuple(r["empirical_D1"] for r in reports),
-        ),
-        "d2_vs_trial": Series(
-            label="upper size-ratio envelope per trial",
-            x_label="trial",
-            y_label="D2",
-            x=tuple(float(i) for i in range(trials)),
-            y=tuple(r["empirical_D2"] for r in reports),
-        ),
+        "d1_vs_trial": _column_series(table, "D1", "lower size-ratio envelope per trial"),
+        "d2_vs_trial": _column_series(table, "D2", "upper size-ratio envelope per trial"),
     }
     results = {"aggregate": aggregate, "trial_reports": reports}
-    return ReportBundle(
-        config=config.as_dict(),
-        results=results,
-        tables={"trials": Table(columns=columns, rows=rows)},
-        series=series,
-    )
+    tables = {"trials": table}
+    return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
 def _run_shift(config: ExperimentConfig) -> ReportBundle:
@@ -696,13 +628,7 @@ def _run_shift(config: ExperimentConfig) -> ReportBundle:
         "frostman_original": frostman_before.value,
         "frostman_shifted": frostman_after.value,
     }
-    rows = tuple(
-        (j, roots.values[j].real, roots.values[j].imag, float(residuals[j]))
-        for j in range(len(roots))
-    )
-    tables = {
-        "roots": Table(columns=("index", "re", "im", "residual"), rows=rows)
-    }
+    tables = {"roots": _complex_table(("re", "im"), roots.values, residuals)}
     series = {
         "root_modulus": Series(
             label="shifted zero moduli",
@@ -715,19 +641,97 @@ def _run_shift(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
-_PIPELINES = {
-    "criteria": _run_criteria,
-    "interpolate": _run_interpolate,
-    "union": _run_union,
-    "nearby": _run_nearby,
-    "perturb": _run_perturb,
-    "shift": _run_shift,
+# ---------------------------------------------------------------------------
+# the experiment tables: one field list per kind, beside the common fields
+# and the generators; every default, flag and bound is written here once
+
+_N = Field("N", _INT, 20, ("--n",), "generator truncation depth")
+_Q = Field("q", _FLOAT, 0.5, ("--q",), "radial generator ratio")
+_ARG = Field("arg", _FLOAT, 0.0, ("--arg",), "radial generator angle")
+_GENERATOR_PARAMS = (_N, _Q, _ARG)
+
+# name -> (function, its params in positional order, default name in gen's metadata)
+_GENERATORS = {
+    "frostman_example": (frostman_example, (_N,), "frostman_example_{N}"),
+    "radial_sequence": (radial_sequence, (_Q, _N, _ARG), "radial_q{q}_{N}"),
 }
+
+
+def _path(text: str, args) -> dict:
+    return {"path": text}
+
+
+_SEQUENCE = Field(
+    "sequence", _sequence, _REQUIRED, ("--sequence", "--generator"),
+    f"the zeros: a sequence file, or a generator ({', '.join(_GENERATORS)})",
+    to_raw=(_path, _generator_spec), fields=_GENERATOR_PARAMS,
+)
+_TARGETS, _TARGETS_B = (
+    Field(key, _targets, {"fill": [1.0, 0.0]}, (f"--targets-file{suffix}", f"--fill{suffix}"),
+          "the targets: a json file with a values list, or a constant 're,im'",
+          to_raw=(_values_file, lambda text, args: {"fill": text.split(",")}))
+    for key, suffix in (("targets", ""), ("targets_b", "-b"))
+)
+_MIN_SEP = Field("min_sep", _FLOAT, None, ("--min-sep",), "separation floor of the perturbed points")
+
+# kind -> (subcommand, its help, pipeline, input fields in echo order)
+_KINDS = {
+    "criteria": ("check", "run every sequence criterion across a truncation schedule",
+                 _run_criteria, (_SEQUENCE,)),
+    "interpolate": ("interpolate", "closed-form interpolation on one zero set",
+                    _run_interpolate, (_SEQUENCE, _TARGETS)),
+    "union": ("union", "joint interpolation across two disjoint zero sets", _run_union, (
+        _SEQUENCE,
+        Field("sequence_b", _sequence, _REQUIRED, ("--sequence-b",), "the second sequence file",
+              to_raw=(_path,)),
+        _TARGETS,
+        _TARGETS_B,
+    )),
+    "nearby": ("nearby", "iterative interpolation on a perturbed node set", _run_nearby, (
+        _SEQUENCE,
+        _TARGETS,
+        Field("radius_scale", _FLOAT, 0.8, ("--radius-scale",),
+              "perturbation radius as a fraction of the contraction threshold"),
+        Field("max_iter", _INT, 30, ("--max-iter",), "correction steps allowed"),
+        _MIN_SEP,
+    )),
+    "perturb": ("perturb", "Monte Carlo perturbation inequality report", _run_perturb, (
+        _SEQUENCE,
+        Field("radius", _FLOAT, _REQUIRED, ("--radius",), "pseudohyperbolic perturbation radius"),
+        Field("trials", _POSITIVE_INT, 100, ("--trials",), "number of sampled perturbations"),
+        _MIN_SEP,
+    )),
+    "shift": ("shift", "zeros of the shifted product", _run_shift, (
+        _SEQUENCE,
+        Field("point", None, _REQUIRED, ("--point",), "shift point 're,im'",
+              to_raw=(lambda text, args: dict(zip(("re", "im"), text.split(",", 1))),), fields=_RE_IM),
+    )),
+}
+
+KINDS = tuple(_KINDS)
+
+_GRID = Field("grid", None, {}, fields=(
+    Field("base_count", _INT, 4096, ("--grid-size",), "circle grid base count"),
+    Field("refinement_rounds", _INT, 3),
+))
+_SEED = Field("seed", _INT, 0, ("--seed",), "seed for sampled experiments")
+_SCHEDULE = Field("N_schedule", _schedule, [], ("--schedule",),
+                  "comma-separated truncation depths, e.g. 10,20,40 (default: full length)",
+                  to_raw=(lambda text, args: [n for n in text.split(",") if n.strip()],))
+_TOLERANCES = Field("tolerances", None, {}, fields=(
+    Field("tol", _FLOAT, 1e-8, ("--tol",), "iteration residual tolerance"),
+))
+
+
+def _config_fields(kind: str) -> tuple[Field, ...]:
+    """The fields of a config of this kind after "kind", in echo order; only check has --schedule."""
+    schedule = _SCHEDULE if kind == "criteria" else replace(_SCHEDULE, flags=())
+    return (Field("inputs", fields=_KINDS[kind][3]), _GRID, _SEED, schedule, _TOLERANCES)
 
 
 def run(config: ExperimentConfig) -> ReportBundle:
     """Dispatch a validated configuration to its module pipeline."""
-    return _PIPELINES[config.kind](config)
+    return _KINDS[config.kind][2](config)
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +745,6 @@ def _write_text(path: Path, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _ensure_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
-    if not path.is_dir():
-        raise IoFailure(f"{path} is not a directory")
 
 
 def _format_cell(value) -> Any:
@@ -776,22 +771,16 @@ def emit(bundle: ReportBundle, format: str = "json", path=None) -> Optional[str]
 
     if path is None:
         raise ConfigInvalid(f"format {format} requires an output directory")
+    # _write_text creates the directory, and fails if path is a file
     target = Path(path)
-    if target.exists() and not target.is_dir():
-        raise IoFailure(f"{target} exists and is not a directory")
-    _ensure_dir(target)
 
     if format == "csv":
         for name, table in bundle.tables.items():
-            file_path = target / f"{name}.csv"
-            try:
-                with open(file_path, "w", encoding="utf-8", newline="") as handle:
-                    writer = csv.writer(handle, lineterminator="\n")
-                    writer.writerow(table.columns)
-                    for row in table.rows:
-                        writer.writerow([_format_cell(v) for v in row])
-            except OSError as exc:
-                raise IoFailure(f"cannot write {file_path}: {exc}") from exc
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(table.columns)
+            writer.writerows([_format_cell(v) for v in row] for row in table.rows)
+            _write_text(target / f"{name}.csv", text.getvalue())
         return None
 
     if format == "plotdata":
@@ -810,63 +799,11 @@ def emit(bundle: ReportBundle, format: str = "json", path=None) -> Optional[str]
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled experiments")
-    parser.add_argument("--grid-size", type=int, default=4096, help="circle grid base count")
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file (json) or directory (csv, plotdata)")
     parser.add_argument(
         "--format", choices=("json", "csv", "plotdata"), default="json", help="output format"
     )
-    parser.add_argument("--tol", type=float, default=1e-8, help="iteration residual tolerance")
-
-
-def _add_sequence_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sequence", default=None, help="path to a sequence file")
-    parser.add_argument(
-        "--generator",
-        choices=("frostman_example", "radial_sequence"),
-        default=None,
-        help="inline generator instead of a file",
-    )
-    parser.add_argument("--n", type=int, default=20, help="generator truncation depth")
-    parser.add_argument("--q", type=float, default=0.5, help="radial generator ratio")
-    parser.add_argument("--arg", type=float, default=0.0, help="radial generator angle")
-
-
-def _sequence_spec_from_args(args) -> dict:
-    if args.sequence is not None:
-        return {"path": args.sequence}
-    if args.generator is None:
-        raise ConfigInvalid("provide either --sequence or --generator")
-    if args.generator == "frostman_example":
-        return {"generator": "frostman_example", "params": {"N": args.n}}
-    return {
-        "generator": "radial_sequence",
-        "params": {"q": args.q, "N": args.n, "arg": args.arg},
-    }
-
-
-def _parse_pair(text: str, flag: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigInvalid(f"{flag} expects 're,im', got {text!r}")
-    try:
-        return [float(parts[0]), float(parts[1])]
-    except ValueError as exc:
-        raise ConfigInvalid(f"{flag} expects numbers, got {text!r}") from exc
-
-
-def _target_spec_from_args(value: Optional[str], fill: str, flag: str) -> dict:
-    if value is not None:
-        try:
-            raw = json.loads(Path(value).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise IoFailure(f"cannot read target file {value}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"target file {value} is not valid JSON: {exc}") from exc
-        _require_keys(raw, {"values"}, set(), context=str(value))
-        return {"values": raw["values"]}
-    return {"fill": _parse_pair(fill, flag)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -877,177 +814,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a sequence file")
-    _add_common(gen)
-    gen.add_argument(
-        "--generator",
-        choices=("frostman_example", "radial_sequence"),
-        required=True,
-    )
-    gen.add_argument("--n", type=int, default=20)
-    gen.add_argument("--q", type=float, default=0.5)
-    gen.add_argument("--arg", type=float, default=0.0)
+    gen.add_argument("--generator", choices=tuple(_GENERATORS), required=True)
+    _add_flags(gen, _GENERATOR_PARAMS)
     gen.add_argument("--name", default=None, help="name stored in the file metadata")
+    gen.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    check = sub.add_parser("check", help="run every sequence criterion across a truncation schedule")
-    _add_common(check)
-    _add_sequence_source(check)
-    check.add_argument(
-        "--schedule",
-        default=None,
-        help="comma-separated truncation depths, e.g. 10,20,40 (default: full length)",
-    )
-
-    interpolate = sub.add_parser("interpolate", help="closed-form interpolation on one zero set")
-    _add_common(interpolate)
-    _add_sequence_source(interpolate)
-    interpolate.add_argument("--targets-file", default=None, help="json file with a values list")
-    interpolate.add_argument("--fill", default="1,0", help="constant target 're,im'")
-
-    union = sub.add_parser("union", help="joint interpolation across two disjoint zero sets")
-    _add_common(union)
-    _add_sequence_source(union)
-    union.add_argument("--sequence-b", required=True, help="path to the second sequence file")
-    union.add_argument("--targets-file", default=None)
-    union.add_argument("--fill", default="1,0")
-    union.add_argument("--targets-file-b", default=None)
-    union.add_argument("--fill-b", default="1,0")
-
-    nearby = sub.add_parser("nearby", help="iterative interpolation on a perturbed node set")
-    _add_common(nearby)
-    _add_sequence_source(nearby)
-    nearby.add_argument("--targets-file", default=None)
-    nearby.add_argument("--fill", default="1,0")
-    nearby.add_argument(
-        "--radius-scale",
-        type=float,
-        default=0.8,
-        help="perturbation radius as a fraction of the contraction threshold",
-    )
-    nearby.add_argument("--max-iter", type=int, default=30)
-    nearby.add_argument("--min-sep", type=float, default=None)
-
-    perturb = sub.add_parser("perturb", help="Monte Carlo perturbation inequality report")
-    _add_common(perturb)
-    _add_sequence_source(perturb)
-    perturb.add_argument("--radius", type=float, required=True)
-    perturb.add_argument("--trials", type=int, default=100)
-    perturb.add_argument("--min-sep", type=float, default=None)
-
-    shift = sub.add_parser("shift", help="zeros of the shifted product")
-    _add_common(shift)
-    _add_sequence_source(shift)
-    shift.add_argument("--point", required=True, help="shift point 're,im'")
+    for kind, (command, help_text, _, _) in _KINDS.items():
+        experiment = sub.add_parser(command, help=help_text)
+        _add_flags(experiment, _config_fields(kind))
+        _add_output_flags(experiment)
 
     runner = sub.add_parser("run", help="run an experiment from a config file")
-    _add_common(runner)
     runner.add_argument("config", help="path to a config file")
-
+    _add_output_flags(runner)
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    grid = {"base_count": args.grid_size}
-    tolerances = {"tol": args.tol}
-    common = {"grid": grid, "seed": args.seed, "tolerances": tolerances}
-
-    if args.command == "check":
-        spec = _sequence_spec_from_args(args)
-        if args.schedule is not None:
-            try:
-                schedule = [int(s) for s in args.schedule.split(",") if s.strip()]
-            except ValueError as exc:
-                raise ConfigInvalid(f"bad --schedule {args.schedule!r}") from exc
-        else:
-            schedule = [len(_resolve_sequence(spec))]
-        return validate_config(
-            {"kind": "criteria", "inputs": {"sequence": spec}, "N_schedule": schedule, **common}
-        )
-
-    if args.command == "interpolate":
-        return validate_config(
-            {
-                "kind": "interpolate",
-                "inputs": {
-                    "sequence": _sequence_spec_from_args(args),
-                    "targets": _target_spec_from_args(args.targets_file, args.fill, "--fill"),
-                },
-                **common,
-            }
-        )
-
-    if args.command == "union":
-        return validate_config(
-            {
-                "kind": "union",
-                "inputs": {
-                    "sequence": _sequence_spec_from_args(args),
-                    "sequence_b": {"path": args.sequence_b},
-                    "targets": _target_spec_from_args(args.targets_file, args.fill, "--fill"),
-                    "targets_b": _target_spec_from_args(
-                        args.targets_file_b, args.fill_b, "--fill-b"
-                    ),
-                },
-                **common,
-            }
-        )
-
-    if args.command == "nearby":
-        inputs = {
-            "sequence": _sequence_spec_from_args(args),
-            "targets": _target_spec_from_args(args.targets_file, args.fill, "--fill"),
-            "radius_scale": args.radius_scale,
-            "max_iter": args.max_iter,
-        }
-        if args.min_sep is not None:
-            inputs["min_sep"] = args.min_sep
-        return validate_config({"kind": "nearby", "inputs": inputs, **common})
-
-    if args.command == "perturb":
-        inputs = {
-            "sequence": _sequence_spec_from_args(args),
-            "radius": args.radius,
-            "trials": args.trials,
-        }
-        if args.min_sep is not None:
-            inputs["min_sep"] = args.min_sep
-        return validate_config({"kind": "perturb", "inputs": inputs, **common})
-
-    if args.command == "shift":
-        re, im = _parse_pair(args.point, "--point")
-        return validate_config(
-            {
-                "kind": "shift",
-                "inputs": {
-                    "sequence": _sequence_spec_from_args(args),
-                    "point": {"re": re, "im": im},
-                },
-                **common,
-            }
-        )
-
-    raise ConfigInvalid(f"unknown command {args.command!r}")
+    kind = next(kind for kind, entry in _KINDS.items() if entry[0] == args.command)
+    raw = {"kind": kind, **_raw_from_args(_config_fields(kind), args)}
+    if kind == "criteria" and "N_schedule" not in raw:
+        # Without --schedule, check runs the whole sequence.
+        spec = _sequence(raw["inputs"]["sequence"], "config.inputs.sequence")
+        raw["N_schedule"] = [len(_resolve_sequence(spec))]
+    return validate_config(raw)
 
 
 def _run_gen(args) -> int:
-    if args.generator == "frostman_example":
-        seq = frostman_example(args.n)
-        meta = {
-            "name": args.name or f"frostman_example_{args.n}",
-            "generator": "frostman_example",
-            "params": {"N": args.n},
-        }
-    else:
-        seq = radial_sequence(args.q, args.n, args.arg)
-        meta = {
-            "name": args.name or f"radial_q{args.q}_{args.n}",
-            "generator": "radial_sequence",
-            "params": {"q": args.q, "N": args.n, "arg": args.arg},
-        }
-    payload = json.dumps(_sequence_to_payload(seq, meta), indent=2) + "\n"
+    spec = _sequence(_generator_spec(args.generator, args), "gen")
+    name = args.name or _GENERATORS[args.generator][2].format(**spec["params"])
+    text = _sequence_text(_resolve_sequence(spec), {"name": name, **spec})
     if args.out is None:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
     else:
-        _write_text(Path(args.out), payload)
+        _write_text(Path(args.out), text)
     return 0
 
 
@@ -1058,7 +858,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _run_gen(args)
         if args.command == "run":
-            config = load_config_file(args.config)
+            config = validate_config(_read_json(args.config, "config file"))
         else:
             config = _config_from_args(args)
         bundle = run(config)

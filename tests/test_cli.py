@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blaschke_lab import cli
 from blaschke_lab.blaschke import ZeroSequence
@@ -29,6 +31,38 @@ def minimal_criteria_config() -> dict:
         "inputs": {"sequence": {"generator": "frostman_example", "params": {"N": 8}}},
         "N_schedule": [4, 8],
     }
+
+
+RADIAL3 = {"generator": "radial_sequence", "params": {"q": 0.5, "N": 3}}
+
+
+def kind_config(kind, sequence=RADIAL3, **inputs) -> dict:
+    return {"kind": kind, "inputs": {"sequence": sequence, **inputs}}
+
+
+def criteria_config(**top) -> dict:
+    return {"kind": "criteria", "inputs": {"sequence": RADIAL3}, "N_schedule": [2], **top}
+
+
+def malformed(case_id, config=None, sequence_file=None, command="run"):
+    """One malformed input: a config to run, or a sequence file for run or check."""
+    return pytest.param(config, sequence_file, command, id=case_id)
+
+
+def write_json(path, payload) -> str:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def malformed_argv(tmp_path, config=None, sequence_file=None, command="run") -> list:
+    """argv for one malformed input: a config run, or check on a sequence file."""
+    points = sequence_file or {"points": [{"re": 0.1, "im": 0.0}, {"re": 0.0, "im": 0.5}]}
+    seq_path = write_json(tmp_path / "seq.json", points)
+    if command == "check":
+        return ["check", "--sequence", seq_path, "--schedule", "1", "--grid-size", "256"]
+    if config is None:
+        config = {"kind": "criteria", "inputs": {"sequence": {"path": seq_path}}, "N_schedule": [1]}
+    return ["run", write_json(tmp_path / "config.json", config)]
 
 
 class TestValidateConfig:
@@ -666,3 +700,310 @@ class TestExitCodes:
         rc = cli.main(["check", "--sequence", str(path), "--schedule", "5"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "config, sequence_file, command",
+        [
+            malformed("fill-too-short", kind_config("interpolate", targets={"fill": [1]})),
+            malformed(
+                "value-pair-too-short",
+                kind_config("interpolate", targets={"values": [[1, 0], [2], [3, 0]]}),
+            ),
+            malformed("values-not-a-list", kind_config("interpolate", targets={"values": 5})),
+            malformed("points-not-a-list", sequence_file={"points": 5}),
+            malformed(
+                "generator-N-not-a-number",
+                kind_config("interpolate", {"generator": "radial_sequence", "params": {"N": "x"}}),
+            ),
+            malformed("max_iter-not-a-number", kind_config("nearby", max_iter="many")),
+            malformed("radius-not-a-number", kind_config("perturb", radius="big")),
+            malformed("base_count-not-a-number", criteria_config(grid={"base_count": "big"})),
+            malformed("seed-not-a-number", criteria_config(seed="s")),
+            malformed("schedule-entry-not-a-number", criteria_config(N_schedule=["x"])),
+            malformed("point-re-not-a-number", kind_config("shift", point={"re": "a", "im": 0})),
+            malformed("fill-a-string", kind_config("interpolate", targets={"fill": "ab"})),
+            malformed("sequence-re-run", sequence_file={"points": [{"re": "abc", "im": 0}]}),
+            malformed(
+                "sequence-re-check",
+                sequence_file={"points": [{"re": "abc", "im": 0}]},
+                command="check",
+            ),
+            malformed(
+                "meta-not-a-mapping",
+                sequence_file={"points": [{"re": 0.1, "im": 0}], "meta": 5},
+                command="check",
+            ),
+            malformed("schedule-not-a-list", criteria_config(N_schedule=5)),
+            malformed("min_sep-null", kind_config("perturb", radius=0.1, min_sep=None)),
+            malformed("schedule-entry-fractional", criteria_config(N_schedule=[2.5])),
+            malformed("path-not-a-string", kind_config("criteria", {"path": 5})),
+            malformed("config-not-a-mapping", ["not", "a", "mapping"]),
+        ],
+    )
+    def test_malformed_input_is_two(self, tmp_path, capsys, config, sequence_file, command):
+        assert cli.main(malformed_argv(tmp_path, config, sequence_file, command)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["shift", "--generator", "radial_sequence", "--q", "2", "--point", "0.1,0"],
+                id="q-outside-unit-interval",
+            ),
+            pytest.param(
+                ["perturb", "--generator", "frostman_example", "--n", "6", "--radius", "1.5"],
+                id="radius-outside-unit-interval",
+            ),
+            pytest.param(["check", "--generator", "frostman_example", "--n", "0"], id="n-zero"),
+        ],
+    )
+    def test_domain_error_is_three(self, capsys, argv):
+        assert cli.main(argv + ["--grid-size", "256"]) == 3
+        assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("run", "--seed", "5"),
+            ("run", "--grid-size", "9999"),
+            ("run", "--tol", "3"),
+            ("gen", "--seed", "5"),
+            ("gen", "--grid-size", "256"),
+            ("gen", "--format", "csv"),
+            ("gen", "--tol", "1e-8"),
+        ],
+    )
+    def test_ignored_flags_are_rejected(self, tmp_path, capsys, command, flag, value):
+        if command == "run":
+            argv = malformed_argv(tmp_path)
+        else:
+            argv = ["gen", "--generator", "frostman_example", "--n", "3"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the expanded-polynomial root finder loses 16 of 20 roots of this "
+    "README example; it passes once roots come from the structured eigenproblem",
+)
+def test_readme_shift_example():
+    argv = ["shift", "--generator", "frostman_example", "--n", "20", "--point", "0.3,0.1"]
+    assert cli.main(argv) == 0
+
+
+def test_check_reads_its_sequence_file_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "seq.json"
+    write_sequence_file(path, ZeroSequence([DiskPoint(0.1 * k, 0.05 * k) for k in range(1, 6)]))
+    reads = []
+    real = cli.load_sequence_file
+    monkeypatch.setattr(cli, "load_sequence_file", lambda p: reads.append(p) or real(p))
+    argv = ["check", "--sequence", str(path), "--schedule", "2,3,5", "--grid-size", "256"]
+    assert cli.main(argv) == 0
+    assert len(reads) == 1
+    capsys.readouterr()
+
+
+def equivalent_runs(seq_a: str, seq_b: str, values: str) -> dict:
+    """kind -> (subcommand argv, the config that means the same, defaults left out)."""
+    radial4 = {"generator": "radial_sequence", "params": {"q": 0.3, "N": 4}}
+    return {
+        "criteria": (
+            ["check", "--sequence", seq_a, "--schedule", "2,3"],
+            {"inputs": {"sequence": {"path": seq_a}}, "N_schedule": [2, 3]},
+        ),
+        "interpolate": (
+            ["interpolate", "--generator", "radial_sequence", "--n", "4", "--q", "0.3",
+             "--fill", "1,0.5"],
+            {"inputs": {"sequence": radial4, "targets": {"fill": [1, 0.5]}}},
+        ),
+        "union": (
+            ["union", "--sequence", seq_a, "--sequence-b", seq_b, "--targets-file-b", values],
+            {
+                "inputs": {
+                    "sequence": {"path": seq_a},
+                    "sequence_b": {"path": seq_b},
+                    "targets_b": {"values": [[1, 0], [0, 1]]},
+                }
+            },
+        ),
+        "nearby": (
+            ["nearby", "--generator", "radial_sequence", "--n", "4", "--q", "0.3", "--seed", "3",
+             "--radius-scale", "0.5", "--max-iter", "40", "--tol", "1e-9"],
+            {
+                "inputs": {"sequence": radial4, "radius_scale": 0.5, "max_iter": 40},
+                "seed": 3,
+                "tolerances": {"tol": 1e-9},
+            },
+        ),
+        "perturb": (
+            ["perturb", "--generator", "frostman_example", "--n", "6", "--radius", "0.05",
+             "--trials", "3", "--min-sep", "0.001", "--seed", "11"],
+            {
+                "inputs": {
+                    "sequence": {"generator": "frostman_example", "params": {"N": 6}},
+                    "radius": 0.05,
+                    "trials": 3,
+                    "min_sep": 0.001,
+                },
+                "seed": 11,
+            },
+        ),
+        "shift": (
+            ["shift", "--sequence", seq_a, "--point", "0.1,-0.2"],
+            {"inputs": {"sequence": {"path": seq_a}, "point": {"re": 0.1, "im": -0.2}}},
+        ),
+    }
+
+
+class TestFlagsMatchConfigKeys:
+    """Each subcommand writes the same report as run on the equivalent config."""
+
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_same_report(self, tmp_path, kind):
+        seq_a = tmp_path / "a.json"
+        seq_b = tmp_path / "b.json"
+        write_sequence_file(
+            seq_a, ZeroSequence([DiskPoint(0.1, 0.0), DiskPoint(-0.3, 0.2), DiskPoint(0.2, 0.6)])
+        )
+        write_sequence_file(seq_b, ZeroSequence([DiskPoint(0.5, 0.0), DiskPoint(0.0, -0.4)]))
+        values = write_json(tmp_path / "values.json", {"values": [[1, 0], [0, 1]]})
+        argv, config = equivalent_runs(str(seq_a), str(seq_b), values)[kind]
+
+        from_flags = tmp_path / "flags.json"
+        assert cli.main(argv + ["--grid-size", "256", "--out", str(from_flags)]) == 0
+        config_path = write_json(
+            tmp_path / "config.json", {"kind": kind, "grid": {"base_count": 256}, **config}
+        )
+        from_config = tmp_path / "run.json"
+        assert cli.main(["run", config_path, "--out", str(from_config)]) == 0
+        assert from_flags.read_bytes() == from_config.read_bytes()
+
+
+FUZZ_POINTS = [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 0.75}, {"re": -0.6, "im": -0.3}]
+FUZZ_POINTS_B = [{"re": 0.1, "im": 0.4}, {"re": -0.2, "im": -0.1}]
+FUZZ_GRID = {"base_count": 256, "refinement_rounds": 0}
+
+
+def fuzz_configs(seq_a: str, seq_b: str) -> list:
+    """One small valid config per kind: N <= 4, base_count 256, no refinement, trials <= 2."""
+    radial3 = {"generator": "radial_sequence", "params": {"q": 0.5, "N": 3, "arg": 0.2}}
+    frostman3 = {"generator": "frostman_example", "params": {"N": 3}}
+    inputs = {
+        "criteria": {"sequence": {"path": seq_a}},
+        "interpolate": {"sequence": radial3, "targets": {"values": [[1, 0], [0, 1], [0.5, 0.5]]}},
+        "union": {
+            "sequence": {"path": seq_a},
+            "sequence_b": {"path": seq_b},
+            "targets": {"fill": [1, 0]},
+            "targets_b": {"values": [[0, 1], [1, 1]]},
+        },
+        "nearby": {
+            "sequence": frostman3,
+            "targets": {"fill": [1, 0]},
+            "radius_scale": 0.5,
+            "max_iter": 30,
+            "min_sep": 0.01,
+        },
+        "perturb": {"sequence": {"path": seq_a}, "radius": 0.05, "trials": 2},
+        "shift": {"sequence": {"path": seq_a}, "point": {"re": 0.1, "im": 0.0}},
+    }
+    common = {"grid": FUZZ_GRID, "seed": 1, "N_schedule": [2, 3], "tolerances": {"tol": 1e-8}}
+    return [{"kind": kind, "inputs": kind_inputs, **common} for kind, kind_inputs in inputs.items()]
+
+
+def json_paths(node, prefix=()):
+    """Every location in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+# Wrong-typed or wrong-shaped replacements; none can parse as a large number.
+WRONG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(-1.5, 1.5),
+    st.text(alphabet="xyz ,", max_size=4),
+    st.lists(st.integers(-1, 1), max_size=3),
+    st.dictionaries(st.sampled_from(["re", "im", "x"]), st.integers(-1, 1), max_size=2),
+)
+
+
+@st.composite
+def mutated(draw, document):
+    """document with one mutation: a replaced value, a dropped or added key, or a list resized."""
+    document = json.loads(json.dumps(document))
+    path = draw(st.sampled_from(list(json_paths(document))))
+    parent, key = None, None
+    target = document
+    for step in path:
+        parent, key, target = target, step, target[step]
+    options = ["replace"]
+    if isinstance(target, dict):
+        options += ["drop", "add"]
+    if isinstance(target, list) and target:
+        options += ["shorten", "lengthen"]
+    action = draw(st.sampled_from(options))
+    if action == "replace":
+        value = draw(WRONG_VALUES)
+        if parent is None:
+            return value
+        parent[key] = value
+    elif action == "drop":
+        if target:
+            del target[draw(st.sampled_from(sorted(target)))]
+    elif action == "add":
+        target["unexpected"] = draw(WRONG_VALUES)
+    elif action == "shorten":
+        target.pop()
+    else:
+        target.append(target[-1])
+    return document
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    def write_inputs(self, workdir, config, sequence) -> str:
+        (workdir / "a.json").write_text(json.dumps(sequence), encoding="utf-8")
+        (workdir / "b.json").write_text(json.dumps({"points": FUZZ_POINTS_B}), encoding="utf-8")
+        return write_json(workdir / "config.json", config)
+
+    def test_unmutated_configs_run(self, workdir):
+        for config in fuzz_configs(str(workdir / "a.json"), str(workdir / "b.json")):
+            config_path = self.write_inputs(workdir, config, {"points": FUZZ_POINTS})
+            assert cli.main(["run", config_path, "--out", str(workdir / "report.json")]) == 0
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, workdir, data):
+        """One mutation of a valid config or sequence file exits 0, 2, 3 or 4 and never raises."""
+        configs = fuzz_configs(str(workdir / "a.json"), str(workdir / "b.json"))
+        config = data.draw(st.sampled_from(configs))
+        sequence = {"points": FUZZ_POINTS, "meta": {"name": "fuzz"}}
+        if "path" in config["inputs"]["sequence"] and data.draw(st.booleans()):
+            sequence = data.draw(mutated(sequence))
+        else:
+            config = data.draw(mutated(config))
+        config_path = self.write_inputs(workdir, config, sequence)
+        assert cli.main(["run", config_path, "--out", str(workdir / "report.json")]) in {0, 2, 3, 4}
