@@ -27,6 +27,9 @@ __all__ = [
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
 
+# Rows per block when a product computes its node cofactors.
+NODE_BLOCK = 64
+
 
 class ZeroSequence(Sequence[DiskPoint]):
     """An ordered list of pairwise distinct points of the unit disk.
@@ -37,11 +40,12 @@ class ZeroSequence(Sequence[DiskPoint]):
     generators always produce at least one point.
     """
 
-    __slots__ = ("_points", "_values")
+    __slots__ = ("_points", "_values", "_min_separation")
 
     def __init__(self, points: Iterable[PointLike]):
         pts = tuple(as_point(p) for p in points)
         values = np.array([p.z for p in pts], dtype=complex)
+        nearest = math.inf
         if len(pts) > 1:
             dist = pairwise_rho(values, values)
             np.fill_diagonal(dist, np.inf)
@@ -54,6 +58,7 @@ class ZeroSequence(Sequence[DiskPoint]):
         self._points = pts
         self._values = values
         self._values.setflags(write=False)
+        self._min_separation = nearest
 
     @property
     def points(self) -> tuple[DiskPoint, ...]:
@@ -67,11 +72,7 @@ class ZeroSequence(Sequence[DiskPoint]):
     @property
     def min_separation(self) -> float:
         """Smallest pairwise pseudohyperbolic distance (inf for fewer than 2 points)."""
-        if len(self) < 2:
-            return math.inf
-        dist = pairwise_rho(self._values, self._values)
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        return self._min_separation
 
     def __len__(self) -> int:
         return len(self._points)
@@ -157,10 +158,11 @@ class BlaschkeProduct:
     Each factor is (|a|/(-a)) (z - a) / (1 - conj(a) z), reducing to z for
     a zero at the origin.  Evaluation accepts scalars or numpy arrays of
     points in the closed disk and multiplies factors directly; cofactors
-    share the rotation.  Instances are immutable.
+    share the rotation.  Instances are immutable, so the node cofactors
+    B_j(a_j) are computed once, at construction.
     """
 
-    __slots__ = ("_zeros", "_rotation", "_prefactors")
+    __slots__ = ("_zeros", "_rotation", "_prefactors", "_node_cofactors")
 
     def __init__(
         self,
@@ -178,6 +180,13 @@ class BlaschkeProduct:
         safe = np.where(zs == 0, 1.0, zs)
         self._prefactors = np.where(zs == 0, 1.0, -np.abs(zs) / safe)
         self._prefactors.setflags(write=False)
+        # Row blocks bound the N x N temporaries; each row of _cofactor_values
+        # depends only on its own point, so the values do not change.
+        self._node_cofactors = np.empty(zs.size, dtype=complex)
+        for start in range(0, zs.size, NODE_BLOCK):
+            rows = slice(start, start + NODE_BLOCK)
+            self._node_cofactors[rows] = self._cofactor_values(zs[rows])[:, rows].diagonal()
+        self._node_cofactors.setflags(write=False)
 
     @property
     def zeros(self) -> ZeroSequence:
@@ -268,17 +277,17 @@ class BlaschkeProduct:
         return BlaschkeProduct(ZeroSequence(pts[:j] + pts[j + 1:]), self._rotation)
 
     def carleson(self) -> CarlesonReport:
-        """Uniform-separation quantities (1 - |a_j|^2) |B'(a_j)| and their infimum."""
+        """Uniform-separation quantities (1 - |a_j|^2) |B'(a_j)| and their infimum.
+
+        Each normalized factor has (1 - |a_j|^2) |b_j'(a_j)| = 1, so the
+        quantity is |B_j(a_j)| = prod over k != j of rho(a_j, a_k): the
+        modulus of the node cofactor.
+        """
         if self.degree == 0:
             raise ValueError("carleson report requires at least one zero")
-        zs = self._zeros.values
-        weights = one_minus_abs_sq(zs)
-        per_zero = []
-        for j in range(self.degree):
-            quantity = float(weights[j] * abs(self.derivative(zs[j], exclude=j)))
-            per_zero.append((j, quantity))
+        per_zero = tuple(enumerate(np.abs(self._node_cofactors).tolist()))
         delta = min(q for _, q in per_zero)
-        return CarlesonReport(per_zero=tuple(per_zero), delta=delta)
+        return CarlesonReport(per_zero=per_zero, delta=delta)
 
     @staticmethod
     def _nearest_zero_hits(arr: np.ndarray, zs: np.ndarray) -> Optional[int]:

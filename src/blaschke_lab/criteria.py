@@ -224,7 +224,8 @@ def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
     if len(alpha) != b.degree:
         raise ValueError("alpha length must equal the degree")
     zeros = b.zeros.values
-    derivs = np.array([b.derivative(zeros[j], exclude=j) for j in range(b.degree)])
+    # B'(a_j) = b_j'(a_j) B_j(a_j), and b_j'(a_j) = prefactor_j / (1 - |a_j|^2).
+    derivs = b._prefactors * b._node_cofactors / one_minus_abs_sq(zeros)
     inner = alpha.values[None, :] / (
         derivs[None, :] * (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
     )
@@ -275,13 +276,13 @@ def separation(paired: PairedSequences) -> CriterionReport:
 
 def nearness(paired: PairedSequences) -> CriterionReport:
     """Exact sup over n of rho(a_n, z_n), with the witness index."""
-    diag = np.diag(pairwise_rho(paired.A.values, paired.Z.values))
-    n = int(np.argmax(diag))
+    dist = paired.index_distances
+    n = int(np.argmax(dist))
     return CriterionReport(
         name="nearness",
-        value=float(diag[n]),
+        value=float(dist[n]),
         argmax_or_argmin=n,
-        per_index=tuple(float(x) for x in diag),
+        per_index=tuple(float(x) for x in dist),
     )
 
 

@@ -42,6 +42,7 @@ from .errors import (
     ZeroCollision,
 )
 from .geometry import DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho
+from .sequences import PairedSequences
 
 __all__ = [
     "DEGREE_CAP",
@@ -83,9 +84,8 @@ def _lagrange_matrix(b: BlaschkeProduct, points: np.ndarray) -> np.ndarray:
     reproduce their node values without roundoff.
     """
     zeros = b.zeros.values
-    node_cof = np.diag(b._cofactor_values(zeros))
     cof = b._cofactor_values(points)
-    rows = (cof / node_cof[None, :]) * _kernel_ratios(zeros, points)
+    rows = (cof / b._node_cofactors[None, :]) * _kernel_ratios(zeros, points)
     hits = points[:, None] == zeros[None, :]
     if hits.any():
         rows[hits.any(axis=1)] = 0.0
@@ -254,9 +254,15 @@ def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> 
     return max(float(value), 1.0)
 
 
-def _phase_unit(a: complex) -> complex:
-    """-|a|/a with the origin convention -|a|/a = 1 for a = 0."""
-    return 1.0 if a == 0 else -abs(a) / a
+def _vanishing_part(space: BlaschkeProduct, factor: BlaschkeProduct, node_values: np.ndarray):
+    """z -> factor(z) times the K_space interpolant of node_values."""
+
+    def part(z) -> Union[complex, np.ndarray]:
+        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        values = factor.evaluate(arr) * (_lagrange_matrix(space, arr) @ node_values)
+        return complex(values[0]) if np.ndim(z) == 0 else values
+
+    return part
 
 
 def interpolate_union(
@@ -267,18 +273,16 @@ def interpolate_union(
 ) -> UnionConstruction:
     """Interpolate alpha on the zeros of B and beta on the zeros of C at once.
 
-    Targets are first normalized to alpha_j / C(a_j) and beta_j / B(z_j),
-    then folded into conjugated coefficients
+    With the targets normalized to alpha_j' = alpha_j / C(a_j) and
+    beta_j' = beta_j / B(z_j), the parts are G1 = C * (the K_B interpolant
+    of alpha') and G2 = B * (the K_C interpolant of beta'), so G = G1 + G2
+    hits both target sets while each part vanishes on the other node set.
+    tilde_gamma holds the conjugated coefficients
 
         tilde_gamma_a[j] = (-conj(a_j)/|a_j|) conj(alpha_j') / conj(B_j(a_j))
 
     (origin convention as in the product factors) and the symmetric
-    C-side expression.  The result is assembled as
-
-        G1(z) = sum_j conj(tilde_gamma_a[j]) (-|a_j|/a_j) B_j(z) C(z) (1-|a_j|^2)/(1-conj(a_j) z)
-
-    plus the mirrored G2 with B and the C-cofactors, so G = G1 + G2 hits
-    both target sets while each part vanishes on the other node set.
+    C-side expression.
     """
     alpha = as_targets(alpha)
     beta = as_targets(beta)
@@ -302,35 +306,11 @@ def interpolate_union(
 
     alpha_norm = alpha.values / c.evaluate(a_vals)
     beta_norm = beta.values / b.evaluate(z_vals)
+    tilde_a = b._prefactors * np.conj(alpha_norm) / np.conj(b._node_cofactors)
+    tilde_z = c._prefactors * np.conj(beta_norm) / np.conj(c._node_cofactors)
 
-    b_cof_at_nodes = np.diag(b._cofactor_values(a_vals))
-    c_cof_at_nodes = np.diag(c._cofactor_values(z_vals))
-
-    phase_a = np.array([_phase_unit(a) for a in a_vals])
-    phase_z = np.array([_phase_unit(z) for z in z_vals])
-
-    tilde_a = phase_a * np.conj(alpha_norm) / np.conj(b_cof_at_nodes)
-    tilde_z = phase_z * np.conj(beta_norm) / np.conj(c_cof_at_nodes)
-
-    weight_a = np.conj(tilde_a) * phase_a
-    weight_z = np.conj(tilde_z) * phase_z
-
-    def g1(z) -> Union[complex, np.ndarray]:
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        terms = b._cofactor_values(arr) * _kernel_ratios(a_vals, arr) * weight_a[None, :]
-        values = c.evaluate(arr) * np.sum(terms, axis=1)
-        return complex(values[0]) if np.ndim(z) == 0 else values
-
-    def g2(z) -> Union[complex, np.ndarray]:
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        terms = c._cofactor_values(arr) * _kernel_ratios(z_vals, arr) * weight_z[None, :]
-        values = b.evaluate(arr) * np.sum(terms, axis=1)
-        return complex(values[0]) if np.ndim(z) == 0 else values
-
-    def g(z) -> Union[complex, np.ndarray]:
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = g1(arr) + g2(arr)
-        return complex(values[0]) if np.ndim(z) == 0 else values
+    g1 = _vanishing_part(b, c, alpha_norm)
+    g2 = _vanishing_part(c, b, beta_norm)
 
     tilde = []
     for j in range(max(len(tilde_a), len(tilde_z))):
@@ -342,7 +322,7 @@ def interpolate_union(
         B=b,
         C=c,
         tilde_gamma=tuple(tilde),
-        G=g,
+        G=lambda z: g1(z) + g2(z),
         G1=g1,
         G2=g2,
     )
@@ -374,7 +354,7 @@ def nearby_iterate(
         raise ValueError("max_iter must be positive")
 
     m_const = lebesgue_constant(b, grid)
-    nu = float(np.max(np.diag(pairwise_rho(b.zeros.values, z_seq.values))))
+    nu = PairedSequences(b.zeros, z_seq).nearness
     threshold = 1.0 / (2.0 * m_const)
     marginal = nu >= threshold
     if nu >= 1.5 * threshold:

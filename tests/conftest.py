@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blaschke_lab import BlaschkeProduct, DiskPoint, ZeroSequence, pairwise_rho
+from blaschke_lab import BlaschkeProduct, DiskPoint, ZeroSequence, one_minus_abs_sq, pairwise_rho
 
 ACCEPTANCE_LINES = []
 
@@ -34,6 +34,22 @@ def random_separated(seed, n, min_rho=0.1, rmax=0.9):
             continue
         values.append(w)
     return ZeroSequence([DiskPoint(w.real, w.imag) for w in values])
+
+
+def random_deep_sequence(seed, n, depth_min=1e-6, depth_max=0.5):
+    """n points with 1 - |a| log-uniform in [depth_min, depth_max], argument uniform."""
+    rng = np.random.default_rng(seed)
+    depth = np.exp(rng.uniform(np.log(depth_min), np.log(depth_max), n))
+    return ZeroSequence((1.0 - depth) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+
+
+def deep_tolerance(seq):
+    """Relative error allowance 16 N eps / min(1 - |a|^2) for values built on deep zeros.
+
+    Near the circle 1 - conj(a) z is formed with absolute error about eps,
+    so its relative error grows like eps / (1 - |a|^2), once per factor.
+    """
+    return 16 * len(seq) * np.finfo(float).eps / float(one_minus_abs_sq(seq.values).min())
 
 
 def random_delta_sequence(seed, n, delta_min=0.3):

@@ -16,7 +16,7 @@ from blaschke_lab import (
     as_targets,
     pairwise_rho,
 )
-from tests.conftest import random_separated
+from tests.conftest import deep_tolerance, random_deep_sequence, random_separated
 
 
 class TestZeroSequence:
@@ -237,6 +237,15 @@ class TestCarleson:
                 assert quantity == pytest.approx(
                     float(np.prod(mat[j])), rel=1e-9
                 )
+        # Zeros down to 1 - |a| = 1e-6; the product is taken as a log-sum.
+        seq = random_deep_sequence(41, 200, depth_min=1e-6)
+        report = BlaschkeProduct(seq).carleson()
+        mat = pairwise_rho(seq.values, seq.values)
+        np.fill_diagonal(mat, 1.0)
+        expected = np.exp(np.sum(np.log(mat), axis=1))
+        assert [q for _, q in report.per_zero] == pytest.approx(
+            expected, rel=deep_tolerance(seq)
+        )
 
     def test_rotation_invariant(self):
         seq = ZeroSequence([0.2, -0.5j, 0.1 + 0.6j])

@@ -27,7 +27,7 @@ from blaschke_lab import (
     separation,
     vasyunin_sum,
 )
-from tests.conftest import random_separated, split_separated
+from tests.conftest import deep_tolerance, random_deep_sequence, random_separated, split_separated
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
 
@@ -148,6 +148,22 @@ class TestDyakonovSup:
             for ak in seq.values
         )
         assert report.value == pytest.approx(expected, rel=1e-12)
+
+        # Deep zeros, with |B'(a_j)| and the kernels taken from mpmath at 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        seq = random_deep_sequence(43, 40, depth_min=1e-6)
+        b = BlaschkeProduct(seq)
+        j = int(np.argmax(np.abs(seq.values)))
+        alpha = TargetVector([1.0 if i == j else 0.0 for i in range(len(seq))])
+        report = dyakonov_sup(b, alpha)
+        with mpmath.workdps(40):
+            pts = [mpmath.mpc(complex(a)) for a in seq.values]
+            aj = pts[j]
+            deriv = mpmath.fprod(
+                abs(aj - ak) / abs(1 - mpmath.conj(ak) * aj) for k, ak in enumerate(pts) if k != j
+            ) / (1 - abs(aj) ** 2)
+            expected = max(1 / (deriv * abs(1 - aj * mpmath.conj(ak))) for ak in pts)
+        assert report.value == pytest.approx(float(expected), rel=deep_tolerance(seq))
 
     def test_length_mismatch_rejected(self):
         b = BlaschkeProduct(ZeroSequence([0.1, 0.2]))

@@ -188,12 +188,16 @@ class TestInterpolateUnion:
         assert np.max(np.abs(u(z.values))) < 1e-12
 
     def test_matches_merged_product_oracle(self):
-        for seed in range(5):
+        # The last input turns both products by a non-trivial rotation.
+        cases = [(seed, 1.0, 1.0) for seed in range(5)] + [(5, np.exp(0.7j), np.exp(-2.3j))]
+        for seed, rot_b, rot_c in cases:
             a, z = split_separated(seed, 4, 4, min_rho=0.45)
             rng = np.random.default_rng(seed)
             alpha = TargetVector(rng.normal(size=4) + 1j * rng.normal(size=4))
             beta = TargetVector(rng.normal(size=4) + 1j * rng.normal(size=4))
-            u = interpolate_union(BlaschkeProduct(a), BlaschkeProduct(z), alpha, beta)
+            u = interpolate_union(
+                BlaschkeProduct(a, rot_b), BlaschkeProduct(z, rot_c), alpha, beta
+            )
 
             gamma = interlace_targets(alpha, beta)
             norm = 1.0 + gamma.sup_norm
