@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DuplicatePoint, EvaluationAtZero, IndexOutOfRange
+from .errors import DuplicatePoint, IndexOutOfRange
 from .geometry import CirclePoint, DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho
 
 __all__ = [
@@ -152,6 +152,18 @@ class CarlesonReport:
     delta: float
 
 
+def _kernel_ratios(zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(1 - |a_j|^2) / (1 - conj(a_j) z_i) for every point/zero pair.
+
+    The denominator is accumulated as (1 - |a|^2) + conj(a) (a - z), which
+    is exact when a point coincides with a zero; the naive 1 - conj(a) z
+    loses all accuracy there once the zero sits deep near the boundary.
+    """
+    sizes = one_minus_abs_sq(zeros)[None, :]
+    shifted = zeros[None, :] - points[:, None]
+    return sizes / (sizes + np.conj(zeros)[None, :] * shifted)
+
+
 class BlaschkeProduct:
     """A finite Blaschke product: rotation times one factor per zero.
 
@@ -242,32 +254,17 @@ class BlaschkeProduct:
 
     __call__ = evaluate
 
-    def derivative(self, z, exclude: Optional[int] = None) -> Union[complex, np.ndarray]:
-        """B'(z) by logarithmic-derivative summation.
+    def derivative(self, z) -> Union[complex, np.ndarray]:
+        """B'(z) = sum over j of b_j'(z) B_j(z), for |z| <= 1, zeros included.
 
-        At a zero the plain sum is singular; pass exclude=j to use the
-        exact product-rule split around factor j, valid everywhere and in
-        particular at z = a_j where it reduces to b_j'(a_j) B_j(a_j).
+        With r_j the exact-denominator kernel ratio, each factor has
+        b_j'(z) = prefactor_j r_j(z)^2 / (1 - |a_j|^2); the cofactors come
+        from prefix/suffix products, so no factor is ever divided out.
         """
         arr, scalar = self._coerce_arg(z)
         zs = self._zeros.values
-
-        if exclude is None:
-            hit = self._nearest_zero_hits(arr, zs)
-            if hit is not None:
-                raise EvaluationAtZero(
-                    f"point coincides with zero {hit}; pass exclude={hit}"
-                )
-            result = self.evaluate(arr) * self._log_derivative_sum(arr, zs)
-            return complex(result[0]) if scalar else result
-
-        j = self._check_index(exclude)
-        a = zs[j]
-        cof = self.cofactor(j)
-        den = 1.0 - np.conj(a) * arr
-        bj = self._prefactors[j] * (arr - a) / den
-        bj_prime = self._prefactors[j] * one_minus_abs_sq(a)[()] / den**2
-        result = bj_prime * cof.evaluate(arr) + bj * cof.derivative(arr)
+        slopes = self._prefactors * _kernel_ratios(zs, arr) ** 2 / one_minus_abs_sq(zs)
+        result = np.sum(slopes * self._cofactor_values(arr), axis=1)
         return complex(result[0]) if scalar else result
 
     def cofactor(self, j: int) -> "BlaschkeProduct":
@@ -288,24 +285,6 @@ class BlaschkeProduct:
         per_zero = tuple(enumerate(np.abs(self._node_cofactors).tolist()))
         delta = min(q for _, q in per_zero)
         return CarlesonReport(per_zero=per_zero, delta=delta)
-
-    @staticmethod
-    def _nearest_zero_hits(arr: np.ndarray, zs: np.ndarray) -> Optional[int]:
-        if zs.size == 0:
-            return None
-        dist = np.abs(arr[:, None] - zs[None, :])
-        flat = int(dist.argmin())
-        if dist.reshape(-1)[flat] <= COINCIDENCE_TOL:
-            return flat % zs.size
-        return None
-
-    @staticmethod
-    def _log_derivative_sum(arr: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        if zs.size == 0:
-            return np.zeros(arr.shape, dtype=complex)
-        num = one_minus_abs_sq(zs)[None, :]
-        den = (arr[:, None] - zs[None, :]) * (1.0 - np.conj(zs)[None, :] * arr[:, None])
-        return np.sum(num / den, axis=1)
 
     def _check_index(self, j: int) -> int:
         j = int(j)

@@ -10,7 +10,6 @@ __all__ = [
     "PointOutsideDisk",
     "DuplicatePoint",
     "PrecisionViolation",
-    "EvaluationAtZero",
     "IndexOutOfRange",
     "TruncationTooDeep",
     "SamplingExhausted",
@@ -19,7 +18,6 @@ __all__ = [
     "SeparationTooSmall",
     "ContractionViolated",
     "MaxIterExceeded",
-    "DegreeCapExceeded",
     "RootVerificationFailed",
     "ConfigInvalid",
     "IoFailure",
@@ -40,10 +38,6 @@ class DuplicatePoint(BlaschkeLabError):
 
 class PrecisionViolation(BlaschkeLabError):
     """A guaranteed inequality failed beyond numerical slack; indicates a bug."""
-
-
-class EvaluationAtZero(BlaschkeLabError):
-    """Derivative evaluation hit a zero of the product without an exclude hint."""
 
 
 class IndexOutOfRange(BlaschkeLabError, IndexError):
@@ -76,10 +70,6 @@ class ContractionViolated(BlaschkeLabError):
 
 class MaxIterExceeded(BlaschkeLabError):
     """Iterative correction did not reach the target residual in time."""
-
-
-class DegreeCapExceeded(BlaschkeLabError):
-    """Polynomial expansion was requested beyond the supported degree."""
 
 
 class RootVerificationFailed(BlaschkeLabError):

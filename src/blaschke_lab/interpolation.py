@@ -10,7 +10,9 @@ with B_j the cofactor at zero j.  On top of that form this module builds
 the norm constant of the interpolation map, the union construction that
 interpolates across two disjoint zero sets at once, the iterative scheme
 that transports an interpolant to a nearby node set, and the preimages of
-a point under B.
+a point under B, taken as the spectrum of a rank-one perturbation of the
+compressed shift on K_B.  Like the product itself, every one of these is
+built from the zeros in factored form; no polynomial is ever expanded.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .blaschke import (
     BlaschkeProduct,
     TargetVector,
     ZeroSequence,
+    _kernel_ratios,
     as_targets,
 )
 from .criteria import CircleGrid, scan_circle
 from .errors import (
     ContractionViolated,
-    DegreeCapExceeded,
-    EvaluationAtZero,
     MaxIterExceeded,
     PointOutsideDisk,
     RootVerificationFailed,
@@ -45,7 +46,6 @@ from .geometry import DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise
 from .sequences import PairedSequences
 
 __all__ = [
-    "DEGREE_CAP",
     "InterpolantRep",
     "UnionConstruction",
     "IterationTrace",
@@ -57,24 +57,9 @@ __all__ = [
     "frostman_shift_zeros",
 ]
 
-# Expanded-coefficient root finding degrades beyond this degree.
-DEGREE_CAP = 40
-
 KERNEL_RESIDUAL_TOL = 1e-6
 UNION_SEPARATION_FLOOR = 1e-6
 ROOT_RESIDUAL_TOL = 1e-8
-
-
-def _kernel_ratios(zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1 - |a_j|^2) / (1 - conj(a_j) z_i) for every point/zero pair.
-
-    The denominator is accumulated as (1 - |a|^2) + conj(a) (a - z), which
-    is exact when a point coincides with a zero; the naive 1 - conj(a) z
-    loses all accuracy there once the zero sits deep near the boundary.
-    """
-    sizes = one_minus_abs_sq(zeros)[None, :]
-    shifted = zeros[None, :] - points[:, None]
-    return sizes / (sizes + np.conj(zeros)[None, :] * shifted)
 
 
 def _lagrange_matrix(b: BlaschkeProduct, points: np.ndarray) -> np.ndarray:
@@ -403,37 +388,47 @@ def nearby_iterate(
     return solve_kb(b, TargetVector(total)), trace
 
 
-def _expanded_fraction(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (low to high) of the numerator and denominator of B."""
-    num = np.array([b.rotation.value], dtype=complex)
-    den = np.array([1.0], dtype=complex)
-    for a, pre in zip(b.zeros.values, b._prefactors):
-        num = np.convolve(num, np.array([-a * pre, pre]))
-        den = np.convolve(den, np.array([1.0, -np.conj(a)]))
-    return num, den
+def _clark_matrix(b: BlaschkeProduct, target: complex) -> np.ndarray:
+    """A matrix whose eigenvalues are the N solutions of B(z) = target.
+
+    With B = gamma prod (z - a_j)/(1 - conj(a_j) z), these solve the same
+    equation with target/gamma on the right.  In the Takenaka-Malmquist
+    basis of K_B (w_j = sqrt(1 - |a_j|^2)) the compressed shift S is lower
+    triangular, with diagonal a_j and S[k, j] = w_j w_k prod_{j<l<k} (-conj(a_l));
+    u holds the coordinates of the kernel at the origin and v those of
+    (B - B(0))/z.  The solutions are the spectrum of the rank-one Clark
+    perturbation S + c u v*, c = a'/(1 - a' conj(B(0))) for a' = target/gamma.
+    """
+    zs = b.zeros.values
+    n = zs.size
+    w = np.sqrt(one_minus_abs_sq(zs))
+    ones = np.ones(1, dtype=complex)
+    # steps[k, j] = -conj(a_{k-1}) below the first subdiagonal, so the
+    # column-wise cumulative product is the chain prod_{j<l<k} (-conj(a_l)).
+    lagged = np.concatenate([ones, -np.conj(zs[:-1])])
+    steps = np.where(np.tri(n, k=-2, dtype=bool), lagged[:, None], 1.0)
+    shift = np.tril(np.outer(w, w) * np.cumprod(steps, axis=0), -1) + np.diag(zs)
+    u = np.conj(w * np.concatenate([ones, np.cumprod(-zs)[:-1]]))
+    v = w * np.concatenate([np.cumprod(-zs[::-1])[::-1][1:], ones])
+    scaled = target / (b.rotation.value * np.prod(b._prefactors))
+    c = scaled / (1.0 - scaled * np.conj(np.prod(-zs)))
+    return shift + c * np.outer(u, np.conj(v))
 
 
 def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
     """All solutions in the disk of B(z) = a, the zeros of the shifted product.
 
-    Found as eigenvalue roots of the expanded polynomial p - a q (p, q the
-    numerator and denominator of B), then polished by Newton steps on the
-    factored form, which stays stable where the expansion does not.  Each
-    root must verify |B(root) - a| <= 1e-8 inside the disk.
+    Found as the eigenvalues of an N x N matrix built from the zeros alone
+    (see _clark_matrix), for any degree, then polished by Newton steps on
+    the factored form.  Each root must verify |B(root) - a| <= 1e-8 inside
+    the disk.
     """
     target = as_point(a).z
     degree = b.degree
     if degree == 0:
         raise ValueError("cannot shift a degree-zero product")
-    if degree > DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"degree {degree} exceeds the expansion cap {DEGREE_CAP}"
-        )
 
-    num, den = _expanded_fraction(b)
-    poly = num.astype(complex)
-    poly[: den.size] -= target * den
-    roots = np.polynomial.polynomial.polyroots(poly)
+    roots = np.linalg.eigvals(_clark_matrix(b, target))
 
     def _residual(w: complex) -> float:
         if abs(w) > 1.0:
@@ -449,11 +444,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
             value = b.evaluate(w) - target
             if abs(value) <= 1e-14 * (1.0 + abs(target)):
                 break
-            try:
-                slope = b.derivative(w)
-            except EvaluationAtZero:
-                break
-            step = value / slope
+            step = value / b.derivative(w)
             if abs(step) > 0.5:
                 break
             candidate = w - step
@@ -464,7 +455,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
 
     residuals = [_residual(w) for w in polished]
     bad = [i for i, res in enumerate(residuals) if res > ROOT_RESIDUAL_TOL or abs(polished[i]) >= 1.0]
-    if len(polished) != degree or bad:
+    if bad:
         raise RootVerificationFailed(
             f"{len(bad)} of {len(polished)} roots failed verification "
             f"(worst residual {max(residuals):.3e}, degree {degree})"

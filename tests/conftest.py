@@ -52,6 +52,26 @@ def deep_tolerance(seq):
     return 16 * len(seq) * np.finfo(float).eps / float(one_minus_abs_sq(seq.values).min())
 
 
+def mp_product(b):
+    """B as an mpmath function, factor by factor at the working precision.
+
+    The zeros and the rotation are taken exactly as stored; call the result
+    inside mpmath.workdps.
+    """
+    import mpmath
+
+    rotation = mpmath.mpc(b.rotation.value)
+    zeros = [mpmath.mpc(complex(a)) for a in b.zeros.values]
+
+    def product(w):
+        w = mpmath.mpc(w)
+        num = mpmath.fprod((w - a) if a == 0 else -abs(a) / a * (w - a) for a in zeros)
+        den = mpmath.fprod(1 - mpmath.conj(a) * w for a in zeros)
+        return rotation * num / den
+
+    return product
+
+
 def random_delta_sequence(seed, n, delta_min=0.3):
     """Radial radii with random arguments, resampled until the Carleson bound holds."""
     rng = np.random.default_rng(seed)

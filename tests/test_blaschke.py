@@ -9,14 +9,13 @@ from blaschke_lab import (
     BlaschkeProduct,
     DiskPoint,
     DuplicatePoint,
-    EvaluationAtZero,
     IndexOutOfRange,
     TargetVector,
     ZeroSequence,
     as_targets,
     pairwise_rho,
 )
-from tests.conftest import deep_tolerance, random_deep_sequence, random_separated
+from tests.conftest import deep_tolerance, mp_product, random_deep_sequence, random_separated
 
 
 class TestZeroSequence:
@@ -195,26 +194,24 @@ class TestDerivative:
                 self.central_difference(b, z), rel=1e-6
             )
 
-    def test_raises_at_zero_without_exclude(self):
-        seq = ZeroSequence([0.0, 0.5])
-        b = BlaschkeProduct(seq)
-        with pytest.raises(EvaluationAtZero, match="exclude"):
-            b.derivative(0.5)
-
-    def test_exclude_matches_difference_quotient_at_zero(self):
+    def test_matches_difference_quotient_at_zero(self):
         seq = random_separated(17, 5, min_rho=0.25, rmax=0.8)
         b = BlaschkeProduct(seq)
-        for j, a in enumerate(seq.values):
+        for a in seq.values:
             fd = self.central_difference(b, complex(a))
-            assert b.derivative(complex(a), exclude=j) == pytest.approx(fd, rel=1e-6)
+            assert b.derivative(complex(a)) == pytest.approx(fd, rel=1e-6)
 
-    def test_exclude_agrees_away_from_zeros(self):
-        seq = ZeroSequence([0.2, -0.3j, 0.5])
+    def test_deep_zeros_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        seq = random_deep_sequence(47, 40)
         b = BlaschkeProduct(seq)
-        z = 0.1 + 0.4j
-        plain = b.derivative(z)
-        for j in range(3):
-            assert b.derivative(z, exclude=j) == pytest.approx(plain, abs=1e-13)
+        inward = seq.values * (1.0 - 1e-9 / np.abs(seq.values))
+        points = np.concatenate([seq.values, inward])
+        got = b.derivative(points)
+        product = mp_product(b)
+        with mpmath.workdps(40):
+            expected = [complex(mpmath.diff(product, complex(z))) for z in points]
+        np.testing.assert_allclose(got, expected, rtol=deep_tolerance(seq), atol=0)
 
     def test_degree_one_derivative(self):
         b = BlaschkeProduct(ZeroSequence([0.0]))

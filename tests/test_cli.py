@@ -787,14 +787,18 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the expanded-polynomial root finder loses 16 of 20 roots of this "
-    "README example; it passes once roots come from the structured eigenproblem",
-)
 def test_readme_shift_example():
     argv = ["shift", "--generator", "frostman_example", "--n", "20", "--point", "0.3,0.1"]
     assert cli.main(argv) == 0
+
+
+def test_unverified_shift_roots_exit_three(capsys):
+    # frostman_example n = 40 puts roots where |B'| ~ 1/(1 - |z|): 10 of 40 miss 1e-8.
+    argv = ["shift", "--generator", "frostman_example", "--n", "40", "--point", "0.3,0.1"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "failed verification" in err
+    assert "Traceback" not in err
 
 
 def test_check_reads_its_sequence_file_once(tmp_path, monkeypatch, capsys):

@@ -8,13 +8,14 @@ from blaschke_lab import (
     BlaschkeProduct,
     CircleGrid,
     ContractionViolated,
-    DegreeCapExceeded,
     DiskPoint,
     MaxIterExceeded,
+    RootVerificationFailed,
     SeparationTooSmall,
     TargetVector,
     ZeroCollision,
     ZeroSequence,
+    frostman_example,
     frostman_shift_zeros,
     interlace_targets,
     interpolate_union,
@@ -24,7 +25,14 @@ from blaschke_lab import (
     solve_kb,
     sup_norm,
 )
-from tests.conftest import random_delta_sequence, random_separated, split_separated
+from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL
+from tests.conftest import (
+    mp_product,
+    random_deep_sequence,
+    random_delta_sequence,
+    random_separated,
+    split_separated,
+)
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
 
@@ -385,12 +393,40 @@ class TestFrostmanShiftZeros:
         assert np.all(np.diff(phases) >= -1e-15)
 
     def test_degree_cap(self):
-        seq = radial_sequence_like(41)
-        with pytest.raises(DegreeCapExceeded):
-            frostman_shift_zeros(BlaschkeProduct(seq), DiskPoint(0.1, 0.0))
+        # 41 is past where monomial-coefficient root finding degrades; the eigenproblem has no cap.
+        b = BlaschkeProduct(radial_sequence_like(41))
+        roots = frostman_shift_zeros(b, DiskPoint(0.1, 0.0))
+        assert len(roots) == 41
+        assert np.max(np.abs(b(roots.values) - 0.1)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            pytest.param(frostman_example(20), id="readme-frostman-20"),
+            pytest.param(random_deep_sequence(51, 50), id="deep-50"),
+            pytest.param(random_deep_sequence(52, 200), id="deep-200"),
+        ],
+    )
+    def test_deep_zeros_against_mpmath(self, seq):
+        mpmath = pytest.importorskip("mpmath")
+        b = BlaschkeProduct(seq)
+        a = 0.3 + 0.1j
+        roots = frostman_shift_zeros(b, DiskPoint(a.real, a.imag))
+        assert len(roots) == len(seq)
+        assert np.all(np.abs(roots.values) < 1.0)
+        product = mp_product(b)
+        with mpmath.workdps(40):
+            worst = max(float(abs(product(complex(w)) - a)) for w in roots.values)
+        assert worst <= ROOT_RESIDUAL_TOL
+
+    def test_ill_conditioned_roots_fail_verification(self):
+        # |B'| grows like 1/(1 - |z|): 10 of these 40 roots miss the 1e-8 residual gate.
+        b = BlaschkeProduct(frostman_example(40))
+        with pytest.raises(RootVerificationFailed, match="10 of 40"):
+            frostman_shift_zeros(b, DiskPoint(0.3, 0.1))
 
 
 def radial_sequence_like(n):
-    """A separated sequence of the requested length for cap checks."""
+    """n points evenly spaced on the circle of radius 1/2, pairwise separated."""
     angles = 2.0 * np.pi * np.arange(n) / n
     return ZeroSequence(0.5 * np.exp(1j * angles))
