@@ -22,7 +22,7 @@ import numpy as np
 
 from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, as_targets
 from .errors import NearnessExceeded, ZeroCollision
-from .geometry import CirclePoint, one_minus_abs_sq, pairwise_rho
+from .geometry import TWO_PI, CirclePoint, one_minus_abs_sq, pairwise_rho, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "perturbation_report",
 ]
 
-TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_SEEDS = 8
 GOLDEN_STEPS_PER_ROUND = 16
@@ -58,9 +57,7 @@ class CircleGrid:
             raise ValueError(f"base_count = {self.base_count} must be at least 256")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be nonnegative")
-        object.__setattr__(
-            self, "extra_args", tuple(float(a) % TWO_PI for a in self.extra_args)
-        )
+        object.__setattr__(self, "extra_args", tuple(wrap_angle(a) for a in self.extra_args))
 
     def angles(self) -> np.ndarray:
         base = TWO_PI * np.arange(self.base_count) / self.base_count
@@ -72,7 +69,7 @@ class CircleGrid:
         """A copy whose extras include the arguments of the given points."""
         extras = list(self.extra_args)
         for seq in sequences:
-            extras.extend(np.angle(seq.values) % TWO_PI)
+            extras.extend(np.angle(seq.values))
         return replace(self, extra_args=tuple(extras))
 
 
@@ -114,24 +111,26 @@ class PerturbationReport:
     nearness: float
 
 
-def _golden_refine(
-    f: Callable[[float], float], lo: float, hi: float, steps: int, sign: float
-) -> tuple[float, float]:
-    """Golden-section extremum search; returns (signed value, argument)."""
+def _golden_refine(lo: float, hi: float, steps: int):
+    """Golden-section maximum search, driven from outside.
+
+    Yields each argument to evaluate and receives its signed value back;
+    returns (best signed value, its argument).
+    """
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1 = sign * f(x1)
-    f2 = sign * f(x2)
+    f1 = yield x1
+    f2 = yield x2
     best_val, best_arg = (f1, x1) if f1 >= f2 else (f2, x2)
     for _ in range(steps):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)
-            f2 = sign * f(x2)
+            f2 = yield x2
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
-            f1 = sign * f(x1)
+            f1 = yield x1
         if f1 > best_val:
             best_val, best_arg = f1, x1
         if f2 > best_val:
@@ -148,7 +147,9 @@ def scan_circle(
 
     f must map an array of arguments to an array of values.  Returns the
     extremal value, its argument, and the raw grid values; the result is
-    never worse than the best bare grid point.
+    never worse than the best bare grid point.  The golden-section
+    refinements around the best grid cells run in lockstep: each step
+    calls f once, on the next argument of every search.
     """
     sign = 1.0 if mode == "max" else -1.0
     angles = grid.angles()
@@ -161,12 +162,22 @@ def scan_circle(
     steps = GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
     if steps > 0:
         half_cell = math.pi / grid.base_count
-        scalar_f = lambda x: float(f(np.array([x % TWO_PI]))[0])
-        for idx in order:
-            center = float(angles[idx])
-            val, arg = _golden_refine(
-                scalar_f, center - half_cell, center + half_cell, steps, sign
-            )
+        searches = [
+            _golden_refine(center - half_cell, center + half_cell, steps)
+            for center in angles[order].tolist()
+        ]
+        args = [next(search) for search in searches]
+        results = []
+        # every search takes 2 + steps evaluations, so all of them finish together
+        while not results:
+            step_values = sign * np.asarray(f(np.array(args) % TWO_PI), dtype=float)
+            args = []
+            for search, value in zip(searches, step_values.tolist()):
+                try:
+                    args.append(search.send(value))
+                except StopIteration as done:
+                    results.append(done.value)
+        for val, arg in results:
             if val > best_val:
                 best_val, best_arg = val, arg
     return sign * best_val, CirclePoint(best_arg), values

@@ -30,6 +30,7 @@ __all__ = [
     "kernel_bounds_check",
     "pairwise_rho",
     "one_minus_abs_sq",
+    "wrap_angle",
 ]
 
 # Points closer to the circle than this are rejected: kernels and the
@@ -39,6 +40,16 @@ BOUNDARY_MARGIN = 1e-15
 TWO_PI = 2.0 * math.pi
 
 PointLike = Union["DiskPoint", complex, float, int]
+
+
+def wrap_angle(x: float) -> float:
+    """The argument x reduced to [0, 2*pi).
+
+    x % (2*pi) rounds to exactly 2*pi for x in (-4.4e-16, 0); that is the
+    same point of the circle as 0.0, and 0.0 is returned for it.
+    """
+    wrapped = float(x) % TWO_PI
+    return 0.0 if wrapped == TWO_PI else wrapped
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ class CirclePoint:
     def __post_init__(self):
         if not math.isfinite(self.arg):
             raise ValueError(f"non-finite argument {self.arg}")
-        object.__setattr__(self, "arg", self.arg % TWO_PI)
+        object.__setattr__(self, "arg", wrap_angle(self.arg))
 
     @classmethod
     def from_complex(cls, w: complex) -> "CirclePoint":

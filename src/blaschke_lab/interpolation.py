@@ -42,7 +42,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho
+from .geometry import DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -463,7 +463,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
 
     order = sorted(
         range(degree),
-        key=lambda i: (cmath.phase(polished[i]) % (2.0 * math.pi), abs(polished[i])),
+        key=lambda i: (wrap_angle(cmath.phase(polished[i])), abs(polished[i])),
     )
     try:
         points = [DiskPoint.from_complex(polished[i]) for i in order]

@@ -1,6 +1,7 @@
 """Configuration validation, file round trips, and end-to-end CLI runs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import blaschke_lab
 from blaschke_lab import cli
 from blaschke_lab.blaschke import ZeroSequence
 from blaschke_lab.cli import (
@@ -530,6 +532,10 @@ class TestMainCommands:
         assert payload["results"]["shift_point"] == {"re": 0.2, "im": 0.1}
 
     def test_module_entry_point(self):
+        # the child imports the same package as this test, wherever it came from
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -545,6 +551,7 @@ class TestMainCommands:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["kind"] == "criteria"

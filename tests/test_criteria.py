@@ -27,6 +27,8 @@ from blaschke_lab import (
     separation,
     vasyunin_sum,
 )
+from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
+from blaschke_lab.geometry import TWO_PI
 from tests.conftest import deep_tolerance, random_deep_sequence, random_separated, split_separated
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
@@ -49,10 +51,119 @@ class TestCircleGrid:
         grid = CircleGrid(base_count=256, extra_args=(-0.5,))
         assert grid.extra_args[0] == pytest.approx(2.0 * math.pi - 0.5)
 
+    def test_tiny_negative_extra_wraps_to_zero(self):
+        # -1e-17 % (2 pi) rounds to exactly 2 pi, the same point as 0
+        grid = CircleGrid(base_count=256, extra_args=(-1e-17,))
+        assert grid.extra_args == (0.0,)
+        assert grid.angles().size == 256
+
     def test_with_injected(self):
         seq = ZeroSequence([0.3 * np.exp(0.777j)])
         grid = CircleGrid(base_count=256).with_injected(seq)
         assert any(abs(a - 0.777) < 1e-12 for a in grid.extra_args)
+
+
+def _scalar_golden(f, lo, hi, steps, sign):
+    """Reference golden-section search, one scalar f call per argument."""
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1 = sign * f(x1)
+    f2 = sign * f(x2)
+    best_val, best_arg = (f1, x1) if f1 >= f2 else (f2, x2)
+    for _ in range(steps):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = sign * f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = sign * f(x1)
+        if f1 > best_val:
+            best_val, best_arg = f1, x1
+        if f2 > best_val:
+            best_val, best_arg = f2, x2
+    return best_val, best_arg
+
+
+def _scalar_scan(f, grid, mode):
+    """Reference circle scan: the grid, then each seed's search in turn."""
+    sign = 1.0 if mode == "max" else -1.0
+    angles = grid.angles()
+    signed = sign * np.asarray(f(angles), dtype=float)
+    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+    best_val, best_arg = float(signed[order[0]]), float(angles[order[0]])
+    steps = GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
+    if steps > 0:
+        half_cell = math.pi / grid.base_count
+        scalar_f = lambda x: float(f(np.array([x % TWO_PI]))[0])
+        for idx in order:
+            center = float(angles[idx])
+            val, arg = _scalar_golden(scalar_f, center - half_cell, center + half_cell, steps, sign)
+            if val > best_val:
+                best_val, best_arg = val, arg
+    return sign * best_val, CirclePoint(best_arg).arg
+
+
+def _frostman_total(seq):
+    weights = 1.0 - np.abs(seq.values)
+
+    def total(angles):
+        zeta = np.exp(1j * angles)
+        return np.sum(weights[None, :] / np.abs(zeta[:, None] - seq.values[None, :]), axis=1)
+
+    return total
+
+
+def _kernel_ratio(a, z):
+    def ratio(angles):
+        zeta = np.exp(1j * angles)
+        num = np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
+        den = np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
+        return np.min(num / den, axis=1)
+
+    return ratio
+
+
+def _tie_steps(then_left):
+    """A step function on which the refined maximum depends on the tie rules.
+
+    Near the grid nodes c = 40 and 100 cells from 0, the first two golden
+    points x1 < x2 of c's search both take the value 2, above every grid
+    value: f1 >= f2 keeps x1 as the witness, and the two searches tie, so
+    the in-order merge keeps the first.  With then_left, the point each
+    search visits next when f1 < f2 is false takes the value 3.
+    """
+    h = math.pi / 256
+    steps = []
+    for node in (40, 100):
+        c = node * 2.0 * h
+        lo, hi = c - h, c + h
+        x1 = hi - GOLDEN * (hi - lo)
+        x2 = lo + GOLDEN * (hi - lo)
+        x3 = x2 - GOLDEN * (x2 - lo)
+        steps += [(c, 1.0), (x1, 2.0), (x2, 2.0)] + ([(x3, 3.0)] if then_left else [])
+
+    def f(angles):
+        out = np.zeros_like(angles)
+        for at, level in steps:
+            out[np.abs(angles - at) < 1e-6] = level
+        return out
+
+    return f
+
+
+_A = frostman_example(12).values
+_SCAN_CASES = {
+    "cosine": (lambda t: np.cos(t - 1.0), "max"),
+    "cosine_min": (lambda t: np.cos(t - 1.0), "min"),
+    "frostman15": (_frostman_total(frostman_example(15)), "max"),
+    "kernel_ratio_min": (_kernel_ratio(_A, _A * np.exp(0.01j) * 0.999), "min"),
+    "tie_first": (_tie_steps(False), "max"),
+    "tie_first_min": (lambda t: -_tie_steps(False)(t), "min"),
+    "tie_then_left": (_tie_steps(True), "max"),
+    "tie_then_left_min": (lambda t: -_tie_steps(True)(t), "min"),
+}
 
 
 class TestScanCircle:
@@ -69,14 +180,36 @@ class TestScanCircle:
         assert value == pytest.approx(-1.0, abs=1e-8)
         assert witness.arg == pytest.approx(math.pi, abs=1e-2)
 
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_matches_scalar_reference_bit_for_bit(self, case, rounds):
+        f, mode = _SCAN_CASES[case]
+        grid = CircleGrid(base_count=256, refinement_rounds=rounds, extra_args=(0.1234567,))
+        value, witness, _ = scan_circle(f, grid, mode=mode)
+        ref_value, ref_arg = _scalar_scan(f, grid, mode)
+        assert value == ref_value
+        assert witness.arg == ref_arg
+
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_one_call_per_lockstep_step(self, rounds):
+        sizes = []
+
+        def counted(angles):
+            assert np.all((angles >= 0.0) & (angles < TWO_PI))
+            sizes.append(angles.size)
+            return np.cos(angles - 1.0)
+
+        grid = CircleGrid(base_count=256, refinement_rounds=rounds)
+        scan_circle(counted, grid)
+        steps = GOLDEN_STEPS_PER_ROUND * rounds
+        refine_calls = 2 + steps if steps else 0
+        assert len(sizes) == 1 + refine_calls
+        assert sizes[0] == grid.angles().size
+        assert sizes[1:] == [REFINE_SEEDS] * refine_calls
+        assert sum(sizes) == 256 + REFINE_SEEDS * refine_calls
+
     def test_refinement_never_decreases_maximum(self):
-        seq = frostman_example(15)
-
-        def total(angles):
-            zeta = np.exp(1j * angles)
-            w = 1.0 - np.abs(seq.values)
-            return np.sum(w[None, :] / np.abs(zeta[:, None] - seq.values[None, :]), axis=1)
-
+        total = _frostman_total(frostman_example(15))
         coarse, _, _ = scan_circle(total, CircleGrid(base_count=256, refinement_rounds=0))
         fine, _, _ = scan_circle(total, CircleGrid(base_count=256, refinement_rounds=3))
         denser, _, _ = scan_circle(total, CircleGrid(base_count=1024, refinement_rounds=3))

@@ -61,6 +61,11 @@ class TestCirclePoint:
         assert CirclePoint(2.0 * math.pi + 0.5).arg == pytest.approx(0.5)
         assert CirclePoint(-0.5).arg == pytest.approx(2.0 * math.pi - 0.5)
 
+    def test_tiny_negative_argument_wraps_to_zero(self):
+        # -1e-17 % (2 pi) rounds to exactly 2 pi, outside [0, 2 pi)
+        assert CirclePoint(-1e-17).arg == 0.0
+        assert CirclePoint(2.0 * math.pi).arg == 0.0
+
     def test_from_complex(self):
         w = CirclePoint.from_complex(1j)
         assert w.arg == pytest.approx(math.pi / 2)

@@ -22,6 +22,7 @@ from blaschke_lab import (
     lebesgue_constant,
     nearby_iterate,
     perturb_sample,
+    radial_sequence,
     solve_kb,
     sup_norm,
 )
@@ -418,6 +419,16 @@ class TestFrostmanShiftZeros:
         with mpmath.workdps(40):
             worst = max(float(abs(product(complex(w)) - a)) for w in roots.values)
         assert worst <= ROOT_RESIDUAL_TOL
+
+    def test_positive_real_roots_sort_first(self):
+        # Two roots are real, with rounding-level Im w of opposite signs; a
+        # negative one must not wrap the argument to 2 pi and sort last.
+        b = BlaschkeProduct(radial_sequence(0.5, 8))
+        roots = frostman_shift_zeros(b, DiskPoint(0.1, 0.0)).values
+        real = np.abs(roots.imag) <= 1e-12
+        assert real.tolist() == [True, True] + [False] * 6
+        assert np.all(roots[:2].real > 0.0)
+        assert np.min(np.abs(roots[:2] - 0.2736708183825187)) <= 1e-12
 
     def test_ill_conditioned_roots_fail_verification(self):
         # |B'| grows like 1/(1 - |z|): 10 of these 40 roots miss the 1e-8 residual gate.
