@@ -43,22 +43,28 @@ class ZeroSequence(Sequence[DiskPoint]):
     __slots__ = ("_points", "_values", "_min_separation")
 
     def __init__(self, points: Iterable[PointLike]):
-        pts = tuple(as_point(p) for p in points)
-        values = np.array([p.z for p in pts], dtype=complex)
-        nearest = math.inf
-        if len(pts) > 1:
-            dist = pairwise_rho(values, values)
-            np.fill_diagonal(dist, np.inf)
+        self._adopt(tuple(as_point(p) for p in points))
+        if len(self) > 1:
+            dist = self._separations()
             nearest = float(dist.min())
             if nearest <= COINCIDENCE_TOL:
                 j, k = np.unravel_index(int(dist.argmin()), dist.shape)
                 raise DuplicatePoint(
                     f"points {j} and {k} coincide (rho = {nearest:.3e})"
                 )
+            self._min_separation = nearest
+
+    def _adopt(self, pts: tuple[DiskPoint, ...]) -> None:
+        """Hold pts without checking them; min_separation is left to compute on demand."""
         self._points = pts
-        self._values = values
+        self._values = np.array([p.z for p in pts], dtype=complex)
         self._values.setflags(write=False)
-        self._min_separation = nearest
+        self._min_separation = math.inf if len(pts) < 2 else None
+
+    def _separations(self) -> np.ndarray:
+        dist = pairwise_rho(self._values, self._values)
+        np.fill_diagonal(dist, np.inf)
+        return dist
 
     @property
     def points(self) -> tuple[DiskPoint, ...]:
@@ -71,7 +77,12 @@ class ZeroSequence(Sequence[DiskPoint]):
 
     @property
     def min_separation(self) -> float:
-        """Smallest pairwise pseudohyperbolic distance (inf for fewer than 2 points)."""
+        """Smallest pairwise pseudohyperbolic distance (inf for fewer than 2 points).
+
+        A slice computes it on first access: a subset's value can be larger.
+        """
+        if self._min_separation is None:
+            self._min_separation = float(self._separations().min())
         return self._min_separation
 
     def __len__(self) -> int:
@@ -79,7 +90,10 @@ class ZeroSequence(Sequence[DiskPoint]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ZeroSequence(self._points[index])
+            # a slice of a checked sequence is distinct by construction
+            part = ZeroSequence.__new__(ZeroSequence)
+            part._adopt(self._points[index])
+            return part
         return self._points[index]
 
     def __iter__(self):

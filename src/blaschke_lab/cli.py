@@ -396,11 +396,15 @@ def _resolve_targets(spec: dict, length: int) -> TargetVector:
 
 def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     grid = config.circle_grid()
-    spec, deepest = config.inputs["sequence"], max(config.N_schedule)
-    if "generator" in spec:
+    spec = config.inputs["sequence"]
+    if config.N_schedule and "generator" in spec:
         # the schedule, not params.N, sets how many points are generated
-        spec = {**spec, "params": {**spec["params"], "N": deepest}}
+        spec = {**spec, "params": {**spec["params"], "N": max(config.N_schedule)}}
     full = _resolve_sequence(spec)
+    if not config.N_schedule:
+        # check without --schedule runs the whole sequence
+        config = replace(config, N_schedule=(len(full),))
+    deepest = max(config.N_schedule)
     if deepest > len(full):
         raise ConfigInvalid(f"schedule entry {deepest} exceeds the {len(full)} stored points")
     per_n, rows = [], []
@@ -551,12 +555,10 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
-def _perturb_trial(args) -> dict:
-    seq, radius, trial_seed, min_sep, grid = args
-    paired = perturb_sample(seq, radius, trial_seed, min_sep=min_sep)
-    report = crit.perturbation_report(paired, radius, grid)
-    payload = asdict(report)
-    return payload
+def _perturb_block(args) -> list[dict]:
+    seq, radius, trial_seeds, min_sep, grid = args
+    pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
+    return [asdict(report) for report in crit.perturbation_reports(pairs, radius, grid)]
 
 
 def _run_perturb(config: ExperimentConfig) -> ReportBundle:
@@ -570,15 +572,18 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
 
     master = np.random.default_rng(config.seed)
     trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
-    jobs = [(seq, radius, s, min_sep, grid) for s in trial_seeds]
 
     threads = _INT(os.environ.get(THREADS_ENV, "0"), THREADS_ENV)
     threads = threads if threads > 0 else min(32, os.cpu_count() or 1)
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_perturb_trial, jobs))
+    # each worker samples a contiguous block of trials, then reports on it in one batch
+    blocks = min(threads, trials)
+    bounds = [trials * k // blocks for k in range(blocks + 1)]
+    jobs = [(seq, radius, trial_seeds[lo:hi], min_sep, grid) for lo, hi in zip(bounds, bounds[1:])]
+    if blocks > 1:
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            reports = [r for block in pool.map(_perturb_block, jobs) for r in block]
     else:
-        reports = [_perturb_trial(job) for job in jobs]
+        reports = _perturb_block(jobs[0])
 
     aggregate = {
         "trials": trials,
@@ -834,9 +839,10 @@ def _config_from_args(args) -> ExperimentConfig:
     kind = next(kind for kind, entry in _KINDS.items() if entry[0] == args.command)
     raw = {"kind": kind, **_raw_from_args(_config_fields(kind), args)}
     if kind == "criteria" and "N_schedule" not in raw:
-        # Without --schedule, check runs the whole sequence.
-        spec = _sequence(raw["inputs"]["sequence"], "config.inputs.sequence")
-        raw["N_schedule"] = [len(_resolve_sequence(spec))]
+        # Without --schedule, check runs the whole sequence: the config is
+        # validated with a one-entry stand-in, and _run_criteria takes the
+        # length from its one load of the sequence.
+        return replace(validate_config({**raw, "N_schedule": [1]}), N_schedule=())
     return validate_config(raw)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +37,16 @@ __all__ = [
     "separation",
     "nearness",
     "perturbation_report",
+    "perturbation_reports",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_SEEDS = 8
 GOLDEN_STEPS_PER_ROUND = 16
+
+# Points per block when perturbation_reports evaluates its boundary columns:
+# no temporary holds more than POINT_BLOCK x N entries.
+POINT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -111,30 +116,57 @@ class PerturbationReport:
     nearness: float
 
 
-def _golden_refine(lo: float, hi: float, steps: int):
-    """Golden-section maximum search, driven from outside.
+def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, float]:
+    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value."""
+    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+    return angles[order], signed[order[0]]
 
-    Yields each argument to evaluate and receives its signed value back;
-    returns (best signed value, its argument).
+
+def _refine(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    seeds: np.ndarray,
+    best_val: np.ndarray,
+    half_cell: float,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sharpen the grid maxima of many scans by golden-section searches in lockstep.
+
+    Row s of seeds holds scan s's seed arguments, best first, and
+    best_val[s] its best grid value.  One search runs on each seed's cell;
+    every step calls evaluate once, on the next argument of every search
+    (flattened row by row), and gets their values back.  Each search keeps
+    the scalar search's arithmetic and its >=/</> tie rules, and merges into
+    its scan's best in seed order, strict improvements only.  Returns the
+    best value and its (unwrapped) argument per scan.
     """
+    best_arg = seeds[:, 0]
+    if steps == 0:
+        return best_val, best_arg
+    lo = seeds.ravel() - half_cell
+    hi = seeds.ravel() + half_cell
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1 = yield x1
-    f2 = yield x2
-    best_val, best_arg = (f1, x1) if f1 >= f2 else (f2, x2)
+    f1 = evaluate(x1)
+    f2 = evaluate(x2)
+    first = f1 >= f2
+    val, arg = np.where(first, f1, f2), np.where(first, x1, x2)
     for _ in range(steps):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = yield x2
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = yield x1
-        if f1 > best_val:
-            best_val, best_arg = f1, x1
-        if f2 > best_val:
-            best_val, best_arg = f2, x2
+        # right: the maximum lies right of x1, so lo moves to x1 and x2 is new
+        right = f1 < f2
+        lo = np.where(right, x1, lo)
+        hi = np.where(right, hi, x2)
+        step = GOLDEN * (hi - lo)
+        x_new = np.where(right, lo + step, hi - step)
+        f_new = evaluate(x_new)
+        x1, x2 = np.where(right, x2, x_new), np.where(right, x_new, x1)
+        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
+        # the value kept from the last step was compared then and never beats val
+        better = f_new > val
+        val, arg = np.where(better, f_new, val), np.where(better, x_new, arg)
+    val, arg = val.reshape(seeds.shape), arg.reshape(seeds.shape)
+    for j in range(seeds.shape[1]):
+        better = val[:, j] > best_val
+        best_val, best_arg = np.where(better, val[:, j], best_val), np.where(better, arg[:, j], best_arg)
     return best_val, best_arg
 
 
@@ -154,33 +186,15 @@ def scan_circle(
     sign = 1.0 if mode == "max" else -1.0
     angles = grid.angles()
     values = np.asarray(f(angles), dtype=float)
-    signed = sign * values
-    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
-    best_val = float(signed[order[0]])
-    best_arg = float(angles[order[0]])
-
-    steps = GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
-    if steps > 0:
-        half_cell = math.pi / grid.base_count
-        searches = [
-            _golden_refine(center - half_cell, center + half_cell, steps)
-            for center in angles[order].tolist()
-        ]
-        args = [next(search) for search in searches]
-        results = []
-        # every search takes 2 + steps evaluations, so all of them finish together
-        while not results:
-            step_values = sign * np.asarray(f(np.array(args) % TWO_PI), dtype=float)
-            args = []
-            for search, value in zip(searches, step_values.tolist()):
-                try:
-                    args.append(search.send(value))
-                except StopIteration as done:
-                    results.append(done.value)
-        for val, arg in results:
-            if val > best_val:
-                best_val, best_arg = val, arg
-    return sign * best_val, CirclePoint(best_arg), values
+    seeds, best = _grid_seeds(sign * values, angles)
+    best_val, best_arg = _refine(
+        lambda x: sign * np.asarray(f(x % TWO_PI), dtype=float),
+        seeds[None, :],
+        np.array([best]),
+        math.pi / grid.base_count,
+        GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
+    )
+    return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), values
 
 
 def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> CriterionReport:
@@ -297,18 +311,63 @@ def nearness(paired: PairedSequences) -> CriterionReport:
     )
 
 
-def perturbation_report(
-    paired: PairedSequences, r: float, grid: Optional[CircleGrid] = None
-) -> PerturbationReport:
-    """Empirical constants of the comparison chain between a sequence and its perturbation.
+class _TrialColumns(NamedTuple):
+    """The zeros of a batch of trials, one column per trial, in the forms the scans read."""
 
-    Checks the two-sided size comparison with constant C_r = (1+r)/(1-r),
-    records min/max envelopes for the kernel-product ratios over index
-    pairs, scans the circle for the boundary kernel ratios, and computes
-    both Frostman sums on a shared grid.
+    a: np.ndarray
+    z: np.ndarray
+    conj_a: np.ndarray
+    conj_z: np.ndarray
+    size_a: np.ndarray
+    size_z: np.ndarray
+    weight_a: np.ndarray
+    weight_z: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: list[PairedSequences]) -> "_TrialColumns":
+        a = np.stack([p.A.values for p in pairs], axis=1)
+        z = np.stack([p.Z.values for p in pairs], axis=1)
+        return cls(
+            a, z, np.conj(a), np.conj(z), one_minus_abs_sq(a), one_minus_abs_sq(z),
+            1.0 - np.abs(a), 1.0 - np.abs(z),
+        )
+
+
+# The boundary scans of a perturbation report: C3 and C4 are minima, the
+# Frostman sums of A and Z maxima.
+_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _boundary_values(
+    zeta: np.ndarray, zeros: _TrialColumns, trials: Union[slice, np.ndarray], scans: tuple[int, ...]
+) -> list[np.ndarray]:
+    """The values of the given boundary scans at a row of points zeta.
+
+    Point i is compared with the zeros in column trials[i], or with one
+    shared column when trials is a one-column slice.  Entries are laid out
+    zeros x points, so that the elementwise loops run along the points.
+    Every operation keeps the operand order of the one-function scans, and
+    each sum runs over a row-major copy, so values are bit-equal to them.
+    C3 and C4 share num and den.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"radius {r} must lie in (0, 1)")
+    out = []
+    if 0 in scans or 1 in scans:
+        num = np.abs(1.0 - zeros.conj_z[:, trials] * zeta)
+        den = np.abs(1.0 - zeros.conj_a[:, trials] * zeta)
+    for scan in scans:
+        if scan == 0:
+            out.append(np.min(num / den, axis=0))
+        elif scan == 1:
+            out.append(np.min((zeros.size_a[:, trials] * num) / (zeros.size_z[:, trials] * den), axis=0))
+        else:
+            values, weights = (zeros.a, zeros.weight_a) if scan == 2 else (zeros.z, zeros.weight_z)
+            terms = weights[:, trials] / np.abs(zeta - values[:, trials])
+            out.append(np.sum(np.ascontiguousarray(terms.T), axis=1))
+    return out
+
+
+def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
+    """The fields of a perturbation report that need no circle scan."""
     near = paired.nearness
     if near > r * (1.0 + 1e-12) + 1e-15:
         raise NearnessExceeded(
@@ -325,41 +384,99 @@ def perturbation_report(
     violations += int(np.sum(size_a > c_r * size_z + 1e-12))
 
     ratios = size_z / size_a
-    d1, d2 = float(ratios.min()), float(ratios.max())
-
     kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
     kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
     pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
-    c1, c2 = float(pair_ratios.min()), float(pair_ratios.max())
-
-    grid = (grid or CircleGrid()).with_injected(paired.A, paired.Z)
-
-    def kernel_ratio(angles: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * angles)
-        num = np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
-        den = np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
-        return np.min(num / den, axis=1)
-
-    def weighted_ratio(angles: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * angles)
-        num = size_a[None, :] * np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
-        den = size_z[None, :] * np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
-        return np.min(num / den, axis=1)
-
-    c3, _, _ = scan_circle(kernel_ratio, grid, mode="min")
-    c4, _, _ = scan_circle(weighted_ratio, grid, mode="min")
-
-    return PerturbationReport(
+    return dict(
         C_r=c_r,
-        empirical_C1=c1,
-        empirical_C2=c2,
-        empirical_D1=d1,
-        empirical_D2=d2,
-        empirical_C3=float(c3),
-        empirical_C4=float(c4),
-        frostman_A=frostman_sum(paired.A, grid).value,
-        frostman_Z=frostman_sum(paired.Z, grid).value,
+        empirical_C1=float(pair_ratios.min()),
+        empirical_C2=float(pair_ratios.max()),
+        empirical_D1=float(ratios.min()),
+        empirical_D2=float(ratios.max()),
         violations=violations,
         r=r,
         nearness=near,
     )
+
+
+def perturbation_reports(
+    pairs: Sequence[PairedSequences], r: float, grid: Optional[CircleGrid] = None
+) -> list[PerturbationReport]:
+    """perturbation_report for many trials at once, each bit-identical to its report alone.
+
+    All pairs must have the same length.  A failing trial raises the error
+    of the lowest-index one.  Each trial scans its own grid (the base grid
+    plus the arguments of its A and Z points) in blocks of POINT_BLOCK
+    points, computing its four boundary columns in one pass.  Then the
+    golden-section refinements of every column of every trial run in
+    lockstep, each column evaluated on its own searches only.
+    """
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"radius {r} must lie in (0, 1)")
+    pairs = list(pairs)
+    if len({len(p.A) for p in pairs}) > 1:
+        raise ValueError("the pairs of one batch must have equal length")
+    envelopes = [_pair_envelopes(p, r) for p in pairs]
+    if not pairs:
+        return []
+    grid = grid or CircleGrid()
+    zeros = _TrialColumns.of(pairs)
+    count = len(pairs)
+
+    seeds = np.empty((len(_SIGNS), count, REFINE_SEEDS))
+    best = np.empty((len(_SIGNS), count))
+    for t, paired in enumerate(pairs):
+        angles = grid.with_injected(paired.A, paired.Z).angles()
+        values = np.empty((len(_SIGNS), angles.size))
+        for start in range(0, angles.size, POINT_BLOCK):
+            block = slice(start, start + POINT_BLOCK)
+            zeta = np.exp(1j * angles[block])[None, :]
+            values[:, block] = _boundary_values(zeta, zeros, slice(t, t + 1), (0, 1, 2, 3))
+        for column, sign in enumerate(_SIGNS):
+            seeds[column, t], best[column, t] = _grid_seeds(sign * values[column], angles)
+
+    lane_trials = np.repeat(np.arange(count), REFINE_SEEDS)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        zeta = np.exp(1j * (x % TWO_PI)).reshape(len(_SIGNS), -1)
+        out = np.empty(zeta.shape)
+        for column in range(len(_SIGNS)):
+            for start in range(0, lane_trials.size, POINT_BLOCK):
+                block = slice(start, start + POINT_BLOCK)
+                (out[column, block],) = _boundary_values(
+                    zeta[None, column, block], zeros, lane_trials[block], (column,)
+                )
+        return (_SIGNS[:, None] * out).ravel()
+
+    best_val, _ = _refine(
+        evaluate,
+        seeds.reshape(-1, REFINE_SEEDS),
+        best.ravel(),
+        math.pi / grid.base_count,
+        GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
+    )
+    c3, c4, frostman_a, frostman_z = (_SIGNS[:, None] * best_val.reshape(best.shape)).tolist()
+    return [
+        PerturbationReport(
+            **fields,
+            empirical_C3=c3[t],
+            empirical_C4=c4[t],
+            frostman_A=frostman_a[t],
+            frostman_Z=frostman_z[t],
+        )
+        for t, fields in enumerate(envelopes)
+    ]
+
+
+def perturbation_report(
+    paired: PairedSequences, r: float, grid: Optional[CircleGrid] = None
+) -> PerturbationReport:
+    """Empirical constants of the comparison chain between a sequence and its perturbation.
+
+    Checks the two-sided size comparison with constant C_r = (1+r)/(1-r),
+    records min/max envelopes for the kernel-product ratios over index
+    pairs, scans the circle for the boundary kernel ratios, and computes
+    both Frostman sums on a shared grid.  The one-trial case of
+    perturbation_reports.
+    """
+    return perturbation_reports([paired], r, grid)[0]

@@ -60,6 +60,9 @@ __all__ = [
 KERNEL_RESIDUAL_TOL = 1e-6
 UNION_SEPARATION_FLOOR = 1e-6
 ROOT_RESIDUAL_TOL = 1e-8
+# Roots whose argument is within this of 0 sort as real positive, by modulus:
+# a rounding-level Im w must not decide their order.
+ROOT_ARG_TOL = 1e-12
 
 
 def _lagrange_matrix(b: BlaschkeProduct, points: np.ndarray) -> np.ndarray:
@@ -461,10 +464,11 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
             f"(worst residual {max(residuals):.3e}, degree {degree})"
         )
 
-    order = sorted(
-        range(degree),
-        key=lambda i: (wrap_angle(cmath.phase(polished[i])), abs(polished[i])),
-    )
+    def _sort_key(w: complex) -> tuple[float, float]:
+        arg = cmath.phase(w)
+        return (0.0 if abs(arg) < ROOT_ARG_TOL else wrap_angle(arg), abs(w))
+
+    order = sorted(range(degree), key=lambda i: _sort_key(polished[i]))
     try:
         points = [DiskPoint.from_complex(polished[i]) for i in order]
     except PointOutsideDisk as exc:

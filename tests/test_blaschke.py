@@ -55,6 +55,19 @@ class TestZeroSequence:
         assert len(head) == 2
         assert head == ZeroSequence([0.1, 0.2])
 
+    @pytest.mark.parametrize("part", [slice(None, 40), slice(7, 30), slice(None, None, 3), slice(5, 6), slice(3, 3)])
+    def test_slice_skips_the_check_and_keeps_min_separation_bits(self, monkeypatch, part):
+        seq = random_deep_sequence(3, 60)
+        checks = []
+        monkeypatch.setattr(ZeroSequence, "__init__", lambda self, points: checks.append(points))
+        sliced = seq[part]
+        assert checks == []
+        monkeypatch.undo()
+        fresh = ZeroSequence(seq.values[part])
+        assert sliced == fresh
+        assert sliced.min_separation.hex() == fresh.min_separation.hex()
+        assert not sliced.values.flags.writeable
+
     def test_values_read_only(self):
         seq = ZeroSequence([0.1, 0.2])
         with pytest.raises(ValueError):

@@ -637,6 +637,25 @@ class TestDeterminism:
         assert cli.main(argv + ["--out", str(out_pool)]) == 0
         assert out_serial.read_bytes() == out_pool.read_bytes()
 
+    def test_uneven_trial_blocks_do_not_change_output(self, tmp_path, monkeypatch):
+        # 7 trials over 1..4 workers: each worker reports on one contiguous block
+        argv = ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.05",
+                "--trials", "7", "--seed", "5", "--grid-size", "256"]
+        batches = []
+        batched = cli.crit.perturbation_reports
+        monkeypatch.setattr(
+            cli.crit, "perturbation_reports", lambda pairs, *a: batches.append(len(pairs)) or batched(pairs, *a)
+        )
+        reports = []
+        for threads, sizes in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3]), (4, [1, 2, 2, 2])):
+            batches.clear()
+            monkeypatch.setenv(cli.THREADS_ENV, str(threads))
+            out = tmp_path / f"threads{threads}.json"
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert sorted(batches) == sizes
+            reports.append(out.read_bytes())
+        assert all(report == reports[0] for report in reports)
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
@@ -808,16 +827,18 @@ def test_unverified_shift_roots_exit_three(capsys):
     assert "Traceback" not in err
 
 
-def test_check_reads_its_sequence_file_once(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("schedule", [["--schedule", "2,3,5"], []], ids=["schedule", "whole"])
+def test_check_reads_its_sequence_file_once(tmp_path, monkeypatch, capsys, schedule):
     path = tmp_path / "seq.json"
     write_sequence_file(path, ZeroSequence([DiskPoint(0.1 * k, 0.05 * k) for k in range(1, 6)]))
     reads = []
     real = cli.load_sequence_file
     monkeypatch.setattr(cli, "load_sequence_file", lambda p: reads.append(p) or real(p))
-    argv = ["check", "--sequence", str(path), "--schedule", "2,3,5", "--grid-size", "256"]
+    argv = ["check", "--sequence", str(path), *schedule, "--grid-size", "256"]
     assert cli.main(argv) == 0
     assert len(reads) == 1
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["N_schedule"] == ([2, 3, 5] if schedule else [5])
 
 
 def equivalent_runs(seq_a: str, seq_b: str, values: str) -> dict:

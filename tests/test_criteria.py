@@ -9,6 +9,7 @@ from blaschke_lab import (
     CirclePoint,
     NearnessExceeded,
     PairedSequences,
+    PerturbationReport,
     TargetVector,
     ZeroCollision,
     ZeroSequence,
@@ -21,6 +22,7 @@ from blaschke_lab import (
     pairwise_rho,
     perturb_sample,
     perturbation_report,
+    perturbation_reports,
     radial_sequence,
     rho,
     scan_circle,
@@ -28,7 +30,7 @@ from blaschke_lab import (
     vasyunin_sum,
 )
 from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
-from blaschke_lab.geometry import TWO_PI
+from blaschke_lab.geometry import TWO_PI, one_minus_abs_sq
 from tests.conftest import deep_tolerance, random_deep_sequence, random_separated, split_separated
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
@@ -434,3 +436,90 @@ class TestPerturbationReport:
         assert report.frostman_Z == pytest.approx(
             frostman_sum(paired.Z, shared).value, rel=1e-12
         )
+
+
+def _reference_report(paired, r, grid):
+    """A whole report as before batching: four one-function scans, each with its own f."""
+    a, z = paired.A.values, paired.Z.values
+    size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
+    c_r = (1.0 + r) / (1.0 - r)
+    violations = int(np.sum(size_z > c_r * size_a + 1e-12)) + int(np.sum(size_a > c_r * size_z + 1e-12))
+    ratios = size_z / size_a
+    kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
+    kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
+    pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
+    grid = grid.with_injected(paired.A, paired.Z)
+
+    def weighted_ratio(angles):
+        zeta = np.exp(1j * angles)
+        num = size_a[None, :] * np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
+        den = size_z[None, :] * np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
+        return np.min(num / den, axis=1)
+
+    c3, _, _ = scan_circle(_kernel_ratio(a, z), grid, mode="min")
+    c4, _, _ = scan_circle(weighted_ratio, grid, mode="min")
+    fa, _, _ = scan_circle(_frostman_total(paired.A), grid.with_injected(paired.A), mode="max")
+    fz, _, _ = scan_circle(_frostman_total(paired.Z), grid.with_injected(paired.Z), mode="max")
+    return PerturbationReport(
+        C_r=c_r,
+        empirical_C1=float(pair_ratios.min()),
+        empirical_C2=float(pair_ratios.max()),
+        empirical_D1=float(ratios.min()),
+        empirical_D2=float(ratios.max()),
+        empirical_C3=float(c3),
+        empirical_C4=float(c4),
+        frostman_A=fa,
+        frostman_Z=fz,
+        violations=violations,
+        r=r,
+        nearness=paired.nearness,
+    )
+
+
+def _bits(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(report).items()}
+
+
+_BATCH_CENTERS = {"frostman20": frostman_example(20), "radial12": radial_sequence(0.5, 12)}
+
+
+def _trials(name, count, r=0.3):
+    return [perturb_sample(_BATCH_CENTERS[name], r, seed, min_sep=0.01) for seed in range(count)]
+
+
+class TestPerturbationReports:
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    @pytest.mark.parametrize("count", [1, 7, 32])
+    @pytest.mark.parametrize("name", sorted(_BATCH_CENTERS))
+    def test_bit_equal_to_one_function_scans(self, name, count, rounds):
+        grid = CircleGrid(base_count=256, refinement_rounds=rounds)
+        pairs = _trials(name, count)
+        reports = perturbation_reports(pairs, 0.3, grid)
+        assert len(reports) == count
+        for paired, report in zip(pairs, reports):
+            assert _bits(report) == _bits(_reference_report(paired, 0.3, grid))
+
+    def test_report_independent_of_its_batch(self):
+        pairs = _trials("frostman20", 9)
+        alone = [_bits(perturbation_report(p, 0.3, GRID)) for p in pairs]
+        batch = [_bits(r) for r in perturbation_reports(pairs, 0.3, GRID)]
+        backwards = [_bits(r) for r in perturbation_reports(pairs[::-1], 0.3, GRID)][::-1]
+        mixed = [_bits(r) for r in perturbation_reports(pairs[4:] + pairs[:4], 0.3, GRID)]
+        assert batch == alone
+        assert backwards == alone
+        assert mixed == alone[4:] + alone[:4]
+
+    def test_lowest_failing_trial_raises(self):
+        a = ZeroSequence([0.0, 0.5j])
+        near = PairedSequences(A=a, Z=ZeroSequence([0.01, 0.51j]))
+        far = [PairedSequences(A=a, Z=ZeroSequence([x, 0.5j])) for x in (0.5, 0.6)]
+        with pytest.raises(NearnessExceeded, match="nearness 0.5 "):
+            perturbation_reports([near, far[0], near, far[1]], 0.2, GRID)
+        with pytest.raises(NearnessExceeded, match="nearness 0.6 "):
+            perturbation_reports([near, far[1], far[0]], 0.2, GRID)
+
+    def test_empty_batch_and_unequal_lengths(self):
+        assert perturbation_reports([], 0.3, GRID) == []
+        short = PairedSequences(A=ZeroSequence([0.0]), Z=ZeroSequence([0.01]))
+        with pytest.raises(ValueError, match="equal length"):
+            perturbation_reports([short, _trials("frostman20", 1)[0]], 0.3, GRID)
