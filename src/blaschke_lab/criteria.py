@@ -45,8 +45,13 @@ REFINE_SEEDS = 8
 GOLDEN_STEPS_PER_ROUND = 16
 
 # Points per block when perturbation_reports evaluates its boundary columns:
-# no temporary holds more than POINT_BLOCK x N entries.
-POINT_BLOCK = 1024
+# each block works in reused scratch arrays of POINT_BLOCK x N entries.
+POINT_BLOCK = 512
+
+# Points per block of frostman_sum's grid evaluation: its temporaries hold
+# FROSTMAN_BLOCK x N entries, 512 KB at N = 500, where the whole grid at
+# once would take 37 MB.
+FROSTMAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -209,8 +214,13 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     weights = 1.0 - np.abs(values)
 
     def total(angles: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * angles)
-        return np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
+        # each point's sum runs over its own row, so blocking keeps the bits
+        sums = np.empty(angles.size)
+        for start in range(0, angles.size, FROSTMAN_BLOCK):
+            block = slice(start, start + FROSTMAN_BLOCK)
+            zeta = np.exp(1j * angles[block])
+            sums[block] = np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
+        return sums
 
     value, witness, _ = scan_circle(total, grid, mode="max")
     terms = weights / np.abs(witness.value - values)
@@ -333,37 +343,92 @@ class _TrialColumns(NamedTuple):
         )
 
 
+class _BlockBuffers:
+    """Scratch arrays for the zeros x points entries of one block, reused by every block.
+
+    Block temporaries are written here through ufunc out=, so that no block
+    maps fresh pages.  Each view is a contiguous prefix, laid out like a
+    fresh array, so numpy runs the same loops on it.
+    """
+
+    def __init__(self, entries: int):
+        self._complex = np.empty(entries, dtype=complex)
+        self._real = np.empty((3, entries))
+
+    def complex(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self._complex[: math.prod(shape)].reshape(shape)
+
+    def real(self, k: int, shape: tuple[int, ...]) -> np.ndarray:
+        return self._real[k, : math.prod(shape)].reshape(shape)
+
+
 # The boundary scans of a perturbation report: C3 and C4 are minima, the
 # Frostman sums of A and Z maxima.
 _SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-def _boundary_values(
-    zeta: np.ndarray, zeros: _TrialColumns, trials: Union[slice, np.ndarray], scans: tuple[int, ...]
-) -> list[np.ndarray]:
-    """The values of the given boundary scans at a row of points zeta.
+def _abs_one_minus(conj: np.ndarray, zeta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """|1 - conj * zeta| into out, through the complex scratch work."""
+    np.multiply(conj, zeta, out=work)
+    np.subtract(1.0, work, out=work)
+    return np.abs(work, out=out)
 
-    Point i is compared with the zeros in column trials[i], or with one
-    shared column when trials is a one-column slice.  Entries are laid out
-    zeros x points, so that the elementwise loops run along the points.
-    Every operation keeps the operand order of the one-function scans, and
-    each sum runs over a row-major copy, so values are bit-equal to them.
-    C3 and C4 share num and den.
+
+def _boundary_values(
+    zeta: np.ndarray,
+    zeros: _TrialColumns,
+    trials: slice,
+    scans: tuple[int, ...],
+    out: np.ndarray,
+    buffers: _BlockBuffers,
+    den: Optional[np.ndarray] = None,
+) -> None:
+    """Write the values of the given boundary scans at the points zeta to out[scan].
+
+    The zeros zeros.*[:, trials] broadcast against zeta along a leading
+    zeros axis: entries are laid out zeros x points, so that the elementwise
+    loops run along the points.  Every operation keeps the operand order of
+    the one-function scans, and each sum runs over a row-major copy, so
+    values are bit-equal to them.  C3 and C4 share num and den; a given den
+    holds |1 - conj(a) zeta| at these points.
     """
-    out = []
+    shape = (zeros.a.shape[0],) + zeta.shape
+    work, g = buffers.complex(shape), buffers.real(0, shape)
     if 0 in scans or 1 in scans:
-        num = np.abs(1.0 - zeros.conj_z[:, trials] * zeta)
-        den = np.abs(1.0 - zeros.conj_a[:, trials] * zeta)
+        num = _abs_one_minus(zeros.conj_z[:, trials], zeta, buffers.real(1, shape), work)
+        if den is None:
+            den = _abs_one_minus(zeros.conj_a[:, trials], zeta, buffers.real(2, shape), work)
+    # scans come in ascending order, so num is free once C4 has read it
     for scan in scans:
         if scan == 0:
-            out.append(np.min(num / den, axis=0))
+            np.min(np.divide(num, den, out=g), axis=0, out=out[scan])
         elif scan == 1:
-            out.append(np.min((zeros.size_a[:, trials] * num) / (zeros.size_z[:, trials] * den), axis=0))
+            np.multiply(zeros.size_a[:, trials], num, out=num)
+            np.multiply(zeros.size_z[:, trials], den, out=g)
+            np.min(np.divide(num, g, out=g), axis=0, out=out[scan])
         else:
             values, weights = (zeros.a, zeros.weight_a) if scan == 2 else (zeros.z, zeros.weight_z)
-            terms = weights[:, trials] / np.abs(zeta - values[:, trials])
-            out.append(np.sum(np.ascontiguousarray(terms.T), axis=1))
-    return out
+            np.abs(np.subtract(zeta, values[:, trials], out=work), out=g)
+            np.divide(weights[:, trials], g, out=g)
+            rows = buffers.real(1, zeta.shape + shape[:1])
+            np.copyto(rows, np.moveaxis(g, 0, -1))
+            np.sum(rows, axis=-1, out=out[scan])
+
+
+def _trial_values(
+    zeta: np.ndarray,
+    zeros: _TrialColumns,
+    t: int,
+    scans: tuple[int, ...],
+    out: np.ndarray,
+    buffers: _BlockBuffers,
+    den: Optional[np.ndarray] = None,
+) -> None:
+    """_boundary_values of trial t at a row of points, in blocks of POINT_BLOCK points."""
+    for start in range(0, zeta.size, POINT_BLOCK):
+        block = slice(start, start + POINT_BLOCK)
+        block_den = None if den is None else den[:, block]
+        _boundary_values(zeta[block], zeros, slice(t, t + 1), scans, out[:, block], buffers, block_den)
 
 
 def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
@@ -399,6 +464,53 @@ def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
     )
 
 
+def _grid_pass(
+    pairs: list[PairedSequences], zeros: _TrialColumns, grid: CircleGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """The refinement seeds and the best grid value of every boundary scan of every trial.
+
+    Trials with the same centre sequence A share its side of the work.  On
+    the shared grid (the base grid plus the arguments of A), den =
+    |1 - conj(a) zeta| and the Frostman sum of A are computed once.  Each
+    trial's grid adds the arguments of its Z: on the shared points only the
+    Z side is computed, on the fresh ones all four columns.
+    """
+    n, count = zeros.a.shape
+    seeds = np.empty((len(_SIGNS), count, REFINE_SEEDS))
+    best = np.empty((len(_SIGNS), count))
+    buffers = _BlockBuffers(n * POINT_BLOCK)
+    groups: dict[bytes, list[int]] = {}
+    for t, paired in enumerate(pairs):
+        groups.setdefault(paired.A.values.tobytes(), []).append(t)
+    for trials in groups.values():
+        centre = trials[0]
+        shared_grid = grid.with_injected(pairs[centre].A)
+        shared = shared_grid.angles()
+        zeta = np.exp(1j * shared)
+        den = np.empty((n, shared.size))
+        for start in range(0, shared.size, POINT_BLOCK):
+            block = slice(start, start + POINT_BLOCK)
+            shape = (n, zeta[block].size)
+            den[:, block] = _abs_one_minus(
+                zeros.conj_a[:, centre:centre + 1], zeta[block], buffers.real(0, shape), buffers.complex(shape)
+            )
+        shared_values = np.empty((len(_SIGNS), shared.size))
+        _trial_values(zeta, zeros, centre, (2,), shared_values, buffers)
+        for t in trials:
+            _trial_values(zeta, zeros, t, (0, 1, 3), shared_values, buffers, den)
+            angles = shared_grid.with_injected(pairs[t].Z).angles()
+            fresh = np.ones(angles.size, dtype=bool)
+            fresh[np.searchsorted(angles, shared)] = False
+            fresh_values = np.empty((len(_SIGNS), np.count_nonzero(fresh)))
+            _trial_values(np.exp(1j * angles[fresh]), zeros, t, (0, 1, 2, 3), fresh_values, buffers)
+            values = np.empty((len(_SIGNS), angles.size))
+            values[:, ~fresh] = shared_values
+            values[:, fresh] = fresh_values
+            for column, sign in enumerate(_SIGNS):
+                seeds[column, t], best[column, t] = _grid_seeds(sign * values[column], angles)
+    return seeds, best
+
+
 def perturbation_reports(
     pairs: Sequence[PairedSequences], r: float, grid: Optional[CircleGrid] = None
 ) -> list[PerturbationReport]:
@@ -406,10 +518,11 @@ def perturbation_reports(
 
     All pairs must have the same length.  A failing trial raises the error
     of the lowest-index one.  Each trial scans its own grid (the base grid
-    plus the arguments of its A and Z points) in blocks of POINT_BLOCK
-    points, computing its four boundary columns in one pass.  Then the
-    golden-section refinements of every column of every trial run in
-    lockstep, each column evaluated on its own searches only.
+    plus the arguments of its A and Z points), with the A side computed once
+    per centre sequence.  Then the golden-section refinements of every
+    column of every trial run in lockstep, each column evaluated on its own
+    searches only.  Every block of points works in reused scratch arrays of
+    POINT_BLOCK x N entries.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius {r} must lie in (0, 1)")
@@ -421,32 +534,22 @@ def perturbation_reports(
         return []
     grid = grid or CircleGrid()
     zeros = _TrialColumns.of(pairs)
-    count = len(pairs)
+    n, count = zeros.a.shape
+    seeds, best = _grid_pass(pairs, zeros, grid)
 
-    seeds = np.empty((len(_SIGNS), count, REFINE_SEEDS))
-    best = np.empty((len(_SIGNS), count))
-    for t, paired in enumerate(pairs):
-        angles = grid.with_injected(paired.A, paired.Z).angles()
-        values = np.empty((len(_SIGNS), angles.size))
-        for start in range(0, angles.size, POINT_BLOCK):
-            block = slice(start, start + POINT_BLOCK)
-            zeta = np.exp(1j * angles[block])[None, :]
-            values[:, block] = _boundary_values(zeta, zeros, slice(t, t + 1), (0, 1, 2, 3))
-        for column, sign in enumerate(_SIGNS):
-            seeds[column, t], best[column, t] = _grid_seeds(sign * values[column], angles)
-
-    lane_trials = np.repeat(np.arange(count), REFINE_SEEDS)
+    # each trial's searches share its zeros: a trailing axis broadcasts them
+    lanes = zeros._make(column[:, :, None] for column in zeros)
+    trial_block = min(count, max(1, POINT_BLOCK // REFINE_SEEDS))
+    buffers = _BlockBuffers(n * trial_block * REFINE_SEEDS)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * (x % TWO_PI)).reshape(len(_SIGNS), -1)
+        zeta = np.exp(1j * (x % TWO_PI)).reshape(len(_SIGNS), count, REFINE_SEEDS)
         out = np.empty(zeta.shape)
         for column in range(len(_SIGNS)):
-            for start in range(0, lane_trials.size, POINT_BLOCK):
-                block = slice(start, start + POINT_BLOCK)
-                (out[column, block],) = _boundary_values(
-                    zeta[None, column, block], zeros, lane_trials[block], (column,)
-                )
-        return (_SIGNS[:, None] * out).ravel()
+            for start in range(0, count, trial_block):
+                block = slice(start, start + trial_block)
+                _boundary_values(zeta[column, block], lanes, block, (column,), out[:, block], buffers)
+        return (_SIGNS[:, None, None] * out).ravel()
 
     best_val, _ = _refine(
         evaluate,

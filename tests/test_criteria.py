@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,22 @@ from blaschke_lab import (
     separation,
     vasyunin_sum,
 )
+from blaschke_lab import criteria
 from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
 from blaschke_lab.geometry import TWO_PI, one_minus_abs_sq
 from tests.conftest import deep_tolerance, random_deep_sequence, random_separated, split_separated
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of one call; numpy reports its data buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCircleGrid:
@@ -248,6 +260,23 @@ class TestFrostmanSum:
         s40 = frostman_sum(frostman_example(40), GRID).value
         assert abs(s40 - s20) <= 0.05 * s20
 
+    @pytest.mark.parametrize("block", [1, 7, criteria.FROSTMAN_BLOCK])
+    def test_point_blocks_keep_the_bits_of_one_whole_grid_call(self, monkeypatch, block):
+        monkeypatch.setattr(criteria, "FROSTMAN_BLOCK", block)
+        seq = random_deep_sequence(3, 40)
+        report = frostman_sum(seq, GRID)
+        value, witness, _ = scan_circle(_frostman_total(seq), GRID.with_injected(seq), mode="max")
+        assert report.value.hex() == value.hex()
+        assert report.argmax_or_argmin.arg.hex() == witness.arg.hex()
+
+    def test_memory_is_bounded_by_the_block(self):
+        n = 500
+        seq = random_deep_sequence(0, n)
+        points = CircleGrid().with_injected(seq).angles().size
+        # two complex temporaries of one block, and 16 float arrays of grid length
+        bound = 2 * criteria.FROSTMAN_BLOCK * n * 16 + 16 * points * 8
+        assert _peak_bytes(lambda: frostman_sum(seq)) <= bound
+
 
 class TestCohnSum:
     def test_frozen_pair(self):
@@ -438,6 +467,26 @@ class TestPerturbationReport:
         )
 
 
+def _reference_scans(paired, grid):
+    """The four boundary scans of a report as before batching: (f, grid, mode) of each one-function scan."""
+    a, z = paired.A.values, paired.Z.values
+    size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
+    grid = grid.with_injected(paired.A, paired.Z)
+
+    def weighted_ratio(angles):
+        zeta = np.exp(1j * angles)
+        num = size_a[None, :] * np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
+        den = size_z[None, :] * np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
+        return np.min(num / den, axis=1)
+
+    return [
+        (_kernel_ratio(a, z), grid, "min"),
+        (weighted_ratio, grid, "min"),
+        (_frostman_total(paired.A), grid.with_injected(paired.A), "max"),
+        (_frostman_total(paired.Z), grid.with_injected(paired.Z), "max"),
+    ]
+
+
 def _reference_report(paired, r, grid):
     """A whole report as before batching: four one-function scans, each with its own f."""
     a, z = paired.A.values, paired.Z.values
@@ -448,26 +497,15 @@ def _reference_report(paired, r, grid):
     kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
     kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
     pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
-    grid = grid.with_injected(paired.A, paired.Z)
-
-    def weighted_ratio(angles):
-        zeta = np.exp(1j * angles)
-        num = size_a[None, :] * np.abs(1.0 - np.conj(z)[None, :] * zeta[:, None])
-        den = size_z[None, :] * np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
-        return np.min(num / den, axis=1)
-
-    c3, _, _ = scan_circle(_kernel_ratio(a, z), grid, mode="min")
-    c4, _, _ = scan_circle(weighted_ratio, grid, mode="min")
-    fa, _, _ = scan_circle(_frostman_total(paired.A), grid.with_injected(paired.A), mode="max")
-    fz, _, _ = scan_circle(_frostman_total(paired.Z), grid.with_injected(paired.Z), mode="max")
+    c3, c4, fa, fz = (scan_circle(*scan)[0] for scan in _reference_scans(paired, grid))
     return PerturbationReport(
         C_r=c_r,
         empirical_C1=float(pair_ratios.min()),
         empirical_C2=float(pair_ratios.max()),
         empirical_D1=float(ratios.min()),
         empirical_D2=float(ratios.max()),
-        empirical_C3=float(c3),
-        empirical_C4=float(c4),
+        empirical_C3=c3,
+        empirical_C4=c4,
         frostman_A=fa,
         frostman_Z=fz,
         violations=violations,
@@ -480,11 +518,17 @@ def _bits(report):
     return {k: v.hex() if isinstance(v, float) else v for k, v in vars(report).items()}
 
 
-_BATCH_CENTERS = {"frostman20": frostman_example(20), "radial12": radial_sequence(0.5, 12)}
+# trial s of a batch perturbs centre sequence s modulo the number of centres
+_BATCH_CENTERS = {
+    "frostman20": (frostman_example(20),),
+    "radial12": (radial_sequence(0.5, 12),),
+    "mixed20": (frostman_example(20), radial_sequence(0.5, 20)),
+}
 
 
 def _trials(name, count, r=0.3):
-    return [perturb_sample(_BATCH_CENTERS[name], r, seed, min_sep=0.01) for seed in range(count)]
+    centres = _BATCH_CENTERS[name]
+    return [perturb_sample(centres[seed % len(centres)], r, seed, min_sep=0.01) for seed in range(count)]
 
 
 class TestPerturbationReports:
@@ -498,6 +542,47 @@ class TestPerturbationReports:
         assert len(reports) == count
         for paired, report in zip(pairs, reports):
             assert _bits(report) == _bits(_reference_report(paired, 0.3, grid))
+
+    def test_z_arguments_on_shared_points(self):
+        # z_0 is real and positive, so its argument is the base angle 0.0
+        # exactly; z_1 lies on the base angle pi/2, z_2 = (15/16) a_2 exactly
+        # on the ray of a_2.  None of them is a fresh point of its trial's
+        # grid, and all lie where the scans peak.
+        a = ZeroSequence([0.99 * np.exp(0.003j), 0.98j, 0.75 + 0.625j])
+        z = ZeroSequence([0.99, 0.97j, 0.703125 + 0.5859375j])
+        assert np.angle(z.values[0]) == 0.0
+        assert np.angle(z.values[1]) == GRID.angles()[GRID.base_count // 4]
+        assert np.angle(z.values[2]) == np.angle(a.values[2])
+        other = ZeroSequence([0.985 * np.exp(0.01j), 0.975 * np.exp(1.58j), 0.74 + 0.6j])
+        pairs = [PairedSequences(A=a, Z=z), PairedSequences(A=a, Z=other)]
+        for paired, report in zip(pairs, perturbation_reports(pairs, 0.6, GRID)):
+            assert _bits(report) == _bits(_reference_report(paired, 0.6, GRID))
+        # a duplicated point would show only in the seeds, so compare them too
+        seeds, best = criteria._grid_pass(pairs, criteria._TrialColumns.of(pairs), GRID)
+        for t, paired in enumerate(pairs):
+            for column, (f, grid, mode) in enumerate(_reference_scans(paired, GRID)):
+                sign = 1.0 if mode == "max" else -1.0
+                angles = grid.angles()
+                ref_seeds, ref_best = criteria._grid_seeds(sign * f(angles), angles)
+                assert seeds[column, t].tobytes() == ref_seeds.tobytes()
+                assert best[column, t].hex() == ref_best.hex()
+
+    @pytest.mark.parametrize("block", [1, 7, criteria.POINT_BLOCK])
+    def test_point_blocks_keep_the_bits(self, monkeypatch, block):
+        monkeypatch.setattr(criteria, "POINT_BLOCK", block)
+        pairs = _trials("mixed20", 6)
+        for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
+            assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))
+
+    def test_memory_is_bounded_by_den_and_the_block(self):
+        pairs = _trials("frostman20", 32)
+        grid = CircleGrid(refinement_rounds=1)
+        n, points = 20, grid.with_injected(pairs[0].A).angles().size
+        # the stored den row of the centres; the scratch of one block, with a
+        # complex and three real entries per zero and point; and 32 float
+        # arrays of grid length (points, values and sort temporaries)
+        bound = n * points * 8 + n * criteria.POINT_BLOCK * (16 + 3 * 8) + 32 * points * 8
+        assert _peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 
     def test_report_independent_of_its_batch(self):
         pairs = _trials("frostman20", 9)
