@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -27,8 +27,10 @@ __all__ = [
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
 
-# Rows per block when a product computes its node cofactors.
-NODE_BLOCK = 64
+# Points per block wherever a points x N matrix of rows is built: node
+# cofactors, evaluate, derivative, frostman_sum, the Lagrange basis and
+# its scans.
+ROW_BLOCK = 64
 
 
 class ZeroSequence(Sequence[DiskPoint]):
@@ -166,6 +168,24 @@ class CarlesonReport:
     delta: float
 
 
+def _in_row_blocks(points: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """reduce(points), computed ROW_BLOCK points at a time.
+
+    reduce maps m points to an array whose last axis has length m, each
+    entry computed from its own point alone (one row of a points x zeros
+    matrix, reduced by itself).  Then the values do not depend on the
+    blocking, and temporaries hold ROW_BLOCK rows at most.
+    """
+    if points.size <= ROW_BLOCK:
+        return reduce(points)
+    first = reduce(points[:ROW_BLOCK])
+    out = np.empty(first.shape[:-1] + points.shape, first.dtype)
+    out[..., :ROW_BLOCK] = first
+    for start in range(ROW_BLOCK, points.size, ROW_BLOCK):
+        out[..., start:start + ROW_BLOCK] = reduce(points[start:start + ROW_BLOCK])
+    return out
+
+
 def _kernel_ratios(zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(1 - |a_j|^2) / (1 - conj(a_j) z_i) for every point/zero pair.
 
@@ -209,8 +229,8 @@ class BlaschkeProduct:
         # Row blocks bound the N x N temporaries; each row of _cofactor_values
         # depends only on its own point, so the values do not change.
         self._node_cofactors = np.empty(zs.size, dtype=complex)
-        for start in range(0, zs.size, NODE_BLOCK):
-            rows = slice(start, start + NODE_BLOCK)
+        for start in range(0, zs.size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
             self._node_cofactors[rows] = self._cofactor_values(zs[rows])[:, rows].diagonal()
         self._node_cofactors.setflags(write=False)
 
@@ -263,7 +283,8 @@ class BlaschkeProduct:
     def evaluate(self, z) -> Union[complex, np.ndarray]:
         """B(z), factor by factor, for |z| <= 1."""
         arr, scalar = self._coerce_arg(z)
-        result = self._rotation.value * np.prod(self._factors(arr), axis=1)
+        rotation = self._rotation.value
+        result = _in_row_blocks(arr, lambda block: rotation * np.prod(self._factors(block), axis=1))
         return complex(result[0]) if scalar else result
 
     __call__ = evaluate
@@ -277,8 +298,13 @@ class BlaschkeProduct:
         """
         arr, scalar = self._coerce_arg(z)
         zs = self._zeros.values
-        slopes = self._prefactors * _kernel_ratios(zs, arr) ** 2 / one_minus_abs_sq(zs)
-        result = np.sum(slopes * self._cofactor_values(arr), axis=1)
+        sizes = one_minus_abs_sq(zs)
+
+        def rows(block: np.ndarray) -> np.ndarray:
+            slopes = self._prefactors * _kernel_ratios(zs, block) ** 2 / sizes
+            return np.sum(slopes * self._cofactor_values(block), axis=1)
+
+        result = _in_row_blocks(arr, rows)
         return complex(result[0]) if scalar else result
 
     def cofactor(self, j: int) -> "BlaschkeProduct":

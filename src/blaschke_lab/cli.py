@@ -441,15 +441,21 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results={"per_N": per_n}, tables=tables, series=series)
 
 
-def _boundary_series(func, label: str) -> Series:
+def _circle_samples() -> tuple[np.ndarray, np.ndarray]:
+    """AGREEMENT_SAMPLES equispaced arguments and their points on the circle."""
     angles = 2.0 * math.pi * np.arange(AGREEMENT_SAMPLES) / AGREEMENT_SAMPLES
-    values = np.abs(func(np.exp(1j * angles)))
+    return angles, np.exp(1j * angles)
+
+
+def _boundary_series(values: np.ndarray, label: str) -> Series:
+    """The moduli of values taken at the _circle_samples points."""
+    angles, _ = _circle_samples()
     return Series(
         label=label,
         x_label="arg",
         y_label="modulus",
         x=tuple(float(a) for a in angles),
-        y=tuple(float(v) for v in values),
+        y=tuple(float(v) for v in np.abs(values)),
     )
 
 
@@ -462,11 +468,12 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
 
     node_values = rep(seq.values)
     residuals = np.abs(node_values - targets.values)
+    _, zeta = _circle_samples()
+    boundary = rep(zeta)
     agreement = None
     if rep.kernel_coeffs is not None:
-        angles = 2.0 * math.pi * np.arange(AGREEMENT_SAMPLES) / AGREEMENT_SAMPLES
-        zeta = np.exp(1j * angles)
-        agreement = float(np.max(np.abs(rep(zeta) - rep.eval_kernel(zeta))))
+        agreement = float(np.max(np.abs(boundary - rep.eval_kernel(zeta))))
+    sup, lebesgue = interp.kb_norms(rep, grid)
 
     results = {
         "degree": product.degree,
@@ -474,11 +481,11 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
         "ill_conditioned": rep.ill_conditioned,
         "kernel_residual": rep.kernel_residual,
         "form_agreement_sup": agreement,
-        "sup_norm": interp.sup_norm(rep, grid),
-        "lebesgue_constant": interp.lebesgue_constant(product, grid),
+        "sup_norm": sup,
+        "lebesgue_constant": lebesgue,
     }
     tables = {"nodes": _complex_table(("target_re", "target_im"), targets.values, residuals)}
-    series = {"boundary_modulus": _boundary_series(rep, "interpolant modulus on the circle")}
+    series = {"boundary_modulus": _boundary_series(boundary, "interpolant modulus on the circle")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -508,7 +515,7 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
         name: Table(columns=("index", "residual"), rows=tuple((j, float(r)) for j, r in enumerate(res)))
         for name, res in (("nodes_a", res_a), ("nodes_z", res_z))
     }
-    series = {"boundary_modulus": _boundary_series(union, "union interpolant modulus")}
+    series = {"boundary_modulus": _boundary_series(union(_circle_samples()[1]), "union interpolant modulus")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 

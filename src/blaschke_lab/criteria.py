@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, as_targets
+from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _in_row_blocks, as_targets
 from .errors import NearnessExceeded, ZeroCollision
 from .geometry import TWO_PI, CirclePoint, one_minus_abs_sq, pairwise_rho, wrap_angle
 from .sequences import PairedSequences
@@ -47,11 +47,6 @@ GOLDEN_STEPS_PER_ROUND = 16
 # Points per block when perturbation_reports evaluates its boundary columns:
 # each block works in reused scratch arrays of POINT_BLOCK x N entries.
 POINT_BLOCK = 512
-
-# Points per block of frostman_sum's grid evaluation: its temporaries hold
-# FROSTMAN_BLOCK x N entries, 512 KB at N = 500, where the whole grid at
-# once would take 37 MB.
-FROSTMAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -122,8 +117,24 @@ class PerturbationReport:
 
 
 def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value."""
-    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value.
+
+    The seeds are np.argsort(signed)[::-1][:REFINE_SEEDS].  A partition
+    finds the REFINE_SEEDS + 1 largest values and only those are sorted;
+    the full argsort runs only when a NaN or a tie among them would leave
+    the seeds to argsort's order among equal values.
+    """
+    top = REFINE_SEEDS + 1
+    order = None
+    if signed.size > top and not np.isnan(signed).any():
+        largest = np.argpartition(signed, -top)[-top:]
+        largest = largest[np.argsort(signed[largest])[::-1]]
+        descending = signed[largest]
+        if np.all(descending[1:] < descending[:-1]):
+            order = largest
+    if order is None:
+        order = np.argsort(signed)[::-1]
+    order = order[:REFINE_SEEDS]
     return angles[order], signed[order[0]]
 
 
@@ -175,6 +186,36 @@ def _refine(
     return best_val, best_arg
 
 
+def scan_columns(
+    f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circle maxima of k functions of the argument at once, each as its scan alone finds it.
+
+    f maps an array of arguments to a k x len array, one row per function.
+    Returns the k maxima, their (unwrapped) arguments and the raw grid
+    values.  The k * REFINE_SEEDS golden searches run in lockstep: each step
+    calls f once, on the next argument of every search, and reads row c of
+    its values only at the searches of function c.
+    """
+    angles = grid.angles()
+    values = np.asarray(f(angles), dtype=float)
+    k = values.shape[0]
+    seeds, best = zip(*(_grid_seeds(row, angles) for row in values))
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        own = np.asarray(f(x % TWO_PI), dtype=float).reshape(k, k, -1)
+        return own[np.arange(k), np.arange(k)].ravel()
+
+    best_val, best_arg = _refine(
+        evaluate,
+        np.array(seeds),
+        np.array(best),
+        math.pi / grid.base_count,
+        GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
+    )
+    return best_val, best_arg, values
+
+
 def scan_circle(
     f: Callable[[np.ndarray], np.ndarray],
     grid: CircleGrid,
@@ -184,22 +225,12 @@ def scan_circle(
 
     f must map an array of arguments to an array of values.  Returns the
     extremal value, its argument, and the raw grid values; the result is
-    never worse than the best bare grid point.  The golden-section
-    refinements around the best grid cells run in lockstep: each step
-    calls f once, on the next argument of every search.
+    never worse than the best bare grid point.  The one-function case of
+    scan_columns, on sign * f.
     """
     sign = 1.0 if mode == "max" else -1.0
-    angles = grid.angles()
-    values = np.asarray(f(angles), dtype=float)
-    seeds, best = _grid_seeds(sign * values, angles)
-    best_val, best_arg = _refine(
-        lambda x: sign * np.asarray(f(x % TWO_PI), dtype=float),
-        seeds[None, :],
-        np.array([best]),
-        math.pi / grid.base_count,
-        GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
-    )
-    return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), values
+    best_val, best_arg, values = scan_columns(lambda x: sign * np.asarray(f(x), dtype=float)[None, :], grid)
+    return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), sign * values[0]
 
 
 def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> CriterionReport:
@@ -213,14 +244,11 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     values = a_seq.values
     weights = 1.0 - np.abs(values)
 
+    def row_sums(zeta: np.ndarray) -> np.ndarray:
+        return np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
+
     def total(angles: np.ndarray) -> np.ndarray:
-        # each point's sum runs over its own row, so blocking keeps the bits
-        sums = np.empty(angles.size)
-        for start in range(0, angles.size, FROSTMAN_BLOCK):
-            block = slice(start, start + FROSTMAN_BLOCK)
-            zeta = np.exp(1j * angles[block])
-            sums[block] = np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
-        return sums
+        return _in_row_blocks(np.exp(1j * angles), row_sums)
 
     value, witness, _ = scan_circle(total, grid, mode="max")
     terms = weights / np.abs(witness.value - values)

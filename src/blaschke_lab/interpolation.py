@@ -30,10 +30,11 @@ from .blaschke import (
     BlaschkeProduct,
     TargetVector,
     ZeroSequence,
+    _in_row_blocks,
     _kernel_ratios,
     as_targets,
 )
-from .criteria import CircleGrid, scan_circle
+from .criteria import CircleGrid, scan_circle, scan_columns
 from .errors import (
     ContractionViolated,
     MaxIterExceeded,
@@ -52,6 +53,7 @@ __all__ = [
     "solve_kb",
     "sup_norm",
     "lebesgue_constant",
+    "kb_norms",
     "interpolate_union",
     "nearby_iterate",
     "frostman_shift_zeros",
@@ -81,6 +83,19 @@ def _lagrange_matrix(b: BlaschkeProduct, points: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _contract(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j rows[:, j], each row on its own.
+
+    Unlike @, the value of a row does not depend on the other rows.
+    """
+    return (rows * coeffs).sum(axis=1)
+
+
+def _lagrange_values(b: BlaschkeProduct, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The element of K_B with Lagrange coefficients coeffs, at the points, in row blocks."""
+    return _in_row_blocks(points, lambda block: _contract(_lagrange_matrix(b, block), coeffs))
+
+
 class InterpolantRep:
     """An element of K_B held in Lagrange form, with a kernel-form cross-check.
 
@@ -107,7 +122,7 @@ class InterpolantRep:
 
     def __call__(self, z) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = _lagrange_matrix(self.space, arr) @ self.lagrange_coeffs.values
+        values = _lagrange_values(self.space, arr, self.lagrange_coeffs.values)
         return complex(values[0]) if np.ndim(z) == 0 else values
 
     def eval_kernel(self, z) -> Union[complex, np.ndarray]:
@@ -200,25 +215,53 @@ def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
     )
 
 
-def _callable_and_grid(f, grid: Optional[CircleGrid]) -> tuple[Callable, CircleGrid]:
-    grid = grid or CircleGrid()
-    if isinstance(f, InterpolantRep):
-        return f, grid.with_injected(f.space.zeros)
-    if isinstance(f, UnionConstruction):
-        return f, grid.with_injected(f.B.zeros, f.C.zeros)
-    return f, grid
+def _lagrange_scan(
+    b: BlaschkeProduct, grid: Optional[CircleGrid], coeffs: Optional[np.ndarray], row_sum: bool
+) -> list[float]:
+    """Circle maxima of |sum_j coeffs_j L_j| (unless coeffs is None) and of sum_j |L_j| (if row_sum).
+
+    Both columns come from one pass over each block of Lagrange rows, on
+    the grid with the zeros' arguments injected, and refine in lockstep.
+    Every value is row-local, so each maximum equals its scan_circle alone.
+    The row-sum maximum is the Lebesgue constant, so it is clamped to >= 1.
+    """
+    def reduce(points: np.ndarray) -> np.ndarray:
+        rows = _lagrange_matrix(b, points)
+        out = []
+        if coeffs is not None:
+            out.append(np.abs(_contract(rows, coeffs)))
+        if row_sum:
+            out.append(np.sum(np.abs(rows), axis=1))
+        return np.array(out)
+
+    grid = (grid or CircleGrid()).with_injected(b.zeros)
+    best, _, _ = scan_columns(lambda angles: _in_row_blocks(np.exp(1j * angles), reduce), grid)
+    best = best.tolist()
+    if row_sum:
+        best[-1] = max(best[-1], 1.0)
+    return best
+
+
+def kb_norms(rep: InterpolantRep, grid: Optional[CircleGrid] = None) -> tuple[float, float]:
+    """(sup_norm(rep, grid), lebesgue_constant(rep.space, grid)) from one scan."""
+    return tuple(_lagrange_scan(rep.space, grid, rep.lagrange_coeffs.values, True))
 
 
 def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
     """Estimated sup of |f| over the unit circle, never below the grid max.
 
     f may be an InterpolantRep, a UnionConstruction, or any callable that
-    accepts an array of circle points.
+    accepts an array of circle points; the arguments of the zeros of the
+    first two join the grid.
     """
-    func, grid = _callable_and_grid(f, grid)
+    if isinstance(f, InterpolantRep):
+        return _lagrange_scan(f.space, grid, f.lagrange_coeffs.values, False)[0]
+    grid = grid or CircleGrid()
+    if isinstance(f, UnionConstruction):
+        grid = grid.with_injected(f.B.zeros, f.C.zeros)
 
     def magnitude(angles: np.ndarray) -> np.ndarray:
-        return np.abs(func(np.exp(1j * angles)))
+        return np.abs(f(np.exp(1j * angles)))
 
     value, _, _ = scan_circle(magnitude, grid, mode="max")
     return float(value)
@@ -233,13 +276,7 @@ def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> 
     """
     if b.degree == 0:
         raise ValueError("lebesgue constant requires at least one zero")
-    grid = (grid or CircleGrid()).with_injected(b.zeros)
-
-    def row_sum(angles: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(_lagrange_matrix(b, np.exp(1j * angles))), axis=1)
-
-    value, _, _ = scan_circle(row_sum, grid, mode="max")
-    return max(float(value), 1.0)
+    return _lagrange_scan(b, grid, None, True)[0]
 
 
 def _vanishing_part(space: BlaschkeProduct, factor: BlaschkeProduct, node_values: np.ndarray):
@@ -247,7 +284,7 @@ def _vanishing_part(space: BlaschkeProduct, factor: BlaschkeProduct, node_values
 
     def part(z) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = factor.evaluate(arr) * (_lagrange_matrix(space, arr) @ node_values)
+        values = factor.evaluate(arr) * _lagrange_values(space, arr, node_values)
         return complex(values[0]) if np.ndim(z) == 0 else values
 
     return part

@@ -15,6 +15,7 @@ from blaschke_lab import (
     as_targets,
     pairwise_rho,
 )
+from blaschke_lab import blaschke
 from tests.conftest import deep_tolerance, mp_product, random_deep_sequence, random_separated
 
 
@@ -161,6 +162,23 @@ class TestBlaschkeEvaluate:
             2j * np.pi * rng.uniform(0, 1, 64)
         )
         assert np.all(np.abs(b(pts)) < 1.0)
+
+
+class TestRowBlocks:
+    """Array evaluate and derivative run ROW_BLOCK points at a time; each value is row-local."""
+
+    @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
+    def test_blocks_keep_the_bits_of_one_whole_batch(self, monkeypatch, block):
+        b = BlaschkeProduct(random_deep_sequence(5, 40), rotation=np.exp(0.3j))
+        rng = np.random.default_rng(4)
+        circle = np.exp(2j * np.pi * rng.uniform(size=150))
+        inner = 0.9 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+        points = np.concatenate([circle, inner, b.zeros.values[:10]])
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", points.size)
+        values, slopes = b.evaluate(points), b.derivative(points)
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        assert b.evaluate(points).tobytes() == values.tobytes()
+        assert b.derivative(points).tobytes() == slopes.tobytes()
 
 
 class TestCofactor:

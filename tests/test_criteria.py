@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,22 +29,18 @@ from blaschke_lab import (
     separation,
     vasyunin_sum,
 )
-from blaschke_lab import criteria
+from blaschke_lab import blaschke, criteria
 from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
 from blaschke_lab.geometry import TWO_PI, one_minus_abs_sq
-from tests.conftest import deep_tolerance, random_deep_sequence, random_separated, split_separated
+from tests.conftest import (
+    deep_tolerance,
+    peak_bytes,
+    random_deep_sequence,
+    random_separated,
+    split_separated,
+)
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
-
-
-def _peak_bytes(call):
-    """The tracemalloc peak of one call; numpy reports its data buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestCircleGrid:
@@ -180,6 +175,68 @@ _SCAN_CASES = {
 }
 
 
+class TestGridSeeds:
+    """The top-k seeds must be the full argsort's, bit for bit, whatever ties or NaNs hold."""
+
+    @staticmethod
+    def _plant(case, rng, signed):
+        top = np.argsort(signed)[::-1]
+        if case == "coarse":
+            signed = np.round(signed, 1)
+        elif case == "tie_at_the_cut":
+            signed[top[8]] = signed[top[7]]
+        elif case == "tie_in_the_top":
+            signed[top[2]] = signed[top[5]]
+        elif case == "tie_below_the_cut":
+            signed[top[-1]] = signed[top[-2]]
+        elif case == "signed_zeros":
+            signed[top[:9]] = [0.0, -0.0] * 4 + [0.0]
+            signed[top[9:]] = -np.abs(signed[top[9:]])
+        elif case == "nan":
+            signed[rng.integers(signed.size, size=3)] = np.nan
+        elif case == "all_nan":
+            signed[:] = np.nan
+        elif case == "inf":
+            signed[top[:3]] = np.inf
+        return signed
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "coarse", "tie_at_the_cut", "tie_in_the_top", "tie_below_the_cut",
+         "signed_zeros", "nan", "all_nan", "inf"],
+    )
+    @pytest.mark.parametrize("size", [9, 10, 4136])
+    def test_matches_the_full_argsort(self, case, size):
+        rng = np.random.default_rng(size)
+        angles = np.sort(rng.uniform(0.0, TWO_PI, size))
+        for _ in range(20):
+            signed = self._plant(case, rng, rng.normal(size=size))
+            order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+            seeds, best = criteria._grid_seeds(signed, angles)
+            assert seeds.tobytes() == angles[order].tobytes()
+            assert np.array(best).tobytes() == signed[order[0]].tobytes()
+
+    @pytest.mark.parametrize(
+        "case, full", [("random", False), ("tie_below_the_cut", False), ("tie_at_the_cut", True),
+                       ("tie_in_the_top", True), ("nan", True), ("inf", True)],
+    )
+    def test_full_argsort_runs_only_when_ties_or_nans_could_decide(self, monkeypatch, case, full):
+        # argsort's order among equal values is the implementation's, so the
+        # partition path must hand every such case to the full argsort
+        rng = np.random.default_rng(1)
+        signed = self._plant(case, rng, rng.normal(size=4136))
+        sizes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        criteria._grid_seeds(signed, np.arange(signed.size, dtype=float))
+        assert (signed.size in sizes) == full
+
+
 class TestScanCircle:
     def test_finds_cosine_maximum(self):
         f = lambda t: np.cos(t - 1.0)
@@ -260,9 +317,9 @@ class TestFrostmanSum:
         s40 = frostman_sum(frostman_example(40), GRID).value
         assert abs(s40 - s20) <= 0.05 * s20
 
-    @pytest.mark.parametrize("block", [1, 7, criteria.FROSTMAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
     def test_point_blocks_keep_the_bits_of_one_whole_grid_call(self, monkeypatch, block):
-        monkeypatch.setattr(criteria, "FROSTMAN_BLOCK", block)
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
         seq = random_deep_sequence(3, 40)
         report = frostman_sum(seq, GRID)
         value, witness, _ = scan_circle(_frostman_total(seq), GRID.with_injected(seq), mode="max")
@@ -274,8 +331,8 @@ class TestFrostmanSum:
         seq = random_deep_sequence(0, n)
         points = CircleGrid().with_injected(seq).angles().size
         # two complex temporaries of one block, and 16 float arrays of grid length
-        bound = 2 * criteria.FROSTMAN_BLOCK * n * 16 + 16 * points * 8
-        assert _peak_bytes(lambda: frostman_sum(seq)) <= bound
+        bound = 2 * blaschke.ROW_BLOCK * n * 16 + 16 * points * 8
+        assert peak_bytes(lambda: frostman_sum(seq)) <= bound
 
 
 class TestCohnSum:
@@ -582,7 +639,7 @@ class TestPerturbationReports:
         # complex and three real entries per zero and point; and 32 float
         # arrays of grid length (points, values and sort temporaries)
         bound = n * points * 8 + n * criteria.POINT_BLOCK * (16 + 3 * 8) + 32 * points * 8
-        assert _peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
+        assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 
     def test_report_independent_of_its_batch(self):
         pairs = _trials("frostman20", 9)

@@ -19,16 +19,20 @@ from blaschke_lab import (
     frostman_shift_zeros,
     interlace_targets,
     interpolate_union,
+    kb_norms,
     lebesgue_constant,
     nearby_iterate,
     perturb_sample,
     radial_sequence,
+    scan_circle,
     solve_kb,
     sup_norm,
 )
-from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL
+from blaschke_lab import blaschke
+from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL, _lagrange_matrix
 from tests.conftest import (
     mp_product,
+    peak_bytes,
     random_deep_sequence,
     random_delta_sequence,
     random_separated,
@@ -171,6 +175,62 @@ class TestLebesgueConstant:
         m1 = lebesgue_constant(BlaschkeProduct(seq), GRID)
         m2 = lebesgue_constant(BlaschkeProduct(rotated), GRID)
         assert m1 == pytest.approx(m2, rel=1e-8)
+
+
+def _deep_rep(n, seed=2):
+    """The interpolant of unimodular targets on a seeded deep set of n zeros."""
+    seq = random_deep_sequence(seed, n, depth_min=1e-3)
+    alpha = TargetVector(np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n)))
+    return solve_kb(BlaschkeProduct(seq), alpha)
+
+
+class TestLagrangeBlocks:
+    """Lagrange rows are built ROW_BLOCK points at a time and each is reduced on its own."""
+
+    @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
+    def test_call_blocks_keep_the_bits_of_one_whole_batch(self, monkeypatch, block):
+        rep = _deep_rep(50)
+        # circle points, interior points, and nodes, whose rows are exact unit rows
+        points = np.concatenate([CIRCLE_256, 0.5 * CIRCLE_256[::3], rep.space.zeros.values[::7]])
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", points.size)
+        whole = rep(points)
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        assert rep(points).tobytes() == whole.tobytes()
+
+    def test_one_call_equals_one_point_calls(self):
+        rep = _deep_rep(50)
+        points = CIRCLE_256[:64] * np.linspace(0.5, 1.0, 64)
+        singles = np.array([rep(complex(z)) for z in points])
+        assert rep(points).tobytes() == singles.tobytes()
+
+    def test_kb_norms_equal_the_two_scans(self):
+        rep = _deep_rep(50)
+        grid = CircleGrid(base_count=1024)
+        norm, lebesgue = kb_norms(rep, grid)
+        assert norm.hex() == sup_norm(rep, grid).hex()
+        assert lebesgue.hex() == lebesgue_constant(rep.space, grid).hex()
+
+    def test_sup_norm_equals_the_scan_of_the_callable(self):
+        rep = _deep_rep(50)
+        value = sup_norm(lambda z: rep(z), GRID.with_injected(rep.space.zeros))
+        assert sup_norm(rep, GRID).hex() == value.hex()
+
+    def test_lebesgue_constant_equals_the_one_shot_scan(self):
+        b = _deep_rep(50).space
+
+        def row_sum(angles):
+            return np.sum(np.abs(_lagrange_matrix(b, np.exp(1j * angles))), axis=1)
+
+        value, _, _ = scan_circle(row_sum, GRID.with_injected(b.zeros), mode="max")
+        assert lebesgue_constant(b, GRID).hex() == max(float(value), 1.0).hex()
+
+    def test_memory_is_bounded_by_the_block(self):
+        n = 500
+        rep = _deep_rep(n, seed=0)
+        points = CircleGrid().with_injected(rep.space.zeros).angles().size
+        # eight complex temporaries of one block, and 16 float arrays of grid length
+        bound = 8 * blaschke.ROW_BLOCK * n * 16 + 16 * points * 8
+        assert peak_bytes(lambda: kb_norms(rep)) <= bound
 
 
 class TestInterpolateUnion:
