@@ -117,24 +117,8 @@ class PerturbationReport:
 
 
 def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value.
-
-    The seeds are np.argsort(signed)[::-1][:REFINE_SEEDS].  A partition
-    finds the REFINE_SEEDS + 1 largest values and only those are sorted;
-    the full argsort runs only when a NaN or a tie among them would leave
-    the seeds to argsort's order among equal values.
-    """
-    top = REFINE_SEEDS + 1
-    order = None
-    if signed.size > top and not np.isnan(signed).any():
-        largest = np.argpartition(signed, -top)[-top:]
-        largest = largest[np.argsort(signed[largest])[::-1]]
-        descending = signed[largest]
-        if np.all(descending[1:] < descending[:-1]):
-            order = largest
-    if order is None:
-        order = np.argsort(signed)[::-1]
-    order = order[:REFINE_SEEDS]
+    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value."""
+    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
     return angles[order], signed[order[0]]
 
 
@@ -244,11 +228,12 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     values = a_seq.values
     weights = 1.0 - np.abs(values)
 
-    def row_sums(zeta: np.ndarray) -> np.ndarray:
+    def row_sums(angles: np.ndarray) -> np.ndarray:
+        zeta = np.exp(1j * angles)
         return np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
 
     def total(angles: np.ndarray) -> np.ndarray:
-        return _in_row_blocks(np.exp(1j * angles), row_sums)
+        return _in_row_blocks(angles, row_sums)
 
     value, witness, _ = scan_circle(total, grid, mode="max")
     terms = weights / np.abs(witness.value - values)

@@ -216,35 +216,32 @@ def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
 
 
 def _lagrange_scan(
-    b: BlaschkeProduct, grid: Optional[CircleGrid], coeffs: Optional[np.ndarray], row_sum: bool
+    b: BlaschkeProduct, grid: Optional[CircleGrid], coeffs: Optional[np.ndarray] = None
 ) -> list[float]:
-    """Circle maxima of |sum_j coeffs_j L_j| (unless coeffs is None) and of sum_j |L_j| (if row_sum).
+    """Circle maxima of |sum_j coeffs_j L_j| (when coeffs is given) and then of sum_j |L_j|.
 
     Both columns come from one pass over each block of Lagrange rows, on
     the grid with the zeros' arguments injected, and refine in lockstep.
     Every value is row-local, so each maximum equals its scan_circle alone.
     The row-sum maximum is the Lebesgue constant, so it is clamped to >= 1.
     """
-    def reduce(points: np.ndarray) -> np.ndarray:
-        rows = _lagrange_matrix(b, points)
-        out = []
-        if coeffs is not None:
-            out.append(np.abs(_contract(rows, coeffs)))
-        if row_sum:
-            out.append(np.sum(np.abs(rows), axis=1))
-        return np.array(out)
+    def reduce(angles: np.ndarray) -> np.ndarray:
+        rows = _lagrange_matrix(b, np.exp(1j * angles))
+        row_sum = np.sum(np.abs(rows), axis=1)
+        if coeffs is None:
+            return row_sum[None, :]
+        return np.array([np.abs(_contract(rows, coeffs)), row_sum])
 
     grid = (grid or CircleGrid()).with_injected(b.zeros)
-    best, _, _ = scan_columns(lambda angles: _in_row_blocks(np.exp(1j * angles), reduce), grid)
+    best, _, _ = scan_columns(lambda angles: _in_row_blocks(angles, reduce), grid)
     best = best.tolist()
-    if row_sum:
-        best[-1] = max(best[-1], 1.0)
+    best[-1] = max(best[-1], 1.0)
     return best
 
 
 def kb_norms(rep: InterpolantRep, grid: Optional[CircleGrid] = None) -> tuple[float, float]:
     """(sup_norm(rep, grid), lebesgue_constant(rep.space, grid)) from one scan."""
-    return tuple(_lagrange_scan(rep.space, grid, rep.lagrange_coeffs.values, True))
+    return tuple(_lagrange_scan(rep.space, grid, rep.lagrange_coeffs.values))
 
 
 def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
@@ -254,10 +251,10 @@ def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
     accepts an array of circle points; the arguments of the zeros of the
     first two join the grid.
     """
-    if isinstance(f, InterpolantRep):
-        return _lagrange_scan(f.space, grid, f.lagrange_coeffs.values, False)[0]
     grid = grid or CircleGrid()
-    if isinstance(f, UnionConstruction):
+    if isinstance(f, InterpolantRep):
+        grid = grid.with_injected(f.space.zeros)
+    elif isinstance(f, UnionConstruction):
         grid = grid.with_injected(f.B.zeros, f.C.zeros)
 
     def magnitude(angles: np.ndarray) -> np.ndarray:
@@ -276,7 +273,7 @@ def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> 
     """
     if b.degree == 0:
         raise ValueError("lebesgue constant requires at least one zero")
-    return _lagrange_scan(b, grid, None, True)[0]
+    return _lagrange_scan(b, grid)[0]
 
 
 def _vanishing_part(space: BlaschkeProduct, factor: BlaschkeProduct, node_values: np.ndarray):

@@ -175,68 +175,6 @@ _SCAN_CASES = {
 }
 
 
-class TestGridSeeds:
-    """The top-k seeds must be the full argsort's, bit for bit, whatever ties or NaNs hold."""
-
-    @staticmethod
-    def _plant(case, rng, signed):
-        top = np.argsort(signed)[::-1]
-        if case == "coarse":
-            signed = np.round(signed, 1)
-        elif case == "tie_at_the_cut":
-            signed[top[8]] = signed[top[7]]
-        elif case == "tie_in_the_top":
-            signed[top[2]] = signed[top[5]]
-        elif case == "tie_below_the_cut":
-            signed[top[-1]] = signed[top[-2]]
-        elif case == "signed_zeros":
-            signed[top[:9]] = [0.0, -0.0] * 4 + [0.0]
-            signed[top[9:]] = -np.abs(signed[top[9:]])
-        elif case == "nan":
-            signed[rng.integers(signed.size, size=3)] = np.nan
-        elif case == "all_nan":
-            signed[:] = np.nan
-        elif case == "inf":
-            signed[top[:3]] = np.inf
-        return signed
-
-    @pytest.mark.parametrize(
-        "case",
-        ["random", "coarse", "tie_at_the_cut", "tie_in_the_top", "tie_below_the_cut",
-         "signed_zeros", "nan", "all_nan", "inf"],
-    )
-    @pytest.mark.parametrize("size", [9, 10, 4136])
-    def test_matches_the_full_argsort(self, case, size):
-        rng = np.random.default_rng(size)
-        angles = np.sort(rng.uniform(0.0, TWO_PI, size))
-        for _ in range(20):
-            signed = self._plant(case, rng, rng.normal(size=size))
-            order = np.argsort(signed)[::-1][:REFINE_SEEDS]
-            seeds, best = criteria._grid_seeds(signed, angles)
-            assert seeds.tobytes() == angles[order].tobytes()
-            assert np.array(best).tobytes() == signed[order[0]].tobytes()
-
-    @pytest.mark.parametrize(
-        "case, full", [("random", False), ("tie_below_the_cut", False), ("tie_at_the_cut", True),
-                       ("tie_in_the_top", True), ("nan", True), ("inf", True)],
-    )
-    def test_full_argsort_runs_only_when_ties_or_nans_could_decide(self, monkeypatch, case, full):
-        # argsort's order among equal values is the implementation's, so the
-        # partition path must hand every such case to the full argsort
-        rng = np.random.default_rng(1)
-        signed = self._plant(case, rng, rng.normal(size=4136))
-        sizes = []
-        argsort = np.argsort
-
-        def spy(a, *args, **kwargs):
-            sizes.append(np.size(a))
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
-        criteria._grid_seeds(signed, np.arange(signed.size, dtype=float))
-        assert (signed.size in sizes) == full
-
-
 class TestScanCircle:
     def test_finds_cosine_maximum(self):
         f = lambda t: np.cos(t - 1.0)
