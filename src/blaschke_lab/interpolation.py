@@ -6,8 +6,9 @@ element matching prescribed node values has the closed Lagrange form
 
     f(z) = sum_j alpha_j (B_j(z) / B_j(a_j)) (1 - |a_j|^2) / (1 - conj(a_j) z)
 
-with B_j the cofactor at zero j.  On top of that form this module builds
-the norm constant of the interpolation map, the union construction that
+with B_j the cofactor at zero j.  It is the one form an interpolant is
+held in.  On top of it this module builds the norm constant of the
+interpolation map (the Lebesgue constant), the union construction that
 interpolates across two disjoint zero sets at once, the iterative scheme
 that transports an interpolant to a nearby node set, and the preimages of
 a point under B, taken as the spectrum of a rank-one perturbation of the
@@ -59,7 +60,8 @@ __all__ = [
     "frostman_shift_zeros",
 ]
 
-KERNEL_RESIDUAL_TOL = 1e-6
+KB_ACCURACY = 1e-6
+"""The accuracy the package claims for K_B interpolants, relative to sup|alpha|."""
 UNION_SEPARATION_FLOOR = 1e-6
 ROOT_RESIDUAL_TOL = 1e-8
 # Roots whose argument is within this of 0 sort as real positive, by modulus:
@@ -91,53 +93,30 @@ def _contract(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (rows * coeffs).sum(axis=1)
 
 
-def _lagrange_values(b: BlaschkeProduct, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The element of K_B with Lagrange coefficients coeffs, at the points, in row blocks."""
-    return _in_row_blocks(points, lambda block: _contract(_lagrange_matrix(b, block), coeffs))
-
-
 class InterpolantRep:
-    """An element of K_B held in Lagrange form, with a kernel-form cross-check.
+    """An element of K_B held in Lagrange form.
 
-    lagrange_coeffs are exactly the node values; kernel_coeffs solve the
-    Cauchy-kernel linear system and are None when that solve was too
-    ill-conditioned to trust, with ill_conditioned flagging the skip.
+    lagrange_coeffs are exactly the node values.  A value sum_j alpha_j L_j(z)
+    carries rounding error up to about N eps Lambda sup|alpha|, with Lambda
+    the Lebesgue constant of the space.
     """
 
-    __slots__ = ("space", "lagrange_coeffs", "kernel_coeffs", "ill_conditioned", "kernel_residual")
+    __slots__ = ("space", "lagrange_coeffs")
 
-    def __init__(
-        self,
-        space: BlaschkeProduct,
-        lagrange_coeffs: TargetVector,
-        kernel_coeffs: Optional[np.ndarray],
-        ill_conditioned: bool,
-        kernel_residual: float,
-    ):
+    def __init__(self, space: BlaschkeProduct, lagrange_coeffs: TargetVector):
         self.space = space
         self.lagrange_coeffs = lagrange_coeffs
-        self.kernel_coeffs = kernel_coeffs
-        self.ill_conditioned = ill_conditioned
-        self.kernel_residual = kernel_residual
 
     def __call__(self, z) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = _lagrange_values(self.space, arr, self.lagrange_coeffs.values)
-        return complex(values[0]) if np.ndim(z) == 0 else values
-
-    def eval_kernel(self, z) -> Union[complex, np.ndarray]:
-        """Evaluate the kernel-form representation; requires a trusted solve."""
-        if self.kernel_coeffs is None:
-            raise ValueError("kernel form unavailable: the cross-check solve was ill-conditioned")
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = _kernel_ratios(self.space.zeros.values, arr) @ self.kernel_coeffs
+        coeffs = self.lagrange_coeffs.values
+        values = _in_row_blocks(
+            arr, lambda block: _contract(_lagrange_matrix(self.space, block), coeffs)
+        )
         return complex(values[0]) if np.ndim(z) == 0 else values
 
     def __repr__(self) -> str:
-        return (
-            f"InterpolantRep(degree={self.space.degree}, "
-            f"ill_conditioned={self.ill_conditioned})"
-        )
+        return f"InterpolantRep(degree={self.space.degree})"
 
 
 @dataclass(frozen=True)
@@ -182,10 +161,8 @@ class IterationTrace:
 def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
     """The unique element of K_B taking the given values at the zeros of B.
 
-    Built directly in Lagrange form; the Cauchy-kernel linear system is
-    solved as an independent cross-check and dropped (ill_conditioned set,
-    kernel_coeffs None) when its residual exceeds 1e-6 times the target
-    size.
+    Its Lagrange coefficients are the targets themselves, so nothing is
+    solved: the targets are checked against the degree and wrapped.
     """
     alpha = as_targets(targets)
     if len(alpha) != b.degree:
@@ -194,25 +171,7 @@ def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
         )
     if b.degree == 0:
         raise ValueError("cannot interpolate on a degree-zero product")
-
-    zeros = b.zeros.values
-    kernel_matrix = _kernel_ratios(zeros, zeros)
-    try:
-        coeffs = np.linalg.solve(kernel_matrix, alpha.values)
-        residual = float(np.max(np.abs(kernel_matrix @ coeffs - alpha.values)))
-    except np.linalg.LinAlgError:
-        coeffs = None
-        residual = math.inf
-    if not math.isfinite(residual):
-        residual = math.inf
-    ill = residual > KERNEL_RESIDUAL_TOL * alpha.sup_norm
-    return InterpolantRep(
-        space=b,
-        lagrange_coeffs=alpha,
-        kernel_coeffs=None if ill else coeffs,
-        ill_conditioned=bool(ill),
-        kernel_residual=residual,
-    )
+    return InterpolantRep(space=b, lagrange_coeffs=alpha)
 
 
 def _lagrange_scan(
@@ -276,17 +235,6 @@ def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> 
     return _lagrange_scan(b, grid)[0]
 
 
-def _vanishing_part(space: BlaschkeProduct, factor: BlaschkeProduct, node_values: np.ndarray):
-    """z -> factor(z) times the K_space interpolant of node_values."""
-
-    def part(z) -> Union[complex, np.ndarray]:
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        values = factor.evaluate(arr) * _lagrange_values(space, arr, node_values)
-        return complex(values[0]) if np.ndim(z) == 0 else values
-
-    return part
-
-
 def interpolate_union(
     b: BlaschkeProduct,
     c: BlaschkeProduct,
@@ -331,8 +279,14 @@ def interpolate_union(
     tilde_a = b._prefactors * np.conj(alpha_norm) / np.conj(b._node_cofactors)
     tilde_z = c._prefactors * np.conj(beta_norm) / np.conj(c._node_cofactors)
 
-    g1 = _vanishing_part(b, c, alpha_norm)
-    g2 = _vanishing_part(c, b, beta_norm)
+    part_a = InterpolantRep(b, TargetVector(alpha_norm))
+    part_z = InterpolantRep(c, TargetVector(beta_norm))
+
+    def g1(z):
+        return c(z) * part_a(z)
+
+    def g2(z):
+        return b(z) * part_z(z)
 
     tilde = []
     for j in range(max(len(tilde_a), len(tilde_z))):

@@ -84,6 +84,50 @@ def mp_product(b):
     return product
 
 
+def kernel_solve_oracle(zeros, targets):
+    """Independent Cauchy-kernel solve, written out directly."""
+    zeros = np.asarray(zeros, dtype=complex)
+    k = (1.0 - np.abs(zeros) ** 2)[None, :] / (
+        1.0 - np.conj(zeros)[None, :] * zeros[:, None]
+    )
+    c = np.linalg.solve(k, np.asarray(targets, dtype=complex))
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.sum(
+            c[None, :]
+            * (1.0 - np.abs(zeros) ** 2)[None, :]
+            / (1.0 - np.conj(zeros)[None, :] * z[:, None]),
+            axis=1,
+        )
+
+    return f
+
+
+def kw_interpolant(b, w):
+    """Targets alpha_j = 1 / (1 - conj(w) a_j) and their exact K_B interpolant.
+
+    That interpolant is the reproducing kernel of K_B at w,
+    k_w^B(z) = (1 - conj(B(w)) B(z)) / (1 - conj(w) z): it lies in K_B and
+    equals alpha_j at each zero a_j.  conj(B(w)) B(z) does not depend on how
+    the factors are normalized, so it is formed here from the plain factors
+    (z - a_j) / (1 - conj(a_j) z).
+    """
+    zeros = b.zeros.values
+    w = complex(w)
+
+    def factors(z):
+        return (z[:, None] - zeros[None, :]) / (1.0 - np.conj(zeros)[None, :] * z[:, None])
+
+    b_w = np.prod(factors(np.array([w])))
+
+    def exact(z):
+        z = np.asarray(z, dtype=complex)
+        return (1.0 - np.conj(b_w) * np.prod(factors(z), axis=1)) / (1.0 - np.conj(w) * z)
+
+    return 1.0 / (1.0 - np.conj(w) * zeros), exact
+
+
 def random_delta_sequence(seed, n, delta_min=0.3):
     """Radial radii with random arguments, resampled until the Carleson bound holds."""
     rng = np.random.default_rng(seed)

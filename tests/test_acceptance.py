@@ -31,6 +31,8 @@ from blaschke_lab import (
 )
 from blaschke_lab import cli
 from tests.conftest import (
+    kernel_solve_oracle,
+    kw_interpolant,
     random_delta_sequence,
     random_separated,
     record_acceptance,
@@ -74,21 +76,24 @@ def test_01_carleson_product_identity():
 
 
 def test_02_interpolation_and_kernel_agreement():
-    """Node reproduction and Lagrange/kernel form agreement, 50 instances."""
+    """Node reproduction, agreement with a kernel solve and with exact k_w^B, 50 instances."""
     with criterion(2, "interpolation and kernel-form agreement"):
         rng = np.random.default_rng(202)
         for _ in range(50):
             n = int(rng.integers(2, 21))
             seq = random_delta_sequence(int(rng.integers(0, 2**31)), n, delta_min=0.3)
+            b = BlaschkeProduct(seq)
             alpha = _random_targets(rng, n)
-            rep = solve_kb(BlaschkeProduct(seq), alpha)
+            rep = solve_kb(b, alpha)
             node_err = float(np.max(np.abs(rep(seq.values) - alpha.values)))
             assert node_err <= 1e-8 * (1.0 + alpha.sup_norm)
-            assert rep.kernel_coeffs is not None
-            agreement = float(
-                np.max(np.abs(rep(CIRCLE_256) - rep.eval_kernel(CIRCLE_256)))
-            )
-            assert agreement <= 1e-6
+            oracle = kernel_solve_oracle(seq.values, alpha.values)
+            assert float(np.max(np.abs(rep(CIRCLE_256) - oracle(CIRCLE_256)))) <= 1e-6
+            for w in (0.0, 0.5, 0.9j, -0.99):
+                targets, exact = kw_interpolant(b, w)
+                expected = exact(CIRCLE_256)
+                err = float(np.max(np.abs(solve_kb(b, targets)(CIRCLE_256) - expected)))
+                assert err <= 1e-10 * float(np.max(np.abs(expected)))
 
 
 def test_03_union_interpolation():

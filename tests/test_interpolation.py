@@ -28,9 +28,11 @@ from blaschke_lab import (
     solve_kb,
     sup_norm,
 )
-from blaschke_lab import blaschke
+from blaschke_lab import blaschke, cli
 from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL, _lagrange_matrix
 from tests.conftest import (
+    kernel_solve_oracle,
+    kw_interpolant,
     mp_product,
     peak_bytes,
     random_deep_sequence,
@@ -42,26 +44,6 @@ from tests.conftest import (
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
 
 CIRCLE_256 = np.exp(2j * np.pi * np.arange(256) / 256)
-
-
-def kernel_solve_oracle(zeros, targets):
-    """Independent Cauchy-kernel solve, written out directly."""
-    zeros = np.asarray(zeros, dtype=complex)
-    k = (1.0 - np.abs(zeros) ** 2)[None, :] / (
-        1.0 - np.conj(zeros)[None, :] * zeros[:, None]
-    )
-    c = np.linalg.solve(k, np.asarray(targets, dtype=complex))
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(
-            c[None, :]
-            * (1.0 - np.abs(zeros) ** 2)[None, :]
-            / (1.0 - np.conj(zeros)[None, :] * z[:, None]),
-            axis=1,
-        )
-
-    return f
 
 
 class TestSolveKb:
@@ -91,10 +73,15 @@ class TestSolveKb:
 
     def test_two_forms_agree_on_circle(self):
         seq = random_delta_sequence(9, 10, delta_min=0.3)
+        b = BlaschkeProduct(seq)
         alpha = TargetVector(np.exp(1j * np.arange(10)))
-        rep = solve_kb(BlaschkeProduct(seq), alpha)
-        assert not rep.ill_conditioned
-        assert np.max(np.abs(rep(CIRCLE_256) - rep.eval_kernel(CIRCLE_256))) < 1e-6
+        oracle = kernel_solve_oracle(seq.values, alpha.values)
+        assert np.max(np.abs(solve_kb(b, alpha)(CIRCLE_256) - oracle(CIRCLE_256))) < 1e-6
+        for w in (0.0, 0.5, 0.9j, -0.99):
+            targets, exact = kw_interpolant(b, w)
+            expected = exact(CIRCLE_256)
+            err = np.max(np.abs(solve_kb(b, targets)(CIRCLE_256) - expected))
+            assert err <= 1e-10 * np.max(np.abs(expected)), w
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -104,15 +91,31 @@ class TestSolveKb:
         with pytest.raises(ValueError):
             solve_kb(BlaschkeProduct(ZeroSequence([])), TargetVector([]))
 
-    def test_ill_conditioned_flagged_but_lagrange_survives(self):
-        seq = ZeroSequence([0.9, 0.9 + 1e-10])
-        alpha = TargetVector([1.0, -1.0])
-        rep = solve_kb(BlaschkeProduct(seq), alpha)
-        assert rep.ill_conditioned
-        assert rep.kernel_coeffs is None
-        assert np.max(np.abs(rep(seq.values) - alpha.values)) < 1e-3
-        with pytest.raises(ValueError):
-            rep.eval_kernel(0.1)
+    def test_ill_conditioned_flagged_but_lagrange_survives(self, tmp_path):
+        def results(zeros, targets):
+            path = tmp_path / "seq.json"
+            cli.write_sequence_file(path, ZeroSequence(zeros))
+            config = cli.validate_config({
+                "kind": "interpolate",
+                "inputs": {
+                    "sequence": {"path": str(path)},
+                    "targets": {"values": [[t.real, t.imag] for t in map(complex, targets)]},
+                },
+            })
+            return cli.run(config).results
+
+        close = results([0.9, 0.9 + 1e-10], [1.0, -1.0])
+        radial = results(radial_sequence(0.5, 4).values, [1.0, 1j, -1.0, 0.5])
+        assert close["ill_conditioned"] is True
+        assert close["max_node_residual"] < 1e-3
+        assert radial["ill_conditioned"] is False
+        keys = {"degree", "max_node_residual", "ill_conditioned", "sup_norm", "lebesgue_constant"}
+        assert set(close) == set(radial) == keys
+
+    def test_solve_memory_stays_small(self):
+        b = BlaschkeProduct(random_deep_sequence(2, 1000, 1e-3, 0.5))
+        alpha = TargetVector(np.ones(1000))
+        assert peak_bytes(lambda: solve_kb(b, alpha)) < 1_000_000
 
 
 class TestSupNorm:
