@@ -12,9 +12,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -41,8 +39,6 @@ __all__ = [
     "emit",
     "main",
 ]
-
-THREADS_ENV = "BLASCHKE_LAB_THREADS"
 
 BOUNDARY_SAMPLES = 256
 
@@ -494,10 +490,13 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
     c = BlaschkeProduct(seq_z)
     union = interp.interpolate_union(b, c, alpha, beta)
 
-    res_a = np.abs(union(seq_a.values) - alpha.values)
-    res_z = np.abs(union(seq_z.values) - beta.values)
-    vanish_a = np.max(np.abs(union.G2(seq_a.values)))
-    vanish_z = np.max(np.abs(union.G1(seq_z.values)))
+    # each part once per node set: union(z) is G1(z) + G2(z)
+    g1_a, g2_a = union.G1(seq_a.values), union.G2(seq_a.values)
+    g1_z, g2_z = union.G1(seq_z.values), union.G2(seq_z.values)
+    res_a = np.abs(g1_a + g2_a - alpha.values)
+    res_z = np.abs(g1_z + g2_z - beta.values)
+    vanish_a = np.max(np.abs(g2_a))
+    vanish_z = np.max(np.abs(g1_z))
 
     results = {
         "degrees": [b.degree, c.degree],
@@ -515,6 +514,12 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
+def _min_sep(config: ExperimentConfig, seq: ZeroSequence) -> float:
+    """The configured separation floor of the perturbed points, else min(0.1, half the zeros' own)."""
+    min_sep = config.inputs.get("min_sep")
+    return min(0.1, 0.5 * seq.min_separation) if min_sep is None else min_sep
+
+
 def _run_nearby(config: ExperimentConfig) -> ReportBundle:
     grid = config.circle_grid()
     seq = _resolve_sequence(config.inputs["sequence"])
@@ -523,10 +528,7 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
 
     m_const = interp.lebesgue_constant(product, grid)
     radius = config.inputs["radius_scale"] / (2.0 * m_const)
-    min_sep = config.inputs.get("min_sep")
-    if min_sep is None:
-        min_sep = min(0.1, 0.5 * seq.min_separation)
-    paired = perturb_sample(seq, radius, config.seed, min_sep=min_sep)
+    paired = perturb_sample(seq, radius, config.seed, min_sep=_min_sep(config, seq))
 
     rep, trace = interp.nearby_iterate(
         product,
@@ -558,35 +560,17 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
-def _perturb_block(args) -> list[dict]:
-    seq, radius, trial_seeds, min_sep, grid = args
-    pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
-    return [asdict(report) for report in crit.perturbation_reports(pairs, radius, grid)]
-
-
 def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     grid = config.circle_grid()
     seq = _resolve_sequence(config.inputs["sequence"])
     radius = config.inputs["radius"]
     trials = config.inputs["trials"]
-    min_sep = config.inputs.get("min_sep")
-    if min_sep is None:
-        min_sep = min(0.1, 0.5 * seq.min_separation)
+    min_sep = _min_sep(config, seq)
 
     master = np.random.default_rng(config.seed)
     trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
-
-    threads = _INT(os.environ.get(THREADS_ENV, "0"), THREADS_ENV)
-    threads = threads if threads > 0 else min(32, os.cpu_count() or 1)
-    # each worker samples a contiguous block of trials, then reports on it in one batch
-    blocks = min(threads, trials)
-    bounds = [trials * k // blocks for k in range(blocks + 1)]
-    jobs = [(seq, radius, trial_seeds[lo:hi], min_sep, grid) for lo, hi in zip(bounds, bounds[1:])]
-    if blocks > 1:
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            reports = [r for block in pool.map(_perturb_block, jobs) for r in block]
-    else:
-        reports = _perturb_block(jobs[0])
+    pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
+    reports = [asdict(report) for report in crit.perturbation_reports(pairs, radius, grid)]
 
     aggregate = {
         "trials": trials,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab
 from blaschke_lab import cli
-from blaschke_lab.blaschke import ZeroSequence
+from blaschke_lab.blaschke import BlaschkeProduct, ZeroSequence
 from blaschke_lab.cli import (
     ExperimentConfig,
     ReportBundle,
@@ -25,6 +25,7 @@ from blaschke_lab.cli import (
 )
 from blaschke_lab.errors import ConfigInvalid, IoFailure
 from blaschke_lab.geometry import DiskPoint
+from blaschke_lab.interpolation import interpolate_union
 
 
 def minimal_criteria_config() -> dict:
@@ -439,9 +440,22 @@ class TestMainCommands:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["results"]["max_residual_a"] <= 1e-7
-        assert payload["results"]["max_residual_z"] <= 1e-7
-        assert len(payload["results"]["tilde_gamma"]) == 4
+        results = payload["results"]
+        assert results["max_residual_a"] <= 1e-7
+        assert results["max_residual_z"] <= 1e-7
+        assert len(results["tilde_gamma"]) == 4
+        # the same fields, bit for bit, from the library's union on the same inputs
+        seq_a, seq_z = load_sequence_file(path_a)[0], load_sequence_file(path_b)[0]
+        alpha, beta = np.ones(len(seq_a), complex), np.full(len(seq_z), 1j)
+        union = interpolate_union(BlaschkeProduct(seq_a), BlaschkeProduct(seq_z), alpha, beta)
+        expected = {
+            "max_residual_a": np.abs(union(seq_a.values) - alpha).max(),
+            "max_residual_z": np.abs(union(seq_z.values) - beta).max(),
+            "g2_vanishing_on_a": np.abs(union.G2(seq_a.values)).max(),
+            "g1_vanishing_on_z": np.abs(union.G1(seq_z.values)).max(),
+        }
+        for key, value in expected.items():
+            assert results[key].hex() == float(value).hex(), key
 
     def test_nearby_converges(self, capsys):
         rc = cli.main(
@@ -613,32 +627,7 @@ class TestDeterminism:
         assert cli.main(base + ["--seed", "2", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        argv = [
-            "perturb",
-            "--generator",
-            "frostman_example",
-            "--n",
-            "8",
-            "--radius",
-            "0.05",
-            "--trials",
-            "6",
-            "--seed",
-            "5",
-            "--grid-size",
-            "256",
-        ]
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        out_serial = tmp_path / "serial.json"
-        assert cli.main(argv + ["--out", str(out_serial)]) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        out_pool = tmp_path / "pool.json"
-        assert cli.main(argv + ["--out", str(out_pool)]) == 0
-        assert out_serial.read_bytes() == out_pool.read_bytes()
-
-    def test_uneven_trial_blocks_do_not_change_output(self, tmp_path, monkeypatch):
-        # 7 trials over 1..4 workers: each worker reports on one contiguous block
+    def test_perturb_reports_on_every_trial_in_one_batch(self, tmp_path, monkeypatch):
         argv = ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.05",
                 "--trials", "7", "--seed", "5", "--grid-size", "256"]
         batches = []
@@ -647,14 +636,18 @@ class TestDeterminism:
             cli.crit, "perturbation_reports", lambda pairs, *a: batches.append(len(pairs)) or batched(pairs, *a)
         )
         reports = []
-        for threads, sizes in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3]), (4, [1, 2, 2, 2])):
+        # perfbench still sets BLASCHKE_LAB_THREADS, so the run must ignore it
+        for threads in (None, "1", "many"):
             batches.clear()
-            monkeypatch.setenv(cli.THREADS_ENV, str(threads))
-            out = tmp_path / f"threads{threads}.json"
+            if threads is None:
+                monkeypatch.delenv("BLASCHKE_LAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("BLASCHKE_LAB_THREADS", threads)
+            out = tmp_path / f"threads_{threads}.json"
             assert cli.main(argv + ["--out", str(out)]) == 0
-            assert sorted(batches) == sizes
+            assert batches == [7]
             reports.append(out.read_bytes())
-        assert all(report == reports[0] for report in reports)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestExitCodes:
@@ -674,26 +667,6 @@ class TestExitCodes:
     def test_bad_schedule_is_two(self, capsys):
         rc = cli.main(
             ["check", "--generator", "radial_sequence", "--n", "4", "--schedule", "3;4"]
-        )
-        assert rc == 2
-        capsys.readouterr()
-
-    def test_bad_thread_env_is_two(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        rc = cli.main(
-            [
-                "perturb",
-                "--generator",
-                "frostman_example",
-                "--n",
-                "6",
-                "--radius",
-                "0.05",
-                "--trials",
-                "2",
-                "--grid-size",
-                "256",
-            ]
         )
         assert rc == 2
         capsys.readouterr()
