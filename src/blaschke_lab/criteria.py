@@ -9,7 +9,8 @@ Suprema over the circle are estimated by a base grid with the arguments
 of the sequence points injected as extra candidates, then sharpened by
 golden-section refinement around the best grid cells.  Refinement only
 ever adds candidate points, so reported extrema never decrease when the
-grid is enlarged.
+grid is enlarged.  The boundary kernel ratios of a perturbation report
+need no scan: their infima over the circle have a closed form.
 """
 
 from __future__ import annotations
@@ -97,9 +98,13 @@ class CriterionReport:
 class PerturbationReport:
     """Empirical constants of the perturbation comparison chain.
 
-    The C and D figures are envelopes over the given finite data; the
-    hard inequality with constant C_r = (1+r)/(1-r) is counted strictly,
-    with 1e-12 slack for rounding.
+    C1, C2, D1 and D2 are envelopes over the given finite data.  C3 and C4
+    are the exact infima over the circle and over n of
+    |1 - conj(z_n) zeta| / |1 - conj(a_n) zeta| and of that ratio times
+    (1 - |a_n|^2) / (1 - |z_n|^2), in closed form; both are at least
+    1/C_r.  The Frostman sums are grid-scanned suprema.  The hard inequality
+    with constant C_r = (1+r)/(1-r) is counted strictly, with 1e-12 slack
+    for rounding.
     """
 
     C_r: float
@@ -335,25 +340,22 @@ def nearness(paired: PairedSequences) -> CriterionReport:
 
 
 class _TrialColumns(NamedTuple):
-    """The zeros of a batch of trials, one column per trial, in the forms the scans read."""
+    """The zeros of a batch of trials and their Frostman weights 1 - |w|.
 
-    a: np.ndarray
-    z: np.ndarray
-    conj_a: np.ndarray
-    conj_z: np.ndarray
-    size_a: np.ndarray
-    size_z: np.ndarray
-    weight_a: np.ndarray
-    weight_z: np.ndarray
+    Both arrays are laid out side x zeros x trials, side 0 holding A and
+    side 1 holding Z.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def of(cls, pairs: list[PairedSequences]) -> "_TrialColumns":
-        a = np.stack([p.A.values for p in pairs], axis=1)
-        z = np.stack([p.Z.values for p in pairs], axis=1)
-        return cls(
-            a, z, np.conj(a), np.conj(z), one_minus_abs_sq(a), one_minus_abs_sq(z),
-            1.0 - np.abs(a), 1.0 - np.abs(z),
-        )
+        values = np.stack([
+            np.stack([p.A.values for p in pairs], axis=1),
+            np.stack([p.Z.values for p in pairs], axis=1),
+        ])
+        return cls(values, 1.0 - np.abs(values))
 
 
 class _BlockBuffers:
@@ -366,7 +368,7 @@ class _BlockBuffers:
 
     def __init__(self, entries: int):
         self._complex = np.empty(entries, dtype=complex)
-        self._real = np.empty((3, entries))
+        self._real = np.empty((2, entries))
 
     def complex(self, shape: tuple[int, ...]) -> np.ndarray:
         return self._complex[: math.prod(shape)].reshape(shape)
@@ -375,77 +377,59 @@ class _BlockBuffers:
         return self._real[k, : math.prod(shape)].reshape(shape)
 
 
-# The boundary scans of a perturbation report: C3 and C4 are minima, the
-# Frostman sums of A and Z maxima.
-_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
-
-
-def _abs_one_minus(conj: np.ndarray, zeta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """|1 - conj * zeta| into out, through the complex scratch work."""
-    np.multiply(conj, zeta, out=work)
-    np.subtract(1.0, work, out=work)
-    return np.abs(work, out=out)
-
-
 def _boundary_values(
     zeta: np.ndarray,
     zeros: _TrialColumns,
     trials: slice,
-    scans: tuple[int, ...],
+    sides: tuple[int, ...],
     out: np.ndarray,
     buffers: _BlockBuffers,
-    den: Optional[np.ndarray] = None,
 ) -> None:
-    """Write the values of the given boundary scans at the points zeta to out[scan].
+    """Write the Frostman sums of the given sides at the points zeta to out[side].
 
-    The zeros zeros.*[:, trials] broadcast against zeta along a leading
-    zeros axis: entries are laid out zeros x points, so that the elementwise
-    loops run along the points.  Every operation keeps the operand order of
-    the one-function scans, and each sum runs over a row-major copy, so
-    values are bit-equal to them.  C3 and C4 share num and den; a given den
-    holds |1 - conj(a) zeta| at these points.
+    The zeros zeros.values[side][:, trials] broadcast against zeta along a
+    leading zeros axis: entries are laid out zeros x points, so that the
+    elementwise loops run along the points.  Every operation keeps the
+    operand order of frostman_sum, and each sum runs over a row-major copy,
+    so values are bit-equal to it.
     """
-    shape = (zeros.a.shape[0],) + zeta.shape
+    shape = (zeros.values.shape[1],) + zeta.shape
     work, g = buffers.complex(shape), buffers.real(0, shape)
-    if 0 in scans or 1 in scans:
-        num = _abs_one_minus(zeros.conj_z[:, trials], zeta, buffers.real(1, shape), work)
-        if den is None:
-            den = _abs_one_minus(zeros.conj_a[:, trials], zeta, buffers.real(2, shape), work)
-    # scans come in ascending order, so num is free once C4 has read it
-    for scan in scans:
-        if scan == 0:
-            np.min(np.divide(num, den, out=g), axis=0, out=out[scan])
-        elif scan == 1:
-            np.multiply(zeros.size_a[:, trials], num, out=num)
-            np.multiply(zeros.size_z[:, trials], den, out=g)
-            np.min(np.divide(num, g, out=g), axis=0, out=out[scan])
-        else:
-            values, weights = (zeros.a, zeros.weight_a) if scan == 2 else (zeros.z, zeros.weight_z)
-            np.abs(np.subtract(zeta, values[:, trials], out=work), out=g)
-            np.divide(weights[:, trials], g, out=g)
-            rows = buffers.real(1, zeta.shape + shape[:1])
-            np.copyto(rows, np.moveaxis(g, 0, -1))
-            np.sum(rows, axis=-1, out=out[scan])
+    rows = buffers.real(1, zeta.shape + shape[:1])
+    for side in sides:
+        np.abs(np.subtract(zeta, zeros.values[side][:, trials], out=work), out=g)
+        np.divide(zeros.weights[side][:, trials], g, out=g)
+        np.copyto(rows, np.moveaxis(g, 0, -1))
+        np.sum(rows, axis=-1, out=out[side])
 
 
 def _trial_values(
     zeta: np.ndarray,
     zeros: _TrialColumns,
     t: int,
-    scans: tuple[int, ...],
+    sides: tuple[int, ...],
     out: np.ndarray,
     buffers: _BlockBuffers,
-    den: Optional[np.ndarray] = None,
 ) -> None:
     """_boundary_values of trial t at a row of points, in blocks of POINT_BLOCK points."""
     for start in range(0, zeta.size, POINT_BLOCK):
         block = slice(start, start + POINT_BLOCK)
-        block_den = None if den is None else den[:, block]
-        _boundary_values(zeta[block], zeros, slice(t, t + 1), scans, out[:, block], buffers, block_den)
+        _boundary_values(zeta[block], zeros, slice(t, t + 1), sides, out[:, block], buffers)
 
 
 def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
-    """The fields of a perturbation report that need no circle scan."""
+    """The fields of a perturbation report that need no circle scan.
+
+    C3 and C4 are exact.  For |zeta| = 1, |1 - conj(z) zeta| = |zeta - z|,
+    and the disc automorphism phi(w) = (a - w) / (1 - conj(a) w) maps the
+    circle onto itself, with
+    |zeta - z| / |1 - conj(a) zeta| = |phi(zeta) - phi(z)| |1 - conj(a) z| / (1 - |a|^2).
+    Since |phi(z)| = rho(a, z), the infimum over the circle is
+    (1 - rho) |1 - conj(a) z| / (1 - |a|^2) = (1 - |z|^2) / K, where
+    K = |1 - conj(a) z| + |z - a| and
+    |1 - conj(a) z|^2 = |z - a|^2 + (1 - |a|^2)(1 - |z|^2).  K is a sum of
+    nonnegative terms, so it is free of cancellation.
+    """
     near = paired.nearness
     if near > r * (1.0 + 1e-12) + 1e-15:
         raise NearnessExceeded(
@@ -465,12 +449,16 @@ def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
     kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
     kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
     pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
+    gap = np.abs(z - a)
+    kernel = np.sqrt(gap * gap + size_a * size_z) + gap
     return dict(
         C_r=c_r,
         empirical_C1=float(pair_ratios.min()),
         empirical_C2=float(pair_ratios.max()),
         empirical_D1=float(ratios.min()),
         empirical_D2=float(ratios.max()),
+        empirical_C3=float(np.min(size_z / kernel)),
+        empirical_C4=float(np.min(size_a / kernel)),
         violations=violations,
         r=r,
         nearness=near,
@@ -480,17 +468,17 @@ def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
 def _grid_pass(
     pairs: list[PairedSequences], zeros: _TrialColumns, grid: CircleGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The refinement seeds and the best grid value of every boundary scan of every trial.
+    """The refinement seeds and the best grid value of both Frostman sums of every trial.
 
-    Trials with the same centre sequence A share its side of the work.  On
-    the shared grid (the base grid plus the arguments of A), den =
-    |1 - conj(a) zeta| and the Frostman sum of A are computed once.  Each
-    trial's grid adds the arguments of its Z: on the shared points only the
-    Z side is computed, on the fresh ones all four columns.
+    Trials with the same centre sequence A share its side of the work: on
+    the shared grid (the base grid plus the arguments of A) the Frostman sum
+    of A is computed once.  Each trial's grid adds the arguments of its Z:
+    on the shared points only the sum of Z is computed, on the fresh ones
+    both sums.
     """
-    n, count = zeros.a.shape
-    seeds = np.empty((len(_SIGNS), count, REFINE_SEEDS))
-    best = np.empty((len(_SIGNS), count))
+    sides, n, count = zeros.values.shape
+    seeds = np.empty((sides, count, REFINE_SEEDS))
+    best = np.empty((sides, count))
     buffers = _BlockBuffers(n * POINT_BLOCK)
     groups: dict[bytes, list[int]] = {}
     for t, paired in enumerate(pairs):
@@ -500,27 +488,20 @@ def _grid_pass(
         shared_grid = grid.with_injected(pairs[centre].A)
         shared = shared_grid.angles()
         zeta = np.exp(1j * shared)
-        den = np.empty((n, shared.size))
-        for start in range(0, shared.size, POINT_BLOCK):
-            block = slice(start, start + POINT_BLOCK)
-            shape = (n, zeta[block].size)
-            den[:, block] = _abs_one_minus(
-                zeros.conj_a[:, centre:centre + 1], zeta[block], buffers.real(0, shape), buffers.complex(shape)
-            )
-        shared_values = np.empty((len(_SIGNS), shared.size))
-        _trial_values(zeta, zeros, centre, (2,), shared_values, buffers)
+        shared_values = np.empty((sides, shared.size))
+        _trial_values(zeta, zeros, centre, (0,), shared_values, buffers)
         for t in trials:
-            _trial_values(zeta, zeros, t, (0, 1, 3), shared_values, buffers, den)
+            _trial_values(zeta, zeros, t, (1,), shared_values, buffers)
             angles = shared_grid.with_injected(pairs[t].Z).angles()
             fresh = np.ones(angles.size, dtype=bool)
             fresh[np.searchsorted(angles, shared)] = False
-            fresh_values = np.empty((len(_SIGNS), np.count_nonzero(fresh)))
-            _trial_values(np.exp(1j * angles[fresh]), zeros, t, (0, 1, 2, 3), fresh_values, buffers)
-            values = np.empty((len(_SIGNS), angles.size))
+            fresh_values = np.empty((sides, np.count_nonzero(fresh)))
+            _trial_values(np.exp(1j * angles[fresh]), zeros, t, (0, 1), fresh_values, buffers)
+            values = np.empty((sides, angles.size))
             values[:, ~fresh] = shared_values
             values[:, fresh] = fresh_values
-            for column, sign in enumerate(_SIGNS):
-                seeds[column, t], best[column, t] = _grid_seeds(sign * values[column], angles)
+            for side in range(sides):
+                seeds[side, t], best[side, t] = _grid_seeds(values[side], angles)
     return seeds, best
 
 
@@ -530,10 +511,11 @@ def perturbation_reports(
     """perturbation_report for many trials at once, each bit-identical to its report alone.
 
     All pairs must have the same length.  A failing trial raises the error
-    of the lowest-index one.  Each trial scans its own grid (the base grid
-    plus the arguments of its A and Z points), with the A side computed once
-    per centre sequence.  Then the golden-section refinements of every
-    column of every trial run in lockstep, each column evaluated on its own
+    of the lowest-index one.  C3 and C4 come in closed form; only the two
+    Frostman sums are scanned.  Each trial scans its own grid (the base grid
+    plus the arguments of its A and Z points), with the sum of A computed
+    once per centre sequence.  Then the 2 x REFINE_SEEDS golden-section
+    searches of every trial run in lockstep, each sum evaluated on its own
     searches only.  Every block of points works in reused scratch arrays of
     POINT_BLOCK x N entries.
     """
@@ -547,22 +529,22 @@ def perturbation_reports(
         return []
     grid = grid or CircleGrid()
     zeros = _TrialColumns.of(pairs)
-    n, count = zeros.a.shape
+    sides, n, count = zeros.values.shape
     seeds, best = _grid_pass(pairs, zeros, grid)
 
     # each trial's searches share its zeros: a trailing axis broadcasts them
-    lanes = zeros._make(column[:, :, None] for column in zeros)
+    lanes = zeros._make(column[..., None] for column in zeros)
     trial_block = min(count, max(1, POINT_BLOCK // REFINE_SEEDS))
     buffers = _BlockBuffers(n * trial_block * REFINE_SEEDS)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * (x % TWO_PI)).reshape(len(_SIGNS), count, REFINE_SEEDS)
+        zeta = np.exp(1j * (x % TWO_PI)).reshape(sides, count, REFINE_SEEDS)
         out = np.empty(zeta.shape)
-        for column in range(len(_SIGNS)):
+        for side in range(sides):
             for start in range(0, count, trial_block):
                 block = slice(start, start + trial_block)
-                _boundary_values(zeta[column, block], lanes, block, (column,), out[:, block], buffers)
-        return (_SIGNS[:, None, None] * out).ravel()
+                _boundary_values(zeta[side, block], lanes, block, (side,), out[:, block], buffers)
+        return out.ravel()
 
     best_val, _ = _refine(
         evaluate,
@@ -571,15 +553,9 @@ def perturbation_reports(
         math.pi / grid.base_count,
         GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
     )
-    c3, c4, frostman_a, frostman_z = (_SIGNS[:, None] * best_val.reshape(best.shape)).tolist()
+    frostman_a, frostman_z = best_val.reshape(best.shape).tolist()
     return [
-        PerturbationReport(
-            **fields,
-            empirical_C3=c3[t],
-            empirical_C4=c4[t],
-            frostman_A=frostman_a[t],
-            frostman_Z=frostman_z[t],
-        )
+        PerturbationReport(**fields, frostman_A=frostman_a[t], frostman_Z=frostman_z[t])
         for t, fields in enumerate(envelopes)
     ]
 
@@ -591,8 +567,8 @@ def perturbation_report(
 
     Checks the two-sided size comparison with constant C_r = (1+r)/(1-r),
     records min/max envelopes for the kernel-product ratios over index
-    pairs, scans the circle for the boundary kernel ratios, and computes
-    both Frostman sums on a shared grid.  The one-trial case of
+    pairs, takes the infima of the boundary kernel ratios in closed form,
+    and scans the circle for both Frostman sums.  The one-trial case of
     perturbation_reports.
     """
     return perturbation_reports([paired], r, grid)[0]

@@ -168,7 +168,7 @@ def test_05_frostman_sums():
 
 
 def test_06_perturbation_inequalities():
-    """1000 seeded perturbations: size comparisons and the distance-gap estimate all hold."""
+    """1000 seeded perturbations: size comparisons, boundary kernel infima and the distance-gap estimate all hold."""
     with criterion(6, "perturbation inequality envelopes over 1000 trials"):
         seq = frostman_example(20)
         upper = np.triu_indices(len(seq), k=1)
@@ -183,6 +183,8 @@ def test_06_perturbation_inequalities():
                 assert report.violations == 0
                 assert report.empirical_D1 >= 1.0 / c_r - 1e-12
                 assert report.empirical_D2 <= c_r + 1e-12
+                assert report.empirical_C3 >= 1.0 / c_r - 1e-12
+                assert report.empirical_C4 >= 1.0 / c_r - 1e-12
                 gap_z = 1.0 - pairwise_rho(paired.Z.values, paired.Z.values)[upper]
                 assert np.all(gap_a <= c_r**2 * gap_z + 1e-12)
 

@@ -424,6 +424,8 @@ class TestPerturbationReport:
             report.empirical_C2,
             report.empirical_D1,
             report.empirical_D2,
+            report.empirical_C3,
+            report.empirical_C4,
         ):
             assert value == pytest.approx(1.0, abs=1e-12)
         assert report.frostman_A == pytest.approx(report.frostman_Z, rel=1e-12)
@@ -444,6 +446,8 @@ class TestPerturbationReport:
             assert report.violations == 0
             assert report.empirical_D1 >= 1.0 / c_r - 1e-12
             assert report.empirical_D2 <= c_r + 1e-12
+            assert report.empirical_C3 >= 1.0 / c_r - 1e-12
+            assert report.empirical_C4 >= 1.0 / c_r - 1e-12
 
     def test_envelopes_match_direct_evaluation(self):
         a = random_separated(19, 5, min_rho=0.3)
@@ -470,6 +474,20 @@ class TestPerturbationReport:
         assert report.empirical_C3 > 0.0
         assert report.empirical_C4 > 0.0
 
+    @pytest.mark.parametrize(
+        "centre, seed",
+        [(frostman_example(20), 65), (frostman_example(20), 98), (random_separated(19, 5, min_rho=0.3), 2)],
+        ids=["frostman20-65", "frostman20-98", "shallow5-2"],
+    )
+    def test_boundary_infima_against_mpmath(self, centre, seed):
+        mpmath = pytest.importorskip("mpmath")
+        paired = perturb_sample(centre, 0.3, seed, min_sep=0.01)
+        report = perturbation_report(paired, 0.3, GRID)
+        c3, c4 = _mpmath_boundary_infima(mpmath, paired)
+        bound = _size_rounding(paired)
+        assert abs(report.empirical_C3 / c3 - 1.0) <= bound
+        assert abs(report.empirical_C4 / c4 - 1.0) <= bound
+
     def test_frostman_fields_use_shared_grid(self):
         a = frostman_example(12)
         paired = perturb_sample(a, 0.3, 6, min_sep=0.01)
@@ -483,8 +501,63 @@ class TestPerturbationReport:
         )
 
 
-def _reference_scans(paired, grid):
-    """The four boundary scans of a report as before batching: (f, grid, mode) of each one-function scan."""
+def _size_rounding(paired):
+    """The relative rounding allowed in C3 and C4: 16 eps / min over all points w of 1 - |w|.
+
+    Each size 1 - |w|^2 carries a relative error of about eps / (1 - |w|),
+    since |w| is rounded before the cancelling subtraction; the rest of the
+    closed form adds a few eps.
+    """
+    points = np.concatenate([paired.A.values, paired.Z.values])
+    return 16.0 * np.finfo(float).eps / float(np.min(1.0 - np.abs(points)))
+
+
+def _mpmath_boundary_infima(mpmath, paired):
+    """C3 and C4 from each pair's ratio |1 - conj(z) zeta| / |1 - conj(a) zeta| minimised at 40 digits.
+
+    The ratio has one local minimum on the circle (its level sets are
+    Apollonius circles), so the best of a dense sample brackets it: 64
+    uniform arguments plus 48 log-spaced offsets from 1e-9 to pi on either
+    side of arg a and arg z.  Golden-section search then narrows the
+    bracket to 1e-25 of its width.
+    """
+    c3 = c4 = mpmath.inf
+    with mpmath.workdps(40):
+        for a, z in zip(paired.A.values, paired.Z.values):
+            a, z = mpmath.mpc(complex(a)), mpmath.mpc(complex(z))
+
+            def ratio(t):
+                zeta = mpmath.expj(t)
+                return abs(1 - mpmath.conj(z) * zeta) / abs(1 - mpmath.conj(a) * zeta)
+
+            offsets = [mpmath.mpf(10) ** (-9 + 9.5 * k / 47) for k in range(48)]
+            centres = [mpmath.arg(a), mpmath.arg(z)]
+            args = [2 * mpmath.pi * k / 64 for k in range(64)]
+            args += [(c + sign * d) % (2 * mpmath.pi) for c in centres for d in offsets for sign in (1, -1)]
+            args.sort()
+            values = [ratio(t) for t in args]
+            k = min(range(len(args)), key=values.__getitem__)
+            lo = args[k - 1] - (2 * mpmath.pi if k == 0 else 0)
+            hi = args[(k + 1) % len(args)] + (2 * mpmath.pi if k == len(args) - 1 else 0)
+            x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+            f1, f2 = ratio(x1), ratio(x2)
+            for _ in range(120):
+                if f1 < f2:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - GOLDEN * (hi - lo)
+                    f1 = ratio(x1)
+                else:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + GOLDEN * (hi - lo)
+                    f2 = ratio(x2)
+            best = min(values[k], f1, f2)
+            size_a, size_z = 1 - abs(a) ** 2, 1 - abs(z) ** 2
+            c3, c4 = min(c3, best), min(c4, best * size_a / size_z)
+    return float(c3), float(c4)
+
+
+def _ratio_scans(paired, grid):
+    """C3 and C4 as grid-plus-golden scans of the boundary kernel ratios find them."""
     a, z = paired.A.values, paired.Z.values
     size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
     grid = grid.with_injected(paired.A, paired.Z)
@@ -495,16 +568,19 @@ def _reference_scans(paired, grid):
         den = size_z[None, :] * np.abs(1.0 - np.conj(a)[None, :] * zeta[:, None])
         return np.min(num / den, axis=1)
 
+    return scan_circle(_kernel_ratio(a, z), grid, "min")[0], scan_circle(weighted_ratio, grid, "min")[0]
+
+
+def _reference_scans(paired, grid):
+    """The two Frostman scans of a report as before batching: (f, grid) of each one-function maximum."""
     return [
-        (_kernel_ratio(a, z), grid, "min"),
-        (weighted_ratio, grid, "min"),
-        (_frostman_total(paired.A), grid.with_injected(paired.A), "max"),
-        (_frostman_total(paired.Z), grid.with_injected(paired.Z), "max"),
+        (_frostman_total(paired.A), grid.with_injected(paired.A, paired.Z)),
+        (_frostman_total(paired.Z), grid.with_injected(paired.A, paired.Z)),
     ]
 
 
 def _reference_report(paired, r, grid):
-    """A whole report as before batching: four one-function scans, each with its own f."""
+    """A whole report as before batching: C3 and C4 in closed form, and two one-function scans."""
     a, z = paired.A.values, paired.Z.values
     size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
     c_r = (1.0 + r) / (1.0 - r)
@@ -513,7 +589,11 @@ def _reference_report(paired, r, grid):
     kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
     kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
     pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
-    c3, c4, fa, fz = (scan_circle(*scan)[0] for scan in _reference_scans(paired, grid))
+    # inf over the circle of |1 - conj(z) zeta| / |1 - conj(a) zeta| is (1 - |z|^2) / K
+    gap = np.abs(z - a)
+    k = np.sqrt(gap * gap + size_a * size_z) + gap
+    c3, c4 = float(np.min(size_z / k)), float(np.min(size_a / k))
+    fa, fz = (scan_circle(f, grid, "max")[0] for f, grid in _reference_scans(paired, grid))
     return PerturbationReport(
         C_r=c_r,
         empirical_C1=float(pair_ratios.min()),
@@ -576,10 +656,9 @@ class TestPerturbationReports:
         # a duplicated point would show only in the seeds, so compare them too
         seeds, best = criteria._grid_pass(pairs, criteria._TrialColumns.of(pairs), GRID)
         for t, paired in enumerate(pairs):
-            for column, (f, grid, mode) in enumerate(_reference_scans(paired, GRID)):
-                sign = 1.0 if mode == "max" else -1.0
+            for column, (f, grid) in enumerate(_reference_scans(paired, GRID)):
                 angles = grid.angles()
-                ref_seeds, ref_best = criteria._grid_seeds(sign * f(angles), angles)
+                ref_seeds, ref_best = criteria._grid_seeds(f(angles), angles)
                 assert seeds[column, t].tobytes() == ref_seeds.tobytes()
                 assert best[column, t].hex() == ref_best.hex()
 
@@ -590,15 +669,40 @@ class TestPerturbationReports:
         for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
             assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))
 
-    def test_memory_is_bounded_by_den_and_the_block(self):
+    def test_memory_is_bounded_by_the_block(self):
         pairs = _trials("frostman20", 32)
         grid = CircleGrid(refinement_rounds=1)
         n, points = 20, grid.with_injected(pairs[0].A).angles().size
-        # the stored den row of the centres; the scratch of one block, with a
-        # complex and three real entries per zero and point; and 32 float
-        # arrays of grid length (points, values and sort temporaries)
-        bound = n * points * 8 + n * criteria.POINT_BLOCK * (16 + 3 * 8) + 32 * points * 8
+        # the scratch of one block, with a complex and two real entries per
+        # zero and point; and 32 float arrays of grid length (points, values
+        # and sort temporaries)
+        bound = n * criteria.POINT_BLOCK * (16 + 2 * 8) + 32 * points * 8
         assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
+
+    def test_only_the_frostman_sums_are_refined(self, monkeypatch):
+        rows = []
+        refine = criteria._refine
+        monkeypatch.setattr(
+            criteria, "_refine", lambda evaluate, seeds, *a: rows.append(seeds.shape) or refine(evaluate, seeds, *a)
+        )
+        pairs = _trials("mixed20", 5)
+        perturbation_reports(pairs, 0.3, GRID)
+        assert rows == [(2 * len(pairs), REFINE_SEEDS)]
+
+    def test_closed_form_at_most_the_ratio_scans(self):
+        for name in sorted(_BATCH_CENTERS):
+            pairs = _trials(name, 32)
+            for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
+                c3, c4 = _ratio_scans(paired, GRID)
+                slack = 1.0 + _size_rounding(paired)
+                assert report.empirical_C3 <= c3 * slack
+                assert report.empirical_C4 <= c4 * slack
+        # here the scans miss a dip about 1e-6 wide, on the default grid too
+        for seed, column in ((65, 0), (98, 1)):
+            paired = perturb_sample(frostman_example(20), 0.3, seed, min_sep=0.01)
+            report = perturbation_report(paired, 0.3, GRID)
+            closed = (report.empirical_C3, report.empirical_C4)[column]
+            assert _ratio_scans(paired, CircleGrid())[column] > 1.05 * closed
 
     def test_report_independent_of_its_batch(self):
         pairs = _trials("frostman20", 9)
