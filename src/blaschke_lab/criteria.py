@@ -10,7 +10,9 @@ of the sequence points injected as extra candidates, then sharpened by
 golden-section refinement around the best grid cells.  Refinement only
 ever adds candidate points, so reported extrema never decrease when the
 grid is enlarged.  The boundary kernel ratios of a perturbation report
-need no scan: their infima over the circle have a closed form.
+need no scan: their infima over the circle have a closed form.  Its two
+Frostman scans skip the grid points that provably cannot be refinement
+seeds, and the extrema they report equal those of the full grid.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ GOLDEN_STEPS_PER_ROUND = 16
 # Points per block when perturbation_reports evaluates its boundary columns:
 # each block works in reused scratch arrays of POINT_BLOCK x N entries.
 POINT_BLOCK = 512
+
+# Consecutive base points per cell of the pruned Frostman grid pass, and the
+# relative slack of its cell bounds: far above the kernel's rounding of
+# about 30 eps, far below any gap between a bound and a grid value.  CELL
+# must stay at most 32, so that the smallest base grid (256) still has
+# REFINE_SEEDS cell centres.
+CELL = 16
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,14 @@ class PerturbationReport:
 
 
 def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value."""
-    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value.
+
+    Equal values go to the smaller argument first, which on a sorted grid
+    is the earlier grid position.  The order is total, so the seeds depend
+    neither on the sort's handling of ties nor on the order of the
+    candidates.
+    """
+    order = np.lexsort((angles, -signed))[:REFINE_SEEDS]
     return angles[order], signed[order[0]]
 
 
@@ -384,6 +400,8 @@ def _boundary_values(
     sides: tuple[int, ...],
     out: np.ndarray,
     buffers: _BlockBuffers,
+    reach: Optional[np.ndarray] = None,
+    bound: Optional[np.ndarray] = None,
 ) -> None:
     """Write the Frostman sums of the given sides at the points zeta to out[side].
 
@@ -392,13 +410,25 @@ def _boundary_values(
     elementwise loops run along the points.  Every operation keeps the
     operand order of frostman_sum, and each sum runs over a row-major copy,
     so values are bit-equal to it.
+
+    Given a reach per point, also write to bound[side] an upper bound of
+    the sum over every point within that distance of zeta: the sum over
+    the zeros w of (1 - |w|) / (|zeta - w| - reach), +inf when some zero
+    lies within reach.  It reuses the distances of the sum itself.
     """
     shape = (zeros.values.shape[1],) + zeta.shape
     work, g = buffers.complex(shape), buffers.real(0, shape)
     rows = buffers.real(1, zeta.shape + shape[:1])
     for side in sides:
+        weights = zeros.weights[side][:, trials]
         np.abs(np.subtract(zeta, zeros.values[side][:, trials], out=work), out=g)
-        np.divide(zeros.weights[side][:, trials], g, out=g)
+        if reach is not None:
+            gap = buffers.real(1, shape)
+            np.maximum(np.subtract(g, reach, out=gap), 0.0, out=gap)
+            with np.errstate(divide="ignore", over="ignore"):
+                np.divide(weights, gap, out=gap)
+            np.sum(gap, axis=0, out=bound[side])
+        np.divide(weights, g, out=g)
         np.copyto(rows, np.moveaxis(g, 0, -1))
         np.sum(rows, axis=-1, out=out[side])
 
@@ -410,11 +440,14 @@ def _trial_values(
     sides: tuple[int, ...],
     out: np.ndarray,
     buffers: _BlockBuffers,
+    reach: Optional[np.ndarray] = None,
+    bound: Optional[np.ndarray] = None,
 ) -> None:
     """_boundary_values of trial t at a row of points, in blocks of POINT_BLOCK points."""
     for start in range(0, zeta.size, POINT_BLOCK):
         block = slice(start, start + POINT_BLOCK)
-        _boundary_values(zeta[block], zeros, slice(t, t + 1), sides, out[:, block], buffers)
+        bounds = () if reach is None else (reach[block], bound[:, block])
+        _boundary_values(zeta[block], zeros, slice(t, t + 1), sides, out[:, block], buffers, *bounds)
 
 
 def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
@@ -465,43 +498,64 @@ def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
     )
 
 
-def _grid_pass(
-    pairs: list[PairedSequences], zeros: _TrialColumns, grid: CircleGrid
-) -> tuple[np.ndarray, np.ndarray]:
+def _injected_args(zeros: _TrialColumns, grid: CircleGrid, base: np.ndarray) -> list[np.ndarray]:
+    """The grid points of each trial off the base grid, sorted and without repeats.
+
+    These are the extras of the grid and the arguments of the trial's A and
+    Z points, reduced to [0, 2*pi) as CircleGrid reduces them.
+    """
+    sides, n, count = zeros.values.shape
+    args = np.angle(zeros.values).reshape(sides * n, count) % TWO_PI
+    args[args == TWO_PI] = 0.0
+    extras = np.repeat(np.asarray(grid.extra_args, dtype=float)[:, None], count, axis=1)
+    args = np.sort(np.concatenate([extras, args]), axis=0)
+    keep = base[np.minimum(np.searchsorted(base, args), base.size - 1)] != args
+    keep[1:] &= args[1:] != args[:-1]
+    return [args[keep[:, t], t] for t in range(count)]
+
+
+def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
     """The refinement seeds and the best grid value of both Frostman sums of every trial.
 
-    Trials with the same centre sequence A share its side of the work: on
-    the shared grid (the base grid plus the arguments of A) the Frostman sum
-    of A is computed once.  Each trial's grid adds the arguments of its Z:
-    on the shared points only the sum of Z is computed, on the fresh ones
-    both sums.
+    Each trial's grid is the base grid plus the arguments of its A and Z
+    points, but only the points that can be seeds are evaluated.  The base
+    grid is cut into cells of CELL consecutive points, each centred on one
+    of them.  A first pass evaluates the centres and the off-base points,
+    with a bound of each sum over each cell.  Let T be the REFINE_SEEDS-th
+    best of those values.  The other points of a cell are evaluated only
+    when its bound, times 1 + BOUND_SLACK, reaches T.  A point left out has
+    a computed value below T, and T is at most the REFINE_SEEDS-th best
+    value of the whole grid.  So under _grid_seeds' total order the seeds
+    and best values are the whole grid's, bit for bit.
     """
     sides, n, count = zeros.values.shape
     seeds = np.empty((sides, count, REFINE_SEEDS))
     best = np.empty((sides, count))
     buffers = _BlockBuffers(n * POINT_BLOCK)
-    groups: dict[bytes, list[int]] = {}
-    for t, paired in enumerate(pairs):
-        groups.setdefault(paired.A.values.tobytes(), []).append(t)
-    for trials in groups.values():
-        centre = trials[0]
-        shared_grid = grid.with_injected(pairs[centre].A)
-        shared = shared_grid.angles()
-        zeta = np.exp(1j * shared)
-        shared_values = np.empty((sides, shared.size))
-        _trial_values(zeta, zeros, centre, (0,), shared_values, buffers)
-        for t in trials:
-            _trial_values(zeta, zeros, t, (1,), shared_values, buffers)
-            angles = shared_grid.with_injected(pairs[t].Z).angles()
-            fresh = np.ones(angles.size, dtype=bool)
-            fresh[np.searchsorted(angles, shared)] = False
-            fresh_values = np.empty((sides, np.count_nonzero(fresh)))
-            _trial_values(np.exp(1j * angles[fresh]), zeros, t, (0, 1), fresh_values, buffers)
-            values = np.empty((sides, angles.size))
-            values[:, ~fresh] = shared_values
-            values[:, fresh] = fresh_values
-            for side in range(sides):
-                seeds[side, t], best[side, t] = _grid_seeds(values[side], angles)
+    base = replace(grid, extra_args=()).angles()
+    base_zeta = np.exp(1j * base)
+    starts = np.arange(0, base.size, CELL)
+    sizes = np.diff(starts, append=base.size)
+    centres = starts + sizes // 2
+    # the arc to the farthest point of the cell bounds the chord; the slack
+    # and 64 eps cover the rounding of the computed points and distances
+    reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
+    for t, extra in enumerate(_injected_args(zeros, grid, base)):
+        angles = np.concatenate([base[centres], extra])
+        zeta = np.concatenate([base_zeta[centres], np.exp(1j * extra)])
+        values, bound = np.empty((2, sides, angles.size))
+        # the off-base points get reach 0: only the centres' bounds are read
+        _trial_values(zeta, zeros, t, (0, 1), values, buffers, np.append(reach, np.zeros(extra.size)), bound)
+        for side in range(sides):
+            threshold = np.partition(values[side], -REFINE_SEEDS)[-REFINE_SEEDS]
+            live = np.repeat(bound[side, : centres.size] * (1.0 + BOUND_SLACK) >= threshold, sizes)
+            live[centres] = False
+            rest = np.flatnonzero(live)
+            rest_values = np.empty((sides, rest.size))
+            _trial_values(base_zeta[rest], zeros, t, (side,), rest_values, buffers)
+            seeds[side, t], best[side, t] = _grid_seeds(
+                np.concatenate([values[side], rest_values[side]]), np.concatenate([angles, base[rest]])
+            )
     return seeds, best
 
 
@@ -513,11 +567,12 @@ def perturbation_reports(
     All pairs must have the same length.  A failing trial raises the error
     of the lowest-index one.  C3 and C4 come in closed form; only the two
     Frostman sums are scanned.  Each trial scans its own grid (the base grid
-    plus the arguments of its A and Z points), with the sum of A computed
-    once per centre sequence.  Then the 2 x REFINE_SEEDS golden-section
-    searches of every trial run in lockstep, each sum evaluated on its own
-    searches only.  Every block of points works in reused scratch arrays of
-    POINT_BLOCK x N entries.
+    plus the arguments of its A and Z points), skipping the cells of base
+    points that provably hold no refinement seed (_grid_pass), so its seeds
+    and best grid values are the full grid's.  Then the 2 x REFINE_SEEDS
+    golden-section searches of every trial run in lockstep, each sum
+    evaluated on its own searches only.  Every block of points works in
+    reused scratch arrays of POINT_BLOCK x N entries.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius {r} must lie in (0, 1)")
@@ -530,7 +585,7 @@ def perturbation_reports(
     grid = grid or CircleGrid()
     zeros = _TrialColumns.of(pairs)
     sides, n, count = zeros.values.shape
-    seeds, best = _grid_pass(pairs, zeros, grid)
+    seeds, best = _grid_pass(zeros, grid)
 
     # each trial's searches share its zeros: a trailing axis broadcasts them
     lanes = zeros._make(column[..., None] for column in zeros)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blaschke_lab import (
     BlaschkeProduct,
@@ -100,7 +102,8 @@ def _scalar_scan(f, grid, mode):
     sign = 1.0 if mode == "max" else -1.0
     angles = grid.angles()
     signed = sign * np.asarray(f(angles), dtype=float)
-    order = np.argsort(signed)[::-1][:REFINE_SEEDS]
+    # value descending, equal values in grid order
+    order = np.argsort(-signed, kind="stable")[:REFINE_SEEDS]
     best_val, best_arg = float(signed[order[0]]), float(angles[order[0]])
     steps = GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
     if steps > 0:
@@ -627,6 +630,164 @@ def _trials(name, count, r=0.3):
     return [perturb_sample(centres[seed % len(centres)], r, seed, min_sep=0.01) for seed in range(count)]
 
 
+def _on_grid_pairs():
+    """Two trials whose Z points have arguments already on their grid.
+
+    z_0 is real and positive, so its argument is the base angle 0.0
+    exactly; z_1 lies on the base angle pi/2, z_2 = (15/16) a_2 exactly on
+    the ray of a_2.  None of them is a fresh point of its trial's grid, and
+    all lie where the scans peak.
+    """
+    a = ZeroSequence([0.99 * np.exp(0.003j), 0.98j, 0.75 + 0.625j])
+    z = ZeroSequence([0.99, 0.97j, 0.703125 + 0.5859375j])
+    other = ZeroSequence([0.985 * np.exp(0.01j), 0.975 * np.exp(1.58j), 0.74 + 0.6j])
+    return [PairedSequences(A=a, Z=z), PairedSequences(A=a, Z=other)]
+
+
+def _wrapped_pairs():
+    """A Z point just below the positive axis: its argument reduces to 2*pi, which wraps to the base angle 0.0."""
+    a = ZeroSequence([0.99 * np.exp(-0.002j), 0.9j])
+    z = ZeroSequence([0.99 - 1e-17j, 0.91j])
+    assert np.angle(z.values[0]) % TWO_PI == TWO_PI
+    return [PairedSequences(A=a, Z=z)]
+
+
+def _full_grid_pass(pairs, grid):
+    """The grid pass without pruning: both Frostman sums at every point of each trial's whole grid.
+
+    Seeds are taken by value, descending, equal values in grid order.
+    """
+    zeros = criteria._TrialColumns.of(pairs)
+    sides, n, count = zeros.values.shape
+    seeds, best = np.empty((sides, count, REFINE_SEEDS)), np.empty((sides, count))
+    buffers = criteria._BlockBuffers(n * criteria.POINT_BLOCK)
+    for t, paired in enumerate(pairs):
+        angles = grid.with_injected(paired.A, paired.Z).angles()
+        values = np.empty((sides, angles.size))
+        criteria._trial_values(np.exp(1j * angles), zeros, t, (0, 1), values, buffers)
+        for side in range(sides):
+            order = np.argsort(-values[side], kind="stable")[:REFINE_SEEDS]
+            seeds[side, t], best[side, t] = angles[order], values[side, order[0]]
+    return seeds, best
+
+
+def _assert_full_grid_seeds(pairs, grid):
+    seeds, best = criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+    ref_seeds, ref_best = _full_grid_pass(pairs, grid)
+    assert seeds.tobytes() == ref_seeds.tobytes()
+    assert best.tobytes() == ref_best.tobytes()
+
+
+def _shallow_pairs():
+    """Trials whose sums vary less across the circle than any cell bound exceeds them.
+
+    Five points of modulus 0.05 in symmetric position give a sum flat to
+    about 0.05^5.
+    """
+    ring = 0.05 * np.exp(2j * np.pi * np.arange(5) / 5)
+    return [PairedSequences(A=ZeroSequence(ring), Z=ZeroSequence(ring * np.exp(turn * 1j))) for turn in (0.01, 0.3)]
+
+
+def _hump_pairs():
+    """Trials whose best grid points sit on a broad hump, below a narrow injected peak.
+
+    The zero at 1 - 1e-6 peaks only at its own argument 1; the shallow
+    zero near argument 3 makes every other top value a base point.  Their
+    cells are kept only by comparing bounds with the REFINE_SEEDS-th best
+    value, not with the maximum.
+    """
+    a = ZeroSequence([(1 - 1e-6) * np.exp(1j), 0.7 * np.exp(3j)])
+    return [PairedSequences(A=a, Z=ZeroSequence([(1 - 2e-6) * np.exp(1.0000005j), 0.7 * np.exp(turn * 1j)])) for turn in (2.95, 3.05)]
+
+
+def _constant_pairs():
+    """A lone zero at 0: its sum is constant up to rounding, so grid values tie exactly."""
+    return [PairedSequences(A=ZeroSequence([0.0]), Z=ZeroSequence([1e-3]))]
+
+
+def _counted_entries(monkeypatch):
+    """Count the zero x point entries the Frostman kernel evaluates, per sum."""
+    count = [0]
+    kernel = criteria._boundary_values
+
+    def counted(zeta, zeros, trials, sides, *args, **kwargs):
+        count[0] += zeros.values.shape[1] * zeta.size * len(sides)
+        return kernel(zeta, zeros, trials, sides, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "_boundary_values", counted)
+    return count
+
+
+def _full_grid_entries(pairs, grid):
+    return sum(2 * len(p.A) * grid.with_injected(p.A, p.Z).angles().size for p in pairs)
+
+
+_PASS_SETS = {
+    "frostman20": lambda: _trials("frostman20", 7),
+    "radial12": lambda: _trials("radial12", 7),
+    "mixed20": lambda: _trials("mixed20", 7),
+    "frostman40": lambda: [perturb_sample(frostman_example(40), 0.3, s, min_sep=0.01) for s in range(3)],
+    "radial40": lambda: [perturb_sample(radial_sequence(0.5, 40), 0.3, s, min_sep=0.01) for s in range(3)],
+    "on_grid": _on_grid_pairs,
+    "wrapped": _wrapped_pairs,
+    "shallow": _shallow_pairs,
+    "constant": _constant_pairs,
+    "hump": _hump_pairs,
+}
+
+
+class TestGridPass:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            CircleGrid(base_count=256, refinement_rounds=0),
+            CircleGrid(base_count=257, refinement_rounds=0),
+            CircleGrid(base_count=1000, refinement_rounds=0),
+            CircleGrid(base_count=4096, refinement_rounds=0),
+            CircleGrid(base_count=256, refinement_rounds=0, extra_args=(0.1234567, TWO_PI * 3 / 256, -0.5, 3.0001)),
+        ],
+        ids=["256", "257", "1000", "4096", "256-extras"],
+    )
+    @pytest.mark.parametrize("name", sorted(_PASS_SETS))
+    def test_seeds_and_best_of_the_full_grid(self, name, grid):
+        pairs = _PASS_SETS[name]()
+        _assert_full_grid_seeds(pairs, grid)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 24),
+        st.sampled_from([256, 257, 1000, 4096]),
+        st.floats(1e-15, 1e-3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_deep_sets(self, seed, n, base_count, depth_min):
+        pairs = [
+            PairedSequences(
+                A=random_deep_sequence(seed + t, n, depth_min, 0.5),
+                Z=random_deep_sequence(seed + t + 1, n, depth_min, 0.5),
+            )
+            for t in range(2)
+        ]
+        grid = CircleGrid(base_count=base_count, refinement_rounds=0)
+        _assert_full_grid_seeds(pairs, grid)
+
+    def test_evaluates_a_quarter_of_the_grid_at_most(self, monkeypatch):
+        pairs = _trials("frostman20", 32)
+        grid = CircleGrid()
+        entries = _counted_entries(monkeypatch)
+        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+        assert entries[0] <= 0.25 * _full_grid_entries(pairs, grid)
+
+    # test_seeds_and_best_of_the_full_grid checks the bits of these sets
+    @pytest.mark.parametrize("name", ["shallow", "constant"])
+    def test_flat_sums_evaluate_every_point_once(self, monkeypatch, name):
+        pairs = _PASS_SETS[name]()
+        grid = CircleGrid(refinement_rounds=0)
+        entries = _counted_entries(monkeypatch)
+        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+        assert entries[0] == _full_grid_entries(pairs, grid)
+
+
 class TestPerturbationReports:
     @pytest.mark.parametrize("rounds", [0, 1, 3])
     @pytest.mark.parametrize("count", [1, 7, 32])
@@ -640,21 +801,15 @@ class TestPerturbationReports:
             assert _bits(report) == _bits(_reference_report(paired, 0.3, grid))
 
     def test_z_arguments_on_shared_points(self):
-        # z_0 is real and positive, so its argument is the base angle 0.0
-        # exactly; z_1 lies on the base angle pi/2, z_2 = (15/16) a_2 exactly
-        # on the ray of a_2.  None of them is a fresh point of its trial's
-        # grid, and all lie where the scans peak.
-        a = ZeroSequence([0.99 * np.exp(0.003j), 0.98j, 0.75 + 0.625j])
-        z = ZeroSequence([0.99, 0.97j, 0.703125 + 0.5859375j])
+        pairs = _on_grid_pairs()
+        a, z = pairs[0].A, pairs[0].Z
         assert np.angle(z.values[0]) == 0.0
         assert np.angle(z.values[1]) == GRID.angles()[GRID.base_count // 4]
         assert np.angle(z.values[2]) == np.angle(a.values[2])
-        other = ZeroSequence([0.985 * np.exp(0.01j), 0.975 * np.exp(1.58j), 0.74 + 0.6j])
-        pairs = [PairedSequences(A=a, Z=z), PairedSequences(A=a, Z=other)]
         for paired, report in zip(pairs, perturbation_reports(pairs, 0.6, GRID)):
             assert _bits(report) == _bits(_reference_report(paired, 0.6, GRID))
         # a duplicated point would show only in the seeds, so compare them too
-        seeds, best = criteria._grid_pass(pairs, criteria._TrialColumns.of(pairs), GRID)
+        seeds, best = criteria._grid_pass(criteria._TrialColumns.of(pairs), GRID)
         for t, paired in enumerate(pairs):
             for column, (f, grid) in enumerate(_reference_scans(paired, GRID)):
                 angles = grid.angles()
