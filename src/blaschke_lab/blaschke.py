@@ -27,9 +27,11 @@ __all__ = [
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
 
-# Points per block wherever a points x N matrix of rows is built: node
-# cofactors, evaluate, derivative, frostman_sum, the Lagrange basis and
-# its scans.
+# Rows per block of _in_row_blocks, the one block size wherever a points x N
+# matrix is built: node cofactors (so carleson), evaluate, derivative, the
+# Lagrange basis and its scans, frostman_sum, and the perturbation pass, which
+# takes its grid points ROW_BLOCK at a time and its golden searches ROW_BLOCK
+# scans of REFINE_SEEDS points at a time.
 ROW_BLOCK = 64
 
 
@@ -174,7 +176,8 @@ def _in_row_blocks(points: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray
     reduce maps m points to an array whose last axis has length m, each
     entry computed from its own point alone (one row of a points x zeros
     matrix, reduced by itself).  Then the values do not depend on the
-    blocking, and temporaries hold ROW_BLOCK rows at most.
+    blocking, and temporaries hold ROW_BLOCK rows at most.  A caller whose
+    rows need more than the point passes row indices as the points.
     """
     if points.size <= ROW_BLOCK:
         return reduce(points)
@@ -226,12 +229,11 @@ class BlaschkeProduct:
         safe = np.where(zs == 0, 1.0, zs)
         self._prefactors = np.where(zs == 0, 1.0, -np.abs(zs) / safe)
         self._prefactors.setflags(write=False)
-        # Row blocks bound the N x N temporaries; each row of _cofactor_values
-        # depends only on its own point, so the values do not change.
-        self._node_cofactors = np.empty(zs.size, dtype=complex)
-        for start in range(0, zs.size, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            self._node_cofactors[rows] = self._cofactor_values(zs[rows])[:, rows].diagonal()
+        # Row blocks bound the N x N temporaries: row j of the block is
+        # _cofactor_values(a_j), and B_j(a_j) is its entry j.
+        self._node_cofactors = _in_row_blocks(
+            np.arange(zs.size), lambda rows: self._cofactor_values(zs[rows])[np.arange(rows.size), rows]
+        )
         self._node_cofactors.setflags(write=False)
 
     @property

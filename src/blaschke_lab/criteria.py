@@ -12,7 +12,9 @@ ever adds candidate points, so reported extrema never decrease when the
 grid is enlarged.  The boundary kernel ratios of a perturbation report
 need no scan: their infima over the circle have a closed form.  Its two
 Frostman scans skip the grid points that provably cannot be refinement
-seeds, and the extrema they report equal those of the full grid.
+seeds, and the extrema they report equal those of the full grid.  Every
+Frostman sum at circle points, in frostman_sum and in the perturbation
+report, comes from one kernel, built ROW_BLOCK rows at a time.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ __all__ = [
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_SEEDS = 8
 GOLDEN_STEPS_PER_ROUND = 16
-
-# Points per block when perturbation_reports evaluates its boundary columns:
-# each block works in reused scratch arrays of POINT_BLOCK x N entries.
-POINT_BLOCK = 512
 
 # Consecutive base points per cell of the pruned Frostman grid pass, and the
 # relative slack of its cell bounds: far above the kernel's rounding of
@@ -238,6 +236,31 @@ def scan_circle(
     return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), sign * values[0]
 
 
+def _frostman_rows(
+    zeta: np.ndarray, values: np.ndarray, weights: np.ndarray, reach: Optional[np.ndarray] = None
+) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Sum over the zeros w of weight_w / |zeta - w|, one row per point.
+
+    With weights 1 - |w| this is the Frostman sum.  Entries are laid out
+    points x zeros, the zeros on the last, contiguous axis, and each
+    point's row is summed over that axis by itself, so a value does not
+    depend on the other points of the call.  Batch axes broadcast: zeta
+    (..., m) against values and weights (..., n) gives (..., m).
+
+    Given a reach per point, also return an upper bound of the sum over
+    every point within that distance of zeta: the sum of
+    weight_w / (|zeta - w| - reach), +inf when some zero lies within
+    reach.  It reuses the distances of the sum itself.
+    """
+    dist = np.abs(zeta[..., :, None] - values[..., None, :])
+    sums = np.sum(weights[..., None, :] / dist, axis=-1)
+    if reach is None:
+        return sums
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = np.sum(weights[..., None, :] / np.maximum(dist - reach[..., None], 0.0), axis=-1)
+    return sums, bound
+
+
 def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> CriterionReport:
     """Boundary supremum of sum over j of (1 - |a_j|) / |zeta - a_j|.
 
@@ -249,12 +272,8 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     values = a_seq.values
     weights = 1.0 - np.abs(values)
 
-    def row_sums(angles: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * angles)
-        return np.sum(weights[None, :] / np.abs(zeta[:, None] - values[None, :]), axis=1)
-
     def total(angles: np.ndarray) -> np.ndarray:
-        return _in_row_blocks(angles, row_sums)
+        return _in_row_blocks(angles, lambda block: _frostman_rows(np.exp(1j * block), values, weights))
 
     value, witness, _ = scan_circle(total, grid, mode="max")
     terms = weights / np.abs(witness.value - values)
@@ -358,7 +377,7 @@ def nearness(paired: PairedSequences) -> CriterionReport:
 class _TrialColumns(NamedTuple):
     """The zeros of a batch of trials and their Frostman weights 1 - |w|.
 
-    Both arrays are laid out side x zeros x trials, side 0 holding A and
+    Both arrays are laid out side x trials x zeros, side 0 holding A and
     side 1 holding Z.
     """
 
@@ -367,87 +386,8 @@ class _TrialColumns(NamedTuple):
 
     @classmethod
     def of(cls, pairs: list[PairedSequences]) -> "_TrialColumns":
-        values = np.stack([
-            np.stack([p.A.values for p in pairs], axis=1),
-            np.stack([p.Z.values for p in pairs], axis=1),
-        ])
+        values = np.array([[p.A.values for p in pairs], [p.Z.values for p in pairs]])
         return cls(values, 1.0 - np.abs(values))
-
-
-class _BlockBuffers:
-    """Scratch arrays for the zeros x points entries of one block, reused by every block.
-
-    Block temporaries are written here through ufunc out=, so that no block
-    maps fresh pages.  Each view is a contiguous prefix, laid out like a
-    fresh array, so numpy runs the same loops on it.
-    """
-
-    def __init__(self, entries: int):
-        self._complex = np.empty(entries, dtype=complex)
-        self._real = np.empty((2, entries))
-
-    def complex(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self._complex[: math.prod(shape)].reshape(shape)
-
-    def real(self, k: int, shape: tuple[int, ...]) -> np.ndarray:
-        return self._real[k, : math.prod(shape)].reshape(shape)
-
-
-def _boundary_values(
-    zeta: np.ndarray,
-    zeros: _TrialColumns,
-    trials: slice,
-    sides: tuple[int, ...],
-    out: np.ndarray,
-    buffers: _BlockBuffers,
-    reach: Optional[np.ndarray] = None,
-    bound: Optional[np.ndarray] = None,
-) -> None:
-    """Write the Frostman sums of the given sides at the points zeta to out[side].
-
-    The zeros zeros.values[side][:, trials] broadcast against zeta along a
-    leading zeros axis: entries are laid out zeros x points, so that the
-    elementwise loops run along the points.  Every operation keeps the
-    operand order of frostman_sum, and each sum runs over a row-major copy,
-    so values are bit-equal to it.
-
-    Given a reach per point, also write to bound[side] an upper bound of
-    the sum over every point within that distance of zeta: the sum over
-    the zeros w of (1 - |w|) / (|zeta - w| - reach), +inf when some zero
-    lies within reach.  It reuses the distances of the sum itself.
-    """
-    shape = (zeros.values.shape[1],) + zeta.shape
-    work, g = buffers.complex(shape), buffers.real(0, shape)
-    rows = buffers.real(1, zeta.shape + shape[:1])
-    for side in sides:
-        weights = zeros.weights[side][:, trials]
-        np.abs(np.subtract(zeta, zeros.values[side][:, trials], out=work), out=g)
-        if reach is not None:
-            gap = buffers.real(1, shape)
-            np.maximum(np.subtract(g, reach, out=gap), 0.0, out=gap)
-            with np.errstate(divide="ignore", over="ignore"):
-                np.divide(weights, gap, out=gap)
-            np.sum(gap, axis=0, out=bound[side])
-        np.divide(weights, g, out=g)
-        np.copyto(rows, np.moveaxis(g, 0, -1))
-        np.sum(rows, axis=-1, out=out[side])
-
-
-def _trial_values(
-    zeta: np.ndarray,
-    zeros: _TrialColumns,
-    t: int,
-    sides: tuple[int, ...],
-    out: np.ndarray,
-    buffers: _BlockBuffers,
-    reach: Optional[np.ndarray] = None,
-    bound: Optional[np.ndarray] = None,
-) -> None:
-    """_boundary_values of trial t at a row of points, in blocks of POINT_BLOCK points."""
-    for start in range(0, zeta.size, POINT_BLOCK):
-        block = slice(start, start + POINT_BLOCK)
-        bounds = () if reach is None else (reach[block], bound[:, block])
-        _boundary_values(zeta[block], zeros, slice(t, t + 1), sides, out[:, block], buffers, *bounds)
 
 
 def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
@@ -498,20 +438,18 @@ def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
     )
 
 
-def _injected_args(zeros: _TrialColumns, grid: CircleGrid, base: np.ndarray) -> list[np.ndarray]:
-    """The grid points of each trial off the base grid, sorted and without repeats.
+def _injected_args(trial: np.ndarray, grid: CircleGrid, base: np.ndarray) -> np.ndarray:
+    """The grid points of one trial off the base grid, sorted and without repeats.
 
     These are the extras of the grid and the arguments of the trial's A and
     Z points, reduced to [0, 2*pi) as CircleGrid reduces them.
     """
-    sides, n, count = zeros.values.shape
-    args = np.angle(zeros.values).reshape(sides * n, count) % TWO_PI
+    args = np.angle(trial.ravel()) % TWO_PI
     args[args == TWO_PI] = 0.0
-    extras = np.repeat(np.asarray(grid.extra_args, dtype=float)[:, None], count, axis=1)
-    args = np.sort(np.concatenate([extras, args]), axis=0)
+    args = np.sort(np.concatenate([grid.extra_args, args]))
     keep = base[np.minimum(np.searchsorted(base, args), base.size - 1)] != args
     keep[1:] &= args[1:] != args[:-1]
-    return [args[keep[:, t], t] for t in range(count)]
+    return args[keep]
 
 
 def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -528,10 +466,9 @@ def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.n
     value of the whole grid.  So under _grid_seeds' total order the seeds
     and best values are the whole grid's, bit for bit.
     """
-    sides, n, count = zeros.values.shape
+    sides, count, _ = zeros.values.shape
     seeds = np.empty((sides, count, REFINE_SEEDS))
     best = np.empty((sides, count))
-    buffers = _BlockBuffers(n * POINT_BLOCK)
     base = replace(grid, extra_args=()).angles()
     base_zeta = np.exp(1j * base)
     starts = np.arange(0, base.size, CELL)
@@ -540,21 +477,24 @@ def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.n
     # the arc to the farthest point of the cell bounds the chord; the slack
     # and 64 eps cover the rounding of the computed points and distances
     reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
-    for t, extra in enumerate(_injected_args(zeros, grid, base)):
+    for t in range(count):
+        trial, weights = zeros.values[:, t], zeros.weights[:, t]
+        extra = _injected_args(trial, grid, base)
         angles = np.concatenate([base[centres], extra])
         zeta = np.concatenate([base_zeta[centres], np.exp(1j * extra)])
-        values, bound = np.empty((2, sides, angles.size))
         # the off-base points get reach 0: only the centres' bounds are read
-        _trial_values(zeta, zeros, t, (0, 1), values, buffers, np.append(reach, np.zeros(extra.size)), bound)
+        reaches = np.append(reach, np.zeros(extra.size))
+        values, bound = _in_row_blocks(
+            np.arange(zeta.size), lambda rows: np.array(_frostman_rows(zeta[rows], trial, weights, reaches[rows]))
+        )
         for side in range(sides):
             threshold = np.partition(values[side], -REFINE_SEEDS)[-REFINE_SEEDS]
             live = np.repeat(bound[side, : centres.size] * (1.0 + BOUND_SLACK) >= threshold, sizes)
             live[centres] = False
             rest = np.flatnonzero(live)
-            rest_values = np.empty((sides, rest.size))
-            _trial_values(base_zeta[rest], zeros, t, (side,), rest_values, buffers)
+            rest_values = _in_row_blocks(base_zeta[rest], lambda z: _frostman_rows(z, trial[side], weights[side]))
             seeds[side, t], best[side, t] = _grid_seeds(
-                np.concatenate([values[side], rest_values[side]]), np.concatenate([angles, base[rest]])
+                np.concatenate([values[side], rest_values]), np.concatenate([angles, base[rest]])
             )
     return seeds, best
 
@@ -571,8 +511,7 @@ def perturbation_reports(
     points that provably hold no refinement seed (_grid_pass), so its seeds
     and best grid values are the full grid's.  Then the 2 x REFINE_SEEDS
     golden-section searches of every trial run in lockstep, each sum
-    evaluated on its own searches only.  Every block of points works in
-    reused scratch arrays of POINT_BLOCK x N entries.
+    evaluated on its own searches only.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius {r} must lie in (0, 1)")
@@ -584,22 +523,16 @@ def perturbation_reports(
         return []
     grid = grid or CircleGrid()
     zeros = _TrialColumns.of(pairs)
-    sides, n, count = zeros.values.shape
     seeds, best = _grid_pass(zeros, grid)
-
-    # each trial's searches share its zeros: a trailing axis broadcasts them
-    lanes = zeros._make(column[..., None] for column in zeros)
-    trial_block = min(count, max(1, POINT_BLOCK // REFINE_SEEDS))
-    buffers = _BlockBuffers(n * trial_block * REFINE_SEEDS)
+    # scan s (side-major, then trial) runs its searches against its own zeros,
+    # ROW_BLOCK scans of REFINE_SEEDS points at a time
+    n = zeros.values.shape[-1]
+    values, weights = (column.reshape(-1, n) for column in zeros)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * (x % TWO_PI)).reshape(sides, count, REFINE_SEEDS)
-        out = np.empty(zeta.shape)
-        for side in range(sides):
-            for start in range(0, count, trial_block):
-                block = slice(start, start + trial_block)
-                _boundary_values(zeta[side, block], lanes, block, (side,), out[:, block], buffers)
-        return out.ravel()
+        zeta = np.exp(1j * (x % TWO_PI)).reshape(-1, REFINE_SEEDS)
+        sums = _in_row_blocks(np.arange(len(zeta)), lambda s: _frostman_rows(zeta[s], values[s], weights[s]).T)
+        return sums.T.ravel()
 
     best_val, _ = _refine(
         evaluate,

@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 from blaschke_lab import (
     BlaschkeProduct,
+    CircleGrid,
     DiskPoint,
     DuplicatePoint,
     IndexOutOfRange,
     TargetVector,
     ZeroSequence,
     as_targets,
+    frostman_sum,
     pairwise_rho,
+    perturb_sample,
+    perturbation_reports,
+    solve_kb,
 )
-from blaschke_lab import blaschke
+from blaschke_lab import blaschke, criteria
 from tests.conftest import deep_tolerance, mp_product, random_deep_sequence, random_separated
 
 
@@ -164,21 +169,45 @@ class TestBlaschkeEvaluate:
         assert np.all(np.abs(b(pts)) < 1.0)
 
 
+def _row_block_outputs():
+    """What every caller of _in_row_blocks returns on one set of inputs, exactly.
+
+    Products are built here, so their node cofactors take the current
+    block size too.  Floats print by repr, which round-trips.
+    """
+    seq = random_deep_sequence(5, 40)
+    b = BlaschkeProduct(seq, rotation=np.exp(0.3j))
+    rng = np.random.default_rng(4)
+    circle = np.exp(2j * np.pi * rng.uniform(size=150))
+    inner = 0.9 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+    points = np.concatenate([circle, inner, seq.values[:10]])
+    alpha = np.exp(2j * np.pi * rng.uniform(size=len(seq)))
+    # shallow zeros: most best grid values lie on base points off the cell
+    # centres, which only the grid pass's second evaluation reaches
+    centre = random_separated(0, 20, 0.1, 0.7)
+    pairs = [perturb_sample(centre, 0.3, s, min_sep=0.01) for s in range(6)]
+    grid = CircleGrid(base_count=256, refinement_rounds=1)
+    return {
+        "evaluate": b.evaluate(points).tobytes(),
+        "derivative": b.derivative(points).tobytes(),
+        "carleson": repr(b.carleson()),
+        "lagrange": solve_kb(b, alpha)(points).tobytes(),
+        "frostman_sum": repr(frostman_sum(seq, grid)),
+        "grid_pass": [a.tobytes() for a in criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)],
+        "perturbation_reports": repr(perturbation_reports(pairs, 0.3, grid)),
+    }
+
+
 class TestRowBlocks:
-    """Array evaluate and derivative run ROW_BLOCK points at a time; each value is row-local."""
+    """Every points x N matrix is built ROW_BLOCK rows at a time; each value is row-local."""
 
     @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
     def test_blocks_keep_the_bits_of_one_whole_batch(self, monkeypatch, block):
-        b = BlaschkeProduct(random_deep_sequence(5, 40), rotation=np.exp(0.3j))
-        rng = np.random.default_rng(4)
-        circle = np.exp(2j * np.pi * rng.uniform(size=150))
-        inner = 0.9 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
-        points = np.concatenate([circle, inner, b.zeros.values[:10]])
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", points.size)
-        values, slopes = b.evaluate(points), b.derivative(points)
+        # larger than every call's rows: each call is one block
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", 10**6)
+        whole = _row_block_outputs()
         monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
-        assert b.evaluate(points).tobytes() == values.tobytes()
-        assert b.derivative(points).tobytes() == slopes.tobytes()
+        assert _row_block_outputs() == whole
 
 
 class TestCofactor:

@@ -655,19 +655,16 @@ def _wrapped_pairs():
 def _full_grid_pass(pairs, grid):
     """The grid pass without pruning: both Frostman sums at every point of each trial's whole grid.
 
-    Seeds are taken by value, descending, equal values in grid order.
+    Each sum is one plain numpy row expression over the whole grid.  Seeds
+    are taken by value, descending, equal values in grid order.
     """
-    zeros = criteria._TrialColumns.of(pairs)
-    sides, n, count = zeros.values.shape
-    seeds, best = np.empty((sides, count, REFINE_SEEDS)), np.empty((sides, count))
-    buffers = criteria._BlockBuffers(n * criteria.POINT_BLOCK)
+    seeds, best = np.empty((2, len(pairs), REFINE_SEEDS)), np.empty((2, len(pairs)))
     for t, paired in enumerate(pairs):
         angles = grid.with_injected(paired.A, paired.Z).angles()
-        values = np.empty((sides, angles.size))
-        criteria._trial_values(np.exp(1j * angles), zeros, t, (0, 1), values, buffers)
-        for side in range(sides):
-            order = np.argsort(-values[side], kind="stable")[:REFINE_SEEDS]
-            seeds[side, t], best[side, t] = angles[order], values[side, order[0]]
+        for side, seq in enumerate((paired.A, paired.Z)):
+            values = _frostman_total(seq)(angles)
+            order = np.argsort(-values, kind="stable")[:REFINE_SEEDS]
+            seeds[side, t], best[side, t] = angles[order], values[order[0]]
     return seeds, best
 
 
@@ -706,15 +703,15 @@ def _constant_pairs():
 
 
 def _counted_entries(monkeypatch):
-    """Count the zero x point entries the Frostman kernel evaluates, per sum."""
+    """Count the point x zero entries the Frostman kernel evaluates, over all sums."""
     count = [0]
-    kernel = criteria._boundary_values
+    kernel = criteria._frostman_rows
 
-    def counted(zeta, zeros, trials, sides, *args, **kwargs):
-        count[0] += zeros.values.shape[1] * zeta.size * len(sides)
-        return kernel(zeta, zeros, trials, sides, *args, **kwargs)
+    def counted(zeta, values, *args):
+        count[0] += np.broadcast(zeta[..., :, None], values[..., None, :]).size
+        return kernel(zeta, values, *args)
 
-    monkeypatch.setattr(criteria, "_boundary_values", counted)
+    monkeypatch.setattr(criteria, "_frostman_rows", counted)
     return count
 
 
@@ -757,7 +754,9 @@ class TestGridPass:
         st.integers(0, 10_000),
         st.integers(1, 24),
         st.sampled_from([256, 257, 1000, 4096]),
-        st.floats(1e-15, 1e-3),
+        # a depth near BOUNDARY_MARGIN (1e-15) can round to |a| >= 1 - BOUNDARY_MARGIN,
+        # which DiskPoint rejects by its contract
+        st.floats(1e-14, 1e-3),
     )
     @settings(max_examples=30, deadline=None)
     def test_random_deep_sets(self, seed, n, base_count, depth_min):
@@ -817,21 +816,14 @@ class TestPerturbationReports:
                 assert seeds[column, t].tobytes() == ref_seeds.tobytes()
                 assert best[column, t].hex() == ref_best.hex()
 
-    @pytest.mark.parametrize("block", [1, 7, criteria.POINT_BLOCK])
-    def test_point_blocks_keep_the_bits(self, monkeypatch, block):
-        monkeypatch.setattr(criteria, "POINT_BLOCK", block)
-        pairs = _trials("mixed20", 6)
-        for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
-            assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))
-
     def test_memory_is_bounded_by_the_block(self):
         pairs = _trials("frostman20", 32)
         grid = CircleGrid(refinement_rounds=1)
         n, points = 20, grid.with_injected(pairs[0].A).angles().size
-        # the scratch of one block, with a complex and two real entries per
-        # zero and point; and 32 float arrays of grid length (points, values
-        # and sort temporaries)
-        bound = n * criteria.POINT_BLOCK * (16 + 2 * 8) + 32 * points * 8
+        # the largest block, ROW_BLOCK scans of REFINE_SEEDS searches, with a
+        # complex and two real temporaries per point and zero; and 32 float
+        # arrays of grid length (points, values and sort temporaries)
+        bound = n * blaschke.ROW_BLOCK * REFINE_SEEDS * (16 + 2 * 8) + 32 * points * 8
         assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 
     def test_only_the_frostman_sums_are_refined(self, monkeypatch):
