@@ -816,6 +816,14 @@ class TestPerturbationReports:
                 assert seeds[column, t].tobytes() == ref_seeds.tobytes()
                 assert best[column, t].hex() == ref_best.hex()
 
+    # blocks below and above ROW_BLOCK, checked against one-function scans
+    @pytest.mark.parametrize("block", [1, 7, 512])
+    def test_point_blocks_keep_the_bits(self, monkeypatch, block):
+        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        pairs = _trials("mixed20", 6)
+        for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
+            assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))
+
     def test_memory_is_bounded_by_the_block(self):
         pairs = _trials("frostman20", 32)
         grid = CircleGrid(refinement_rounds=1)
