@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,8 +30,9 @@ COINCIDENCE_TOL = 1e-13
 # Rows per block of _in_row_blocks, the one block size wherever a points x N
 # matrix is built: node cofactors (so carleson), evaluate, derivative, the
 # Lagrange basis and its scans, frostman_sum, and the perturbation pass, which
-# takes its grid points ROW_BLOCK at a time and its golden searches ROW_BLOCK
-# scans of REFINE_SEEDS points at a time.
+# takes its rows (grid points and golden-search points, each against the zeros
+# of its own trial) ROW_BLOCK * REFINE_SEEDS at a time, the points of ROW_BLOCK
+# golden scans, and sizes its chunks of trials by that block.
 ROW_BLOCK = 64
 
 
@@ -41,15 +42,17 @@ class ZeroSequence(Sequence[DiskPoint]):
     Points within pseudohyperbolic distance 1e-13 of each other are
     rejected as duplicates.  The empty sequence is allowed so that the
     cofactor of a degree-one product (a constant) is representable;
-    generators always produce at least one point.
+    generators always produce at least one point.  A caller that already
+    holds pairwise_rho of the points with an infinite diagonal passes it
+    as separations, and the check reads it instead of building its own.
     """
 
     __slots__ = ("_points", "_values", "_min_separation")
 
-    def __init__(self, points: Iterable[PointLike]):
+    def __init__(self, points: Iterable[PointLike], separations: Optional[np.ndarray] = None):
         self._adopt(tuple(as_point(p) for p in points))
         if len(self) > 1:
-            dist = self._separations()
+            dist = self._separations() if separations is None else separations
             nearest = float(dist.min())
             if nearest <= COINCIDENCE_TOL:
                 j, k = np.unravel_index(int(dist.argmin()), dist.shape)
@@ -170,22 +173,25 @@ class CarlesonReport:
     delta: float
 
 
-def _in_row_blocks(points: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """reduce(points), computed ROW_BLOCK points at a time.
+def _in_row_blocks(points: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray], group: int = 1) -> np.ndarray:
+    """reduce(points), computed ROW_BLOCK * group points at a time.
 
     reduce maps m points to an array whose last axis has length m, each
     entry computed from its own point alone (one row of a points x zeros
     matrix, reduced by itself).  Then the values do not depend on the
-    blocking, and temporaries hold ROW_BLOCK rows at most.  A caller whose
-    rows need more than the point passes row indices as the points.
+    blocking, and temporaries hold ROW_BLOCK * group rows at most.  A
+    caller whose rows need more than the point passes row indices as the
+    points.  The perturbation pass passes group = REFINE_SEEDS: a block
+    then holds as many rows as ROW_BLOCK of its golden scans.
     """
-    if points.size <= ROW_BLOCK:
+    block = ROW_BLOCK * group
+    if points.size <= block:
         return reduce(points)
-    first = reduce(points[:ROW_BLOCK])
+    first = reduce(points[:block])
     out = np.empty(first.shape[:-1] + points.shape, first.dtype)
-    out[..., :ROW_BLOCK] = first
-    for start in range(ROW_BLOCK, points.size, ROW_BLOCK):
-        out[..., start:start + ROW_BLOCK] = reduce(points[start:start + ROW_BLOCK])
+    out[..., :block] = first
+    for start in range(block, points.size, block):
+        out[..., start:start + block] = reduce(points[start:start + block])
     return out
 
 

@@ -570,7 +570,8 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     master = np.random.default_rng(config.seed)
     trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
     pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
-    reports = [asdict(report) for report in crit.perturbation_reports(pairs, radius, grid)]
+    # the fields are plain numbers, so a shallow copy equals asdict's deep one
+    reports = [dict(vars(report)) for report in crit.perturbation_reports(pairs, radius, grid)]
 
     aggregate = {
         "trials": trials,

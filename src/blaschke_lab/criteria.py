@@ -12,9 +12,13 @@ ever adds candidate points, so reported extrema never decrease when the
 grid is enlarged.  The boundary kernel ratios of a perturbation report
 need no scan: their infima over the circle have a closed form.  Its two
 Frostman scans skip the grid points that provably cannot be refinement
-seeds, and the extrema they report equal those of the full grid.  Every
-Frostman sum at circle points, in frostman_sum and in the perturbation
-report, comes from one kernel, built ROW_BLOCK rows at a time.
+seeds, and the extrema they report equal those of the full grid.  A batch
+of perturbation reports does the work its trials share once: the centre
+side's grid pass and golden searches once per distinct centre sequence,
+the perturbed side in chunks of trials as arrays.  Every Frostman sum at
+circle points, in frostman_sum and in the perturbation reports, comes
+from one kernel, built ROW_BLOCK rows at a time (ROW_BLOCK * REFINE_SEEDS
+in the perturbation reports).
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import blaschke
 from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _in_row_blocks, as_targets
 from .errors import NearnessExceeded, ZeroCollision
 from .geometry import TWO_PI, CirclePoint, one_minus_abs_sq, pairwise_rho, wrap_angle
-from .sequences import PairedSequences
+from .sequences import PairedSequences, _index_rho
 
 __all__ = [
     "CircleGrid",
@@ -77,7 +82,11 @@ class CircleGrid:
         base = TWO_PI * np.arange(self.base_count) / self.base_count
         if not self.extra_args:
             return base
-        return np.unique(np.concatenate([base, np.asarray(self.extra_args)]))
+        # sort and drop repeats: np.unique would import numpy.ma
+        angles = np.sort(np.concatenate([base, np.asarray(self.extra_args)]))
+        keep = np.ones(angles.size, dtype=bool)
+        keep[1:] = angles[1:] != angles[:-1]
+        return angles[keep]
 
     def with_injected(self, *sequences: ZeroSequence) -> "CircleGrid":
         """A copy whose extras include the arguments of the given points."""
@@ -141,28 +150,38 @@ def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, flo
     return angles[order], signed[order[0]]
 
 
-def _refine(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    seeds: np.ndarray,
-    best_val: np.ndarray,
-    half_cell: float,
-    steps: int,
+def _trial_seeds(
+    trial: np.ndarray, signed: np.ndarray, angles: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sharpen the grid maxima of many scans by golden-section searches in lockstep.
+    """_grid_seeds of count trials at once, from candidates tagged with the index of their trial.
 
-    Row s of seeds holds scan s's seed arguments, best first, and
-    best_val[s] its best grid value.  One search runs on each seed's cell;
-    every step calls evaluate once, on the next argument of every search
-    (flattened row by row), and gets their values back.  Each search keeps
-    the scalar search's arithmetic and its >=/</> tie rules, and merges into
-    its scan's best in seed order, strict improvements only.  Returns the
-    best value and its (unwrapped) argument per scan.
+    Each trial needs REFINE_SEEDS candidates at least.  One sort by trial,
+    then by value descending, then by argument puts every trial's
+    candidates in _grid_seeds' total order.  Returns each trial's seed
+    arguments and their values, best first.
     """
-    best_arg = seeds[:, 0]
+    order = np.lexsort((angles, -signed, trial))
+    sizes = np.bincount(trial, minlength=count)
+    top = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(REFINE_SEEDS)]
+    return angles[top], signed[top]
+
+
+def _golden(
+    evaluate: Callable[[np.ndarray], np.ndarray], seeds: np.ndarray, half_cell: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section searches on the cells [s - half_cell, s + half_cell] of the seeds s, in lockstep.
+
+    Every step calls evaluate once, on the next argument of every search,
+    and gets their values back.  Each search keeps the scalar search's
+    arithmetic and its >=/</> tie rules, so its result depends only on its
+    seed, half_cell, steps and the function it reads.  Returns the best
+    value and its (unwrapped) argument per search.  With no steps nothing is
+    evaluated, and every value is -inf, which never beats a grid value.
+    """
     if steps == 0:
-        return best_val, best_arg
-    lo = seeds.ravel() - half_cell
-    hi = seeds.ravel() + half_cell
+        return np.full(seeds.shape, -np.inf), seeds
+    lo = seeds - half_cell
+    hi = seeds + half_cell
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1 = evaluate(x1)
@@ -182,7 +201,21 @@ def _refine(
         # the value kept from the last step was compared then and never beats val
         better = f_new > val
         val, arg = np.where(better, f_new, val), np.where(better, x_new, arg)
-    val, arg = val.reshape(seeds.shape), arg.reshape(seeds.shape)
+    return val, arg
+
+
+def _refine(
+    seeds: np.ndarray, best_val: np.ndarray, val: np.ndarray, arg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the golden searches of many scans into their grid maxima.
+
+    Row s of seeds holds scan s's seed arguments, best first, best_val[s]
+    its best grid value, and row s of val and arg the results of the
+    searches on its seeds (_golden).  They merge into the scan's best in
+    seed order, strict improvements only.  Returns the best value and its
+    (unwrapped) argument per scan.
+    """
+    best_arg = seeds[:, 0]
     for j in range(seeds.shape[1]):
         better = val[:, j] > best_val
         best_val, best_arg = np.where(better, val[:, j], best_val), np.where(better, arg[:, j], best_arg)
@@ -203,19 +236,16 @@ def scan_columns(
     angles = grid.angles()
     values = np.asarray(f(angles), dtype=float)
     k = values.shape[0]
-    seeds, best = zip(*(_grid_seeds(row, angles) for row in values))
+    seeds, best = (np.array(column) for column in zip(*(_grid_seeds(row, angles) for row in values)))
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         own = np.asarray(f(x % TWO_PI), dtype=float).reshape(k, k, -1)
         return own[np.arange(k), np.arange(k)].ravel()
 
-    best_val, best_arg = _refine(
-        evaluate,
-        np.array(seeds),
-        np.array(best),
-        math.pi / grid.base_count,
-        GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
+    val, arg = _golden(
+        evaluate, seeds.ravel(), math.pi / grid.base_count, GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
     )
+    best_val, best_arg = _refine(seeds, best, val.reshape(seeds.shape), arg.reshape(seeds.shape))
     return best_val, best_arg, values
 
 
@@ -375,100 +405,150 @@ def nearness(paired: PairedSequences) -> CriterionReport:
 
 
 class _TrialColumns(NamedTuple):
-    """The zeros of a batch of trials and their Frostman weights 1 - |w|.
+    """The zero sets of a batch of trials, one row each, and their Frostman weights 1 - |w|.
 
-    Both arrays are laid out side x trials x zeros, side 0 holding A and
-    side 1 holding Z.
+    The first rows hold the distinct centre sequences A, told apart by the
+    bytes of their values, and a_row[t] is the row of trial t's A.  The
+    last rows hold the Z of each trial in order.
     """
 
     values: np.ndarray
     weights: np.ndarray
+    a_row: np.ndarray
 
     @classmethod
     def of(cls, pairs: list[PairedSequences]) -> "_TrialColumns":
-        values = np.array([[p.A.values for p in pairs], [p.Z.values for p in pairs]])
-        return cls(values, 1.0 - np.abs(values))
+        keys = [p.A.values.tobytes() for p in pairs]
+        centres = {key: p.A.values for key, p in zip(keys, pairs)}
+        row = {key: j for j, key in enumerate(centres)}
+        values = np.array([*centres.values(), *(p.Z.values for p in pairs)])
+        return cls(values, 1.0 - np.abs(values), np.array([row[key] for key in keys]))
+
+    @property
+    def z_row(self) -> np.ndarray:
+        """The row of each trial's Z."""
+        return np.arange(len(self.values) - self.a_row.size, len(self.values))
 
 
-def _pair_envelopes(paired: PairedSequences, r: float) -> dict:
-    """The fields of a perturbation report that need no circle scan.
+def _trial_chunks(count: int, per_trial: int, n: int) -> list[slice]:
+    """Consecutive chunks of count trials with per_trial entries each.
 
-    C3 and C4 are exact.  For |zeta| = 1, |1 - conj(z) zeta| = |zeta - z|,
-    and the disc automorphism phi(w) = (a - w) / (1 - conj(a) w) maps the
-    circle onto itself, with
+    A chunk holds at most ROW_BLOCK * REFINE_SEEDS * n entries, the rows of
+    one block of golden searches against n zeros, or one trial.
+    """
+    step = max(1, blaschke.ROW_BLOCK * REFINE_SEEDS * n // per_trial)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _pair_envelopes(zeros: _TrialColumns, r: float) -> dict[str, list]:
+    """The fields of every trial's perturbation report that need no circle scan, one list each.
+
+    The lowest-index trial whose pair nearness exceeds r raises.  C3 and C4
+    are exact.  For |zeta| = 1, |1 - conj(z) zeta| = |zeta - z|, and the
+    disc automorphism phi(w) = (a - w) / (1 - conj(a) w) maps the circle
+    onto itself, with
     |zeta - z| / |1 - conj(a) zeta| = |phi(zeta) - phi(z)| |1 - conj(a) z| / (1 - |a|^2).
     Since |phi(z)| = rho(a, z), the infimum over the circle is
     (1 - rho) |1 - conj(a) z| / (1 - |a|^2) = (1 - |z|^2) / K, where
     K = |1 - conj(a) z| + |z - a| and
     |1 - conj(a) z|^2 = |z - a|^2 + (1 - |a|^2)(1 - |z|^2).  K is a sum of
-    nonnegative terms, so it is free of cancellation.
+    nonnegative terms, so it is free of cancellation.  The index-pair
+    envelopes C1 and C2 go by chunks of trials (_trial_chunks).
     """
-    near = paired.nearness
-    if near > r * (1.0 + 1e-12) + 1e-15:
-        raise NearnessExceeded(
-            f"pair nearness {near:.6g} exceeds the stated radius {r:.6g}"
-        )
+    count, n = zeros.a_row.size, zeros.values.shape[1]
+    a, z = zeros.values[zeros.a_row], zeros.values[zeros.z_row]
+    near = np.max(_index_rho(a, z), axis=1)
+    far = np.flatnonzero(near > r * (1.0 + 1e-12) + 1e-15)
+    if far.size:
+        raise NearnessExceeded(f"pair nearness {near[far[0]]:.6g} exceeds the stated radius {r:.6g}")
 
-    a = paired.A.values
-    z = paired.Z.values
     size_a = one_minus_abs_sq(a)
     size_z = one_minus_abs_sq(z)
     c_r = (1.0 + r) / (1.0 - r)
 
-    violations = int(np.sum(size_z > c_r * size_a + 1e-12))
-    violations += int(np.sum(size_a > c_r * size_z + 1e-12))
-
+    violations = np.sum(size_z > c_r * size_a + 1e-12, axis=1) + np.sum(size_a > c_r * size_z + 1e-12, axis=1)
     ratios = size_z / size_a
-    kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
-    kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
-    pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
+    pair_min, pair_max = np.empty(count), np.empty(count)
+    for chunk in _trial_chunks(count, n * n, n):
+        ca, cz, sa, sz = a[chunk], z[chunk], size_a[chunk], size_z[chunk]
+        kernel_a = np.abs(1.0 - np.conj(ca)[:, :, None] * ca[:, None, :]) ** 2
+        kernel_z = np.abs(1.0 - np.conj(cz)[:, :, None] * cz[:, None, :]) ** 2
+        pair_ratios = (sz[:, :, None] * sz[:, None, :] / kernel_z) / (sa[:, :, None] * sa[:, None, :] / kernel_a)
+        pair_min[chunk], pair_max[chunk] = pair_ratios.min(axis=(1, 2)), pair_ratios.max(axis=(1, 2))
     gap = np.abs(z - a)
     kernel = np.sqrt(gap * gap + size_a * size_z) + gap
     return dict(
-        C_r=c_r,
-        empirical_C1=float(pair_ratios.min()),
-        empirical_C2=float(pair_ratios.max()),
-        empirical_D1=float(ratios.min()),
-        empirical_D2=float(ratios.max()),
-        empirical_C3=float(np.min(size_z / kernel)),
-        empirical_C4=float(np.min(size_a / kernel)),
-        violations=violations,
-        r=r,
-        nearness=near,
+        C_r=[c_r] * count,
+        empirical_C1=pair_min.tolist(),
+        empirical_C2=pair_max.tolist(),
+        empirical_D1=ratios.min(axis=1).tolist(),
+        empirical_D2=ratios.max(axis=1).tolist(),
+        empirical_C3=np.min(size_z / kernel, axis=1).tolist(),
+        empirical_C4=np.min(size_a / kernel, axis=1).tolist(),
+        violations=violations.tolist(),
+        r=[r] * count,
+        nearness=near.tolist(),
     )
 
 
-def _injected_args(trial: np.ndarray, grid: CircleGrid, base: np.ndarray) -> np.ndarray:
-    """The grid points of one trial off the base grid, sorted and without repeats.
+def _injected_args(points: np.ndarray, grid: CircleGrid, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points of each trial off the base grid: sorted candidates per trial, and which to keep.
 
-    These are the extras of the grid and the arguments of the trial's A and
-    Z points, reduced to [0, 2*pi) as CircleGrid reduces them.
+    Row t holds the extras of the grid and the arguments of row t of
+    points (a trial's A and Z points), reduced to [0, 2*pi) as CircleGrid
+    reduces them, sorted.  The mask drops those on the base grid and the
+    repeats.
     """
-    args = np.angle(trial.ravel()) % TWO_PI
+    args = np.angle(points) % TWO_PI
     args[args == TWO_PI] = 0.0
-    args = np.sort(np.concatenate([grid.extra_args, args]))
+    if grid.extra_args:
+        args = np.concatenate([np.broadcast_to(grid.extra_args, (len(points), len(grid.extra_args))), args], axis=1)
+    args.sort(axis=1)
     keep = base[np.minimum(np.searchsorted(base, args), base.size - 1)] != args
-    keep[1:] &= args[1:] != args[:-1]
-    return args[keep]
+    keep[:, 1:] &= args[:, 1:] != args[:, :-1]
+    return args, keep
+
+
+def _gathered_sums(
+    zeta: np.ndarray, owner: np.ndarray, zeros: _TrialColumns, reach: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """_frostman_rows of each point zeta[i] against the zero set in row owner[i] of zeros.
+
+    The points go ROW_BLOCK * REFINE_SEEDS at a time; given a reach per
+    point, the cell bounds come as a second row of the result.
+    """
+
+    def reduce(i: np.ndarray) -> np.ndarray:
+        own = owner[i]
+        reaches = () if reach is None else (reach[i, None],)
+        return np.array(_frostman_rows(zeta[i, None], zeros.values[own], zeros.weights[own], *reaches))[..., 0]
+
+    return _in_row_blocks(np.arange(zeta.size), reduce, REFINE_SEEDS)
 
 
 def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
     """The refinement seeds and the best grid value of both Frostman sums of every trial.
 
     Each trial's grid is the base grid plus the arguments of its A and Z
-    points, but only the points that can be seeds are evaluated.  The base
-    grid is cut into cells of CELL consecutive points, each centred on one
-    of them.  A first pass evaluates the centres and the off-base points,
-    with a bound of each sum over each cell.  Let T be the REFINE_SEEDS-th
-    best of those values.  The other points of a cell are evaluated only
-    when its bound, times 1 + BOUND_SLACK, reaches T.  A point left out has
-    a computed value below T, and T is at most the REFINE_SEEDS-th best
-    value of the whole grid.  So under _grid_seeds' total order the seeds
-    and best values are the whole grid's, bit for bit.
+    points, but only the points that can be seeds are evaluated.  A's sum
+    is evaluated once per distinct A on the base grid, and only its
+    REFINE_SEEDS best base points can be seeds of a trial: each other base
+    point has that many ahead of it on every trial's grid.  Each trial adds
+    its off-base points.  For Z, the base grid is cut into cells of CELL
+    consecutive points, each centred on one of them.  A first pass
+    evaluates the centres and the off-base points, with a bound of the sum
+    over each cell.  Let T be the REFINE_SEEDS-th best of those values.
+    The other points of a cell are evaluated only when its bound, times
+    1 + BOUND_SLACK, reaches T.  A point left out has a computed value
+    below T, and T is at most the REFINE_SEEDS-th best value of the whole
+    grid.  So under _grid_seeds' total order the seeds and best values are
+    the whole grid's, bit for bit.  Trials go in chunks (_trial_chunks)
+    with no loop over the trials of a chunk: each point is evaluated
+    against the zeros of its own trial (_gathered_sums).
     """
-    sides, count, _ = zeros.values.shape
-    seeds = np.empty((sides, count, REFINE_SEEDS))
-    best = np.empty((sides, count))
+    count, n = zeros.a_row.size, zeros.values.shape[1]
+    seeds = np.empty((2, count, REFINE_SEEDS))
+    best = np.empty((2, count))
     base = replace(grid, extra_args=()).angles()
     base_zeta = np.exp(1j * base)
     starts = np.arange(0, base.size, CELL)
@@ -477,25 +557,56 @@ def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.n
     # the arc to the farthest point of the cell bounds the chord; the slack
     # and 64 eps cover the rounding of the computed points and distances
     reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
-    for t in range(count):
-        trial, weights = zeros.values[:, t], zeros.weights[:, t]
-        extra = _injected_args(trial, grid, base)
-        angles = np.concatenate([base[centres], extra])
-        zeta = np.concatenate([base_zeta[centres], np.exp(1j * extra)])
-        # the off-base points get reach 0: only the centres' bounds are read
-        reaches = np.append(reach, np.zeros(extra.size))
-        values, bound = _in_row_blocks(
-            np.arange(zeta.size), lambda rows: np.array(_frostman_rows(zeta[rows], trial, weights, reaches[rows]))
-        )
-        for side in range(sides):
-            threshold = np.partition(values[side], -REFINE_SEEDS)[-REFINE_SEEDS]
-            live = np.repeat(bound[side, : centres.size] * (1.0 + BOUND_SLACK) >= threshold, sizes)
-            live[centres] = False
-            rest = np.flatnonzero(live)
-            rest_values = _in_row_blocks(base_zeta[rest], lambda z: _frostman_rows(z, trial[side], weights[side]))
-            seeds[side, t], best[side, t] = _grid_seeds(
-                np.concatenate([values[side], rest_values]), np.concatenate([angles, base[rest]])
-            )
+
+    # A: its sum on the whole base grid once per distinct A, its best kept
+    distinct = len(zeros.values) - count
+    top_angles = np.empty((distinct, REFINE_SEEDS))
+    top_values = np.empty((distinct, REFINE_SEEDS))
+    for row, (centre, centre_weights) in enumerate(zip(zeros.values[:distinct], zeros.weights[:distinct])):
+        whole = _in_row_blocks(base_zeta, lambda z: _frostman_rows(z, centre, centre_weights), REFINE_SEEDS)
+        top = np.lexsort((base, -whole))[:REFINE_SEEDS]
+        top_angles[row], top_values[row] = base[top], whole[top]
+
+    # then a chunk of trials at a time: for both sums, the off-base points;
+    # for Z, the cell centres with their bounds, then the points of the live cells
+    chunks = _trial_chunks(count, base.size, n)
+    step = chunks[0].stop
+    cell_angles, cell_zeta, cell_reach = (np.tile(x, step) for x in (base[centres], base_zeta[centres], reach))
+    cell_trials = np.arange(step).repeat(centres.size)
+    for chunk in chunks:
+        a_rows, z_rows = zeros.a_row[chunk], zeros.z_row[chunk]
+        size = a_rows.size
+        cells = size * centres.size
+        args, keep = _injected_args(np.concatenate([zeros.values[a_rows], zeros.values[z_rows]], axis=1), grid, base)
+        extra_trial, extra = np.nonzero(keep)[0], args[keep]
+        extra_zeta = np.exp(1j * extra)
+        a_extra, z_extra = _gathered_sums(
+            np.concatenate([extra_zeta, extra_zeta]), np.concatenate([a_rows[extra_trial], z_rows[extra_trial]]), zeros
+        ).reshape(2, -1)
+        cell_trial = cell_trials[:cells]
+        values, bound = _gathered_sums(cell_zeta[:cells], z_rows[cell_trial], zeros, cell_reach[:cells])
+        first = np.full((size, centres.size + args.shape[1]), -np.inf)
+        first[:, : centres.size] = values.reshape(size, -1)
+        first[:, centres.size :][keep] = z_extra
+        threshold = np.partition(first, -REFINE_SEEDS, axis=1)[:, -REFINE_SEEDS]
+        # every cell but the last has CELL points, so the last takes what is left
+        live = np.repeat(bound.reshape(size, -1) * (1.0 + BOUND_SLACK) >= threshold[:, None], CELL, axis=1)[:, : base.size]
+        live[:, centres] = False
+        rest_trial, rest = np.nonzero(live)
+        # (trial, value, argument) of every candidate seed; Z's trials count from size
+        candidates = [
+            (np.arange(size).repeat(REFINE_SEEDS), top_values[a_rows].ravel(), top_angles[a_rows].ravel()),
+            (extra_trial, a_extra, extra),
+            (size + cell_trial, values, cell_angles[:cells]),
+            (size + extra_trial, z_extra, extra),
+            (size + rest_trial, _gathered_sums(base_zeta[rest], z_rows[rest_trial], zeros), base[rest]),
+        ]
+        trial, value, angle = map(np.concatenate, zip(*candidates))
+        # a Z candidate below its trial's threshold has REFINE_SEEDS candidates ahead of it
+        kept = value >= np.concatenate([np.full(size, -np.inf), threshold])[trial]
+        picked, picked_values = _trial_seeds(trial[kept], value[kept], angle[kept], 2 * size)
+        seeds[:, chunk] = picked.reshape(2, size, REFINE_SEEDS)
+        best[:, chunk] = picked_values[:, 0].reshape(2, size)
     return seeds, best
 
 
@@ -507,45 +618,46 @@ def perturbation_reports(
     All pairs must have the same length.  A failing trial raises the error
     of the lowest-index one.  C3 and C4 come in closed form; only the two
     Frostman sums are scanned.  Each trial scans its own grid (the base grid
-    plus the arguments of its A and Z points), skipping the cells of base
-    points that provably hold no refinement seed (_grid_pass), so its seeds
-    and best grid values are the full grid's.  Then the 2 x REFINE_SEEDS
-    golden-section searches of every trial run in lockstep, each sum
-    evaluated on its own searches only.
+    plus the arguments of its A and Z points).  The grid pass (_grid_pass)
+    evaluates A's sum on the base grid once per distinct A, and skips the
+    cells of Z's base points that provably hold no refinement seed, so the
+    seeds and best grid values are the full grid's.  Then all golden-section
+    searches run in lockstep, each against its own zeros.  A search depends
+    only on its seed and its zeros, so a seed that trials with the same A
+    share is searched once for all of them.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius {r} must lie in (0, 1)")
     pairs = list(pairs)
     if len({len(p.A) for p in pairs}) > 1:
         raise ValueError("the pairs of one batch must have equal length")
-    envelopes = [_pair_envelopes(p, r) for p in pairs]
     if not pairs:
         return []
-    grid = grid or CircleGrid()
     zeros = _TrialColumns.of(pairs)
+    columns = _pair_envelopes(zeros, r)
+    grid = grid or CircleGrid()
     seeds, best = _grid_pass(zeros, grid)
-    # scan s (side-major, then trial) runs its searches against its own zeros,
-    # ROW_BLOCK scans of REFINE_SEEDS points at a time
-    n = zeros.values.shape[-1]
-    values, weights = (column.reshape(-1, n) for column in zeros)
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * (x % TWO_PI)).reshape(-1, REFINE_SEEDS)
-        sums = _in_row_blocks(np.arange(len(zeta)), lambda s: _frostman_rows(zeta[s], values[s], weights[s]).T)
-        return sums.T.ravel()
-
-    best_val, _ = _refine(
-        evaluate,
-        seeds.reshape(-1, REFINE_SEEDS),
-        best.ravel(),
+    # each distinct (zero set, seed) once, found by sorting
+    owner = np.repeat(np.concatenate([zeros.a_row, zeros.z_row]), REFINE_SEEDS)
+    starts = seeds.ravel()
+    order = np.lexsort((starts, owner))
+    owner, starts = owner[order], starts[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (starts[1:] != starts[:-1])
+    search = np.empty(order.size, dtype=int)
+    search[order] = np.cumsum(new) - 1
+    owner = owner[new]
+    val, arg = _golden(
+        lambda x: _gathered_sums(np.exp(1j * (x % TWO_PI)), owner, zeros),
+        starts[new],
         math.pi / grid.base_count,
         GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
     )
-    frostman_a, frostman_z = best_val.reshape(best.shape).tolist()
-    return [
-        PerturbationReport(**fields, frostman_A=frostman_a[t], frostman_Z=frostman_z[t])
-        for t, fields in enumerate(envelopes)
-    ]
+    scans = search.reshape(-1, REFINE_SEEDS)
+    frostman, _ = _refine(seeds.reshape(-1, REFINE_SEEDS), best.ravel(), val[scans], arg[scans])
+    columns["frostman_A"], columns["frostman_Z"] = frostman.reshape(2, -1).tolist()
+    return [PerturbationReport(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def perturbation_report(

@@ -182,12 +182,27 @@ def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:
     c = as_point(center).z
     if not 0.0 < r < 1.0:
         raise ValueError(f"pseudohyperbolic radius {r} must lie in (0, 1)")
-    m = abs(c)
-    phase = c / m if m > 0.0 else 1.0
+    centers, radii = _euclidean_disks(np.array([c]), r)
+    return EuclideanDisk(center=complex(centers[0]), radius=float(radii[0]))
+
+
+def _euclidean_disks(centers: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the Euclidean images of the pseudohyperbolic disks of radius r around centers.
+
+    The array form of pseudo_disk_to_euclidean, with no checks.  m is
+    np.hypot of the parts, as Python's abs of a complex computes it (np.abs
+    of a complex array can differ in the last bit), and the phase divides
+    each part by m.
+    """
+    m = np.hypot(centers.real, centers.imag)
     denom = (1.0 - r * m) * (1.0 + r * m)
     p = (1.0 - r) * (1.0 + r) * m / denom
-    radius = r * (1.0 - m) * (1.0 + m) / denom
-    return EuclideanDisk(center=phase * p, radius=radius)
+    radii = r * (1.0 - m) * (1.0 + m) / denom
+    safe = np.where(m > 0.0, m, 1.0)
+    images = np.empty(centers.shape, dtype=complex)
+    images.real = np.where(m > 0.0, centers.real / safe, 1.0) * p
+    images.imag = np.where(m > 0.0, centers.imag / safe, 0.0) * p
+    return images, radii
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import TargetVector, ZeroSequence, as_targets
 from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
-from .geometry import DiskPoint, pairwise_rho, pseudo_disk_to_euclidean
+from .geometry import DiskPoint, _euclidean_disks, pairwise_rho
 
 __all__ = [
     "DEPTH_CAP",
@@ -58,9 +58,7 @@ class PairedSequences:
     @property
     def index_distances(self) -> np.ndarray:
         """rho(a_n, z_n) for every n, without the full pairwise matrix."""
-        a = self.A.values
-        z = self.Z.values
-        return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
+        return _index_rho(self.A.values, self.Z.values)
 
     @property
     def nearness(self) -> float:
@@ -75,6 +73,11 @@ class PairedSequences:
     @property
     def z_self_separation(self) -> float:
         return self.Z.min_separation
+
+
+def _index_rho(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rho(a, z) entry by entry, for arrays of any one shape."""
+    return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
 
 
 def frostman_example(n: int) -> ZeroSequence:
@@ -186,9 +189,7 @@ def perturb_sample(
             f"{a_seq.min_separation:.6g} of the centers"
         )
 
-    disks = [pseudo_disk_to_euclidean(a, r) for a in a_seq]
-    centers = np.array([d.center for d in disks], dtype=complex)
-    radii = np.array([d.radius for d in disks])
+    centers, radii = _euclidean_disks(a_seq.values, r)
     rng = np.random.default_rng(seed)
     count = len(a_seq)
 
@@ -203,7 +204,7 @@ def perturb_sample(
         if count > 1 and float(sep.min()) < min_sep:
             continue
         try:
-            z_seq = ZeroSequence(draws)
+            z_seq = ZeroSequence(draws, separations=sep)
         except DuplicatePoint:
             continue
         return PairedSequences(A=a_seq, Z=z_seq)

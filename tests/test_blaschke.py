@@ -39,6 +39,20 @@ class TestZeroSequence:
         with pytest.raises(DuplicatePoint):
             ZeroSequence([0.3, 0.3 + 1e-14])
 
+    def test_given_separations_are_read_as_its_own(self):
+        points = np.array([0.3, 0.1j, 0.3 + 1e-14, -0.5])
+        dist = pairwise_rho(points, points)
+        np.fill_diagonal(dist, np.inf)
+        with pytest.raises(DuplicatePoint) as own:
+            ZeroSequence(points)
+        with pytest.raises(DuplicatePoint) as supplied:
+            ZeroSequence(points, separations=dist)
+        assert str(supplied.value) == str(own.value)
+        distinct = np.delete(points, 2)
+        dist = pairwise_rho(distinct, distinct)
+        np.fill_diagonal(dist, np.inf)
+        assert ZeroSequence(distinct, separations=dist).min_separation == ZeroSequence(distinct).min_separation
+
     def test_accepts_close_but_distinct(self):
         seq = ZeroSequence([0.3, 0.3 + 1e-12])
         assert len(seq) == 2

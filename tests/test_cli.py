@@ -571,6 +571,29 @@ class TestMainCommands:
         assert json.loads(proc.stdout)["config"]["kind"] == "criteria"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
+            ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
+            ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.3", "--trials", "3", "--grid-size", "256"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_do_not_import_numpy_ma(self, argv):
+        # numpy.ma costs about 15 ms of import; np.unique is one way to pull it in
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
+        code = (
+            "import sys; from blaschke_lab import cli; rc = cli.main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[-1] == "False"
+
+
 class TestDeterminism:
     def run_twice(self, argv_template, tmp_path):
         outputs = []

@@ -68,6 +68,13 @@ class TestCircleGrid:
         assert grid.extra_args == (0.0,)
         assert grid.angles().size == 256
 
+    def test_angles_are_sorted_without_repeats(self):
+        # extras on the base grid, repeated, and between base points
+        extras = (0.0, TWO_PI * 3 / 256, TWO_PI * 3 / 256, 0.1234567, 0.1234567, 6.2)
+        grid = CircleGrid(base_count=256, extra_args=extras)
+        expected = np.unique(np.concatenate([TWO_PI * np.arange(256) / 256, extras]))
+        assert grid.angles().tobytes() == expected.tobytes()
+
     def test_with_injected(self):
         seq = ZeroSequence([0.3 * np.exp(0.777j)])
         grid = CircleGrid(base_count=256).with_injected(seq)
@@ -719,6 +726,17 @@ def _full_grid_entries(pairs, grid):
     return sum(2 * len(p.A) * grid.with_injected(p.A, p.Z).angles().size for p in pairs)
 
 
+def _unpruned_pass_entries(pairs, grid):
+    """The entries of a grid pass that prunes no cell.
+
+    Each distinct A is evaluated on the base grid once, and at each trial's
+    off-base points; each Z on its trial's whole grid.
+    """
+    centres = {p.A.values.tobytes() for p in pairs}
+    per_trial = (grid.with_injected(p.A, p.Z).angles().size for p in pairs)
+    return len(pairs[0].A) * (len(centres) * grid.base_count + sum(2 * size - grid.base_count for size in per_trial))
+
+
 _PASS_SETS = {
     "frostman20": lambda: _trials("frostman20", 7),
     "radial12": lambda: _trials("radial12", 7),
@@ -784,7 +802,27 @@ class TestGridPass:
         grid = CircleGrid(refinement_rounds=0)
         entries = _counted_entries(monkeypatch)
         criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
-        assert entries[0] == _full_grid_entries(pairs, grid)
+        assert entries[0] == _unpruned_pass_entries(pairs, grid)
+
+    def test_centre_base_grid_is_evaluated_once_per_distinct_centre(self, monkeypatch):
+        pairs = _trials("mixed20", 12)
+        grid = CircleGrid()
+        base = np.exp(1j * grid.angles())
+        centres = {p.A.values.tobytes(): 0 for p in pairs}
+        kernel = criteria._frostman_rows
+
+        def counted(zeta, values, *args):
+            rows = np.broadcast_to(values[..., None, :], np.broadcast_shapes(zeta.shape, values.shape[:-1] + (1,)) + values.shape[-1:])
+            points = np.broadcast_to(zeta, rows.shape[:-1]).ravel()
+            for point, row in zip(points, rows.reshape(-1, rows.shape[-1])):
+                key = row.tobytes()
+                if key in centres and point in base:
+                    centres[key] += 1
+            return kernel(zeta, values, *args)
+
+        monkeypatch.setattr(criteria, "_frostman_rows", counted)
+        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+        assert list(centres.values()) == [grid.base_count] * 2
 
 
 class TestPerturbationReports:
@@ -825,24 +863,30 @@ class TestPerturbationReports:
             assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))
 
     def test_memory_is_bounded_by_the_block(self):
-        pairs = _trials("frostman20", 32)
-        grid = CircleGrid(refinement_rounds=1)
-        n, points = 20, grid.with_injected(pairs[0].A).angles().size
-        # the largest block, ROW_BLOCK scans of REFINE_SEEDS searches, with a
-        # complex and two real temporaries per point and zero; and 32 float
-        # arrays of grid length (points, values and sort temporaries)
-        bound = n * blaschke.ROW_BLOCK * REFINE_SEEDS * (16 + 2 * 8) + 32 * points * 8
-        assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
+        # 200 trials catch a batch that is not cut into chunks
+        for count in (32, 200):
+            pairs = _trials("frostman20", count)
+            grid = CircleGrid(refinement_rounds=1)
+            n, points = 20, grid.with_injected(pairs[0].A).angles().size
+            # the largest block, ROW_BLOCK scans of REFINE_SEEDS searches, with a
+            # complex and two real temporaries per point and zero; and 32 float
+            # arrays of grid length (points, values and sort temporaries)
+            bound = n * blaschke.ROW_BLOCK * REFINE_SEEDS * (16 + 2 * 8) + 32 * points * 8
+            assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 
     def test_only_the_frostman_sums_are_refined(self, monkeypatch):
-        rows = []
-        refine = criteria._refine
+        searches = []
+        golden = criteria._golden
         monkeypatch.setattr(
-            criteria, "_refine", lambda evaluate, seeds, *a: rows.append(seeds.shape) or refine(evaluate, seeds, *a)
+            criteria, "_golden", lambda evaluate, seeds, *a: searches.append(seeds.size) or golden(evaluate, seeds, *a)
         )
-        pairs = _trials("mixed20", 5)
+        pairs = _trials("mixed20", 6)
         perturbation_reports(pairs, 0.3, GRID)
-        assert rows == [(2 * len(pairs), REFINE_SEEDS)]
+        # one lockstep run: each distinct (A, seed) once, and every trial's Z seeds
+        seeds, _ = criteria._grid_pass(criteria._TrialColumns.of(pairs), GRID)
+        shared = {(p.A.values.tobytes(), seed) for p, row in zip(pairs, seeds[0]) for seed in row}
+        assert len(shared) < len(pairs) * REFINE_SEEDS
+        assert searches == [len(shared) + len(pairs) * REFINE_SEEDS]
 
     def test_closed_form_at_most_the_ratio_scans(self):
         for name in sorted(_BATCH_CENTERS):
@@ -868,6 +912,12 @@ class TestPerturbationReports:
         assert batch == alone
         assert backwards == alone
         assert mixed == alone[4:] + alone[:4]
+
+    def test_mixed_centres_independent_of_their_batch(self):
+        pairs = _trials("mixed20", 9)
+        alone = [_bits(perturbation_report(p, 0.3, GRID)) for p in pairs]
+        assert [_bits(r) for r in perturbation_reports(pairs, 0.3, GRID)] == alone
+        assert [_bits(r) for r in perturbation_reports(pairs[::-1], 0.3, GRID)][::-1] == alone
 
     def test_lowest_failing_trial_raises(self):
         a = ZeroSequence([0.0, 0.5j])

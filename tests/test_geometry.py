@@ -19,6 +19,7 @@ from blaschke_lab import (
     pseudo_disk_to_euclidean,
     rho,
 )
+from blaschke_lab import geometry
 from blaschke_lab.sequences import perturb_sample
 from tests.conftest import random_separated
 
@@ -197,6 +198,29 @@ class TestPseudoDiskConversion:
         assert disk.radius == pytest.approx(axis.radius, abs=1e-14)
         assert abs(disk.center) == pytest.approx(axis.center.real, abs=1e-14)
         assert disk.center / abs(disk.center) == pytest.approx(c.z / m)
+
+
+def _scalar_disk(c, r):
+    """The image disk computed one point at a time in Python floats."""
+    m = abs(c)
+    phase = c / m if m > 0.0 else 1.0
+    denom = (1.0 - r * m) * (1.0 + r * m)
+    p = (1.0 - r) * (1.0 + r) * m / denom
+    return phase * p, r * (1.0 - m) * (1.0 + m) / denom
+
+
+class TestEuclideanDisks:
+    @pytest.mark.parametrize("r", [1e-9, 0.3, 0.9])
+    def test_array_form_keeps_the_bits_of_one_point_at_a_time(self, r):
+        rng = np.random.default_rng(5)
+        depth = 10.0 ** rng.uniform(-14, 0, 2000)
+        values = (1.0 - depth) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        values = np.concatenate([values, [0.0, 0.5, -0.5j, -0.0 - 0.25j]])
+        centers, radii = geometry._euclidean_disks(values, r)
+        for c, center, radius in zip(values, centers, radii):
+            expected_center, expected_radius = _scalar_disk(complex(c), r)
+            assert complex(center) == expected_center
+            assert float(radius).hex() == expected_radius.hex()
 
 
 class TestEuclideanDisk:

@@ -17,6 +17,7 @@ from blaschke_lab import (
     interlace_targets,
     pairwise_rho,
     perturb_sample,
+    pseudo_disk_to_euclidean,
     radial_sequence,
     rho,
 )
@@ -190,6 +191,26 @@ class TestPerturbSample:
         paired = perturb_sample(a, 1e-9, 0, min_sep=0.05)
         assert paired.nearness <= 1e-9
         assert np.max(np.abs(paired.Z.values - a.values)) < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_draws_are_those_of_the_disks_one_point_at_a_time(self, seed):
+        # the rejection loop replayed with each disk built by pseudo_disk_to_euclidean
+        a = frostman_example(20)
+        r, min_sep = 0.3, 0.01
+        disks = [pseudo_disk_to_euclidean(p, r) for p in a]
+        centers = np.array([d.center for d in disks], dtype=complex)
+        radii = np.array([d.radius for d in disks])
+        rng = np.random.default_rng(seed)
+        while True:
+            u, t = rng.random(len(a)), rng.random(len(a))
+            draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
+            sep = pairwise_rho(draws, draws)
+            np.fill_diagonal(sep, np.inf)
+            if np.max(np.diag(pairwise_rho(a.values, draws))) <= r and sep.min() >= min_sep:
+                break
+        paired = perturb_sample(a, r, seed, min_sep=min_sep)
+        assert paired.Z.values.tobytes() == draws.tobytes()
+        assert paired.z_self_separation == float(sep.min())
 
     def test_min_sep_above_self_separation_rejected(self):
         a = ZeroSequence([0.0, 0.5])
