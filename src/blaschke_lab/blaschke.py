@@ -29,10 +29,10 @@ COINCIDENCE_TOL = 1e-13
 
 # Rows per block of _in_row_blocks, the one block size wherever a points x N
 # matrix is built: node cofactors (so carleson), evaluate, derivative, the
-# Lagrange basis and its scans, frostman_sum, and the perturbation pass, which
-# takes its rows (grid points and golden-search points, each against the zeros
-# of its own trial) ROW_BLOCK * REFINE_SEEDS at a time, the points of ROW_BLOCK
-# golden scans, and sizes its chunks of trials by that block.
+# Lagrange basis and its scans, and the Frostman circle maxima.  frostman_sum
+# takes ROW_BLOCK points at a time; the perturbation reports take
+# ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and chunk
+# the scans of one zero set by that block.
 ROW_BLOCK = 64
 
 

@@ -10,15 +10,16 @@ of the sequence points injected as extra candidates, then sharpened by
 golden-section refinement around the best grid cells.  Refinement only
 ever adds candidate points, so reported extrema never decrease when the
 grid is enlarged.  The boundary kernel ratios of a perturbation report
-need no scan: their infima over the circle have a closed form.  Its two
-Frostman scans skip the grid points that provably cannot be refinement
-seeds, and the extrema they report equal those of the full grid.  A batch
-of perturbation reports does the work its trials share once: the centre
-side's grid pass and golden searches once per distinct centre sequence,
-the perturbed side in chunks of trials as arrays.  Every Frostman sum at
-circle points, in frostman_sum and in the perturbation reports, comes
-from one kernel, built ROW_BLOCK rows at a time (ROW_BLOCK * REFINE_SEEDS
-in the perturbation reports).
+need no scan: their infima over the circle have a closed form.  Every
+Frostman circle maximum, that of frostman_sum and both of each
+perturbation trial, comes from one engine (_frostman_maxima).  It makes
+one pruned pass over the base grid per distinct zero set, which skips the
+points that provably cannot be refinement seeds, merges its best points
+with each scan's injected arguments, and refines all scans' seeds in
+lockstep; the extrema equal those of each scan's full grid.  So a centre
+sequence that many trials share is passed and searched once.  Every
+Frostman sum at circle points comes from one kernel, built ROW_BLOCK rows
+at a time (ROW_BLOCK * REFINE_SEEDS in the perturbation reports).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from . import blaschke
 from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _in_row_blocks, as_targets
 from .errors import NearnessExceeded, ZeroCollision
-from .geometry import TWO_PI, CirclePoint, one_minus_abs_sq, pairwise_rho, wrap_angle
-from .sequences import PairedSequences, _index_rho
+from .geometry import TWO_PI, CirclePoint, elementwise_rho, one_minus_abs_sq, pairwise_rho, wrap_angle
+from .sequences import PairedSequences
 
 __all__ = [
     "CircleGrid",
@@ -138,27 +139,17 @@ class PerturbationReport:
     nearness: float
 
 
-def _grid_seeds(signed: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """The REFINE_SEEDS grid arguments of largest signed value, best first, and that value.
-
-    Equal values go to the smaller argument first, which on a sorted grid
-    is the earlier grid position.  The order is total, so the seeds depend
-    neither on the sort's handling of ties nor on the order of the
-    candidates.
-    """
-    order = np.lexsort((angles, -signed))[:REFINE_SEEDS]
-    return angles[order], signed[order[0]]
-
-
 def _trial_seeds(
     trial: np.ndarray, signed: np.ndarray, angles: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_grid_seeds of count trials at once, from candidates tagged with the index of their trial.
+    """The REFINE_SEEDS candidates of largest signed value of each of count trials, best first.
 
-    Each trial needs REFINE_SEEDS candidates at least.  One sort by trial,
-    then by value descending, then by argument puts every trial's
-    candidates in _grid_seeds' total order.  Returns each trial's seed
-    arguments and their values, best first.
+    Candidates are tagged with the index of their trial, and each trial
+    needs REFINE_SEEDS of them at least.  One sort by trial, then by value
+    descending, then by argument puts equal values in argument order, which
+    on a sorted grid is grid order.  The order is total, so the seeds depend
+    neither on the sort's handling of ties nor on the order of the
+    candidates.  Returns each trial's seed arguments and their values.
     """
     order = np.lexsort((angles, -signed, trial))
     sizes = np.bincount(trial, minlength=count)
@@ -236,7 +227,7 @@ def scan_columns(
     angles = grid.angles()
     values = np.asarray(f(angles), dtype=float)
     k = values.shape[0]
-    seeds, best = (np.array(column) for column in zip(*(_grid_seeds(row, angles) for row in values)))
+    seeds, top = _trial_seeds(np.arange(k).repeat(angles.size), values.ravel(), np.tile(angles, k), k)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         own = np.asarray(f(x % TWO_PI), dtype=float).reshape(k, k, -1)
@@ -245,7 +236,7 @@ def scan_columns(
     val, arg = _golden(
         evaluate, seeds.ravel(), math.pi / grid.base_count, GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
     )
-    best_val, best_arg = _refine(seeds, best, val.reshape(seeds.shape), arg.reshape(seeds.shape))
+    best_val, best_arg = _refine(seeds, top[:, 0], val.reshape(seeds.shape), arg.reshape(seeds.shape))
     return best_val, best_arg, values
 
 
@@ -296,23 +287,20 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
 
     The arguments of the sequence points are always injected into the
     candidate grid: the sum peaks where the points accumulate angularly,
-    typically far between bare grid nodes for deep sequences.
+    typically far between bare grid nodes for deep sequences.  The
+    one-scan case of _frostman_maxima, ROW_BLOCK points at a time.
     """
-    grid = (grid or CircleGrid()).with_injected(a_seq)
+    grid = grid or CircleGrid()
     values = a_seq.values
-    weights = 1.0 - np.abs(values)
-
-    def total(angles: np.ndarray) -> np.ndarray:
-        return _in_row_blocks(angles, lambda block: _frostman_rows(np.exp(1j * block), values, weights))
-
-    value, witness, _ = scan_circle(total, grid, mode="max")
-    terms = weights / np.abs(witness.value - values)
+    value, arg = _frostman_maxima(_ZeroSets.of([a_seq]), values[None, :], grid, 1)
+    witness = CirclePoint(float(arg[0, 0]))
+    terms = (1.0 - np.abs(values)) / np.abs(witness.value - values)
     return CriterionReport(
         name="frostman",
-        value=value,
+        value=float(value[0, 0]),
         argmax_or_argmin=witness,
         per_index=tuple(float(t) for t in terms),
-        grid_meta=grid,
+        grid_meta=grid.with_injected(a_seq),
     )
 
 
@@ -404,30 +392,24 @@ def nearness(paired: PairedSequences) -> CriterionReport:
     )
 
 
-class _TrialColumns(NamedTuple):
-    """The zero sets of a batch of trials, one row each, and their Frostman weights 1 - |w|.
+class _ZeroSets(NamedTuple):
+    """Distinct zero sets, one row each, their Frostman weights 1 - |w|, and the row of every given sequence.
 
-    The first rows hold the distinct centre sequences A, told apart by the
-    bytes of their values, and a_row[t] is the row of trial t's A.  The
-    last rows hold the Z of each trial in order.
+    Sequences are told apart by the bytes of their values; row[i, j] is
+    the row of sequence j of side i.
     """
 
     values: np.ndarray
     weights: np.ndarray
-    a_row: np.ndarray
+    row: np.ndarray
 
     @classmethod
-    def of(cls, pairs: list[PairedSequences]) -> "_TrialColumns":
-        keys = [p.A.values.tobytes() for p in pairs]
-        centres = {key: p.A.values for key, p in zip(keys, pairs)}
-        row = {key: j for j, key in enumerate(centres)}
-        values = np.array([*centres.values(), *(p.Z.values for p in pairs)])
-        return cls(values, 1.0 - np.abs(values), np.array([row[key] for key in keys]))
-
-    @property
-    def z_row(self) -> np.ndarray:
-        """The row of each trial's Z."""
-        return np.arange(len(self.values) - self.a_row.size, len(self.values))
+    def of(cls, *sides: Sequence[ZeroSequence]) -> "_ZeroSets":
+        keys = [[seq.values.tobytes() for seq in side] for side in sides]
+        distinct = {key: seq.values for side, side_keys in zip(sides, keys) for seq, key in zip(side, side_keys)}
+        index = {key: j for j, key in enumerate(distinct)}
+        values = np.array(list(distinct.values()))
+        return cls(values, 1.0 - np.abs(values), np.array([[index[key] for key in side_keys] for side_keys in keys]))
 
 
 def _trial_chunks(count: int, per_trial: int, n: int) -> list[slice]:
@@ -436,17 +418,17 @@ def _trial_chunks(count: int, per_trial: int, n: int) -> list[slice]:
     A chunk holds at most ROW_BLOCK * REFINE_SEEDS * n entries, the rows of
     one block of golden searches against n zeros, or one trial.
     """
-    step = max(1, blaschke.ROW_BLOCK * REFINE_SEEDS * n // per_trial)
+    step = max(1, blaschke.ROW_BLOCK * REFINE_SEEDS * n // max(1, per_trial))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _pair_envelopes(zeros: _TrialColumns, r: float) -> dict[str, list]:
+def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
     """The fields of every trial's perturbation report that need no circle scan, one list each.
 
-    The lowest-index trial whose pair nearness exceeds r raises.  C3 and C4
-    are exact.  For |zeta| = 1, |1 - conj(z) zeta| = |zeta - z|, and the
-    disc automorphism phi(w) = (a - w) / (1 - conj(a) w) maps the circle
-    onto itself, with
+    Row t of a and z holds trial t's pair.  The lowest-index trial whose
+    pair nearness exceeds r raises.  C3 and C4 are exact.  For |zeta| = 1,
+    |1 - conj(z) zeta| = |zeta - z|, and the disc automorphism
+    phi(w) = (a - w) / (1 - conj(a) w) maps the circle onto itself, with
     |zeta - z| / |1 - conj(a) zeta| = |phi(zeta) - phi(z)| |1 - conj(a) z| / (1 - |a|^2).
     Since |phi(z)| = rho(a, z), the infimum over the circle is
     (1 - rho) |1 - conj(a) z| / (1 - |a|^2) = (1 - |z|^2) / K, where
@@ -455,9 +437,8 @@ def _pair_envelopes(zeros: _TrialColumns, r: float) -> dict[str, list]:
     nonnegative terms, so it is free of cancellation.  The index-pair
     envelopes C1 and C2 go by chunks of trials (_trial_chunks).
     """
-    count, n = zeros.a_row.size, zeros.values.shape[1]
-    a, z = zeros.values[zeros.a_row], zeros.values[zeros.z_row]
-    near = np.max(_index_rho(a, z), axis=1)
+    count, n = a.shape
+    near = np.max(elementwise_rho(a, z), axis=1)
     far = np.flatnonzero(near > r * (1.0 + 1e-12) + 1e-15)
     if far.size:
         raise NearnessExceeded(f"pair nearness {near[far[0]]:.6g} exceeds the stated radius {r:.6g}")
@@ -495,9 +476,8 @@ def _injected_args(points: np.ndarray, grid: CircleGrid, base: np.ndarray) -> tu
     """The grid points of each trial off the base grid: sorted candidates per trial, and which to keep.
 
     Row t holds the extras of the grid and the arguments of row t of
-    points (a trial's A and Z points), reduced to [0, 2*pi) as CircleGrid
-    reduces them, sorted.  The mask drops those on the base grid and the
-    repeats.
+    points, reduced to [0, 2*pi) as CircleGrid reduces them, sorted.  The
+    mask drops those on the base grid and the repeats.
     """
     args = np.angle(points) % TWO_PI
     args[args == TWO_PI] = 0.0
@@ -509,137 +489,106 @@ def _injected_args(points: np.ndarray, grid: CircleGrid, base: np.ndarray) -> tu
     return args, keep
 
 
-def _gathered_sums(
-    zeta: np.ndarray, owner: np.ndarray, zeros: _TrialColumns, reach: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _gathered_sums(zeta: np.ndarray, owner: np.ndarray, zeros: _ZeroSets, group: int) -> np.ndarray:
     """_frostman_rows of each point zeta[i] against the zero set in row owner[i] of zeros.
 
-    The points go ROW_BLOCK * REFINE_SEEDS at a time; given a reach per
-    point, the cell bounds come as a second row of the result.
+    The points go ROW_BLOCK * group at a time.
     """
 
     def reduce(i: np.ndarray) -> np.ndarray:
         own = owner[i]
-        reaches = () if reach is None else (reach[i, None],)
-        return np.array(_frostman_rows(zeta[i, None], zeros.values[own], zeros.weights[own], *reaches))[..., 0]
+        return _frostman_rows(zeta[i, None], zeros.values[own], zeros.weights[own])[..., 0]
 
-    return _in_row_blocks(np.arange(zeta.size), reduce, REFINE_SEEDS)
+    return _in_row_blocks(np.arange(zeta.size), reduce, group)
 
 
-def _grid_pass(zeros: _TrialColumns, grid: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The refinement seeds and the best grid value of both Frostman sums of every trial.
+def _base_seeds(
+    values: np.ndarray, weights: np.ndarray, base: np.ndarray, centres: np.ndarray, reach: np.ndarray, group: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The REFINE_SEEDS best base points of one Frostman sum, best first, and their values.
 
-    Each trial's grid is the base grid plus the arguments of its A and Z
-    points, but only the points that can be seeds are evaluated.  A's sum
-    is evaluated once per distinct A on the base grid, and only its
-    REFINE_SEEDS best base points can be seeds of a trial: each other base
-    point has that many ahead of it on every trial's grid.  Each trial adds
-    its off-base points.  For Z, the base grid is cut into cells of CELL
-    consecutive points, each centred on one of them.  A first pass
-    evaluates the centres and the off-base points, with a bound of the sum
-    over each cell.  Let T be the REFINE_SEEDS-th best of those values.
-    The other points of a cell are evaluated only when its bound, times
-    1 + BOUND_SLACK, reaches T.  A point left out has a computed value
-    below T, and T is at most the REFINE_SEEDS-th best value of the whole
-    grid.  So under _grid_seeds' total order the seeds and best values are
-    the whole grid's, bit for bit.  Trials go in chunks (_trial_chunks)
-    with no loop over the trials of a chunk: each point is evaluated
-    against the zeros of its own trial (_gathered_sums).
+    Only the points that can be among them are evaluated.  The base grid is
+    cut into cells of CELL consecutive points; the cell of centres[c] holds
+    every base point within reach[c] of it (_grid_pass).  A first pass
+    evaluates the centres, with a bound of the sum over each cell.  Let T be
+    the REFINE_SEEDS-th best centre value.  The other points of a cell are
+    evaluated only when its bound, times 1 + BOUND_SLACK, reaches T.  A
+    point left out has a computed value below T, so at least REFINE_SEEDS
+    centres come before it, and under _trial_seeds' total order the result
+    is that of the whole base grid, bit for bit.  Points go
+    ROW_BLOCK * group at a time.
     """
-    count, n = zeros.a_row.size, zeros.values.shape[1]
-    seeds = np.empty((2, count, REFINE_SEEDS))
-    best = np.empty((2, count))
+    first, bound = _in_row_blocks(
+        np.arange(centres.size),
+        lambda i: np.array(_frostman_rows(np.exp(1j * base[centres[i]]), values, weights, reach[i])),
+        group,
+    )
+    threshold = np.partition(first, -REFINE_SEEDS)[-REFINE_SEEDS]
+    # every cell but the last has CELL points, so the last takes what is left
+    live = np.repeat(bound * (1.0 + BOUND_SLACK) >= threshold, CELL)[: base.size]
+    live[centres] = False
+    rest = np.flatnonzero(live)
+    rest_values = _in_row_blocks(np.exp(1j * base[rest]), lambda block: _frostman_rows(block, values, weights), group)
+    points = np.concatenate([centres, rest])
+    seeds, top = _trial_seeds(np.zeros(points.size, dtype=int), np.concatenate([first, rest_values]), base[points], 1)
+    return seeds[0], top[0]
+
+
+def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: int) -> tuple[np.ndarray, np.ndarray]:
+    """The refinement seeds and the best grid value of every Frostman scan.
+
+    Scan (i, t) is the sum of the zero set in row zeros.row[i, t], on the
+    base grid plus the extras of grid and the arguments of row t of
+    injected.  Each distinct zero set gets one base pass (_base_seeds): its
+    REFINE_SEEDS best base points are the only base points that can be
+    seeds of any of its scans, since each other base point has that many
+    ahead of it on every scan's grid.  Each scan merges them with its own
+    off-base points (_injected_args), the scans of one zero set a chunk
+    (_trial_chunks) at a time.  So the seeds and best values are those of
+    each scan's whole grid, bit for bit.
+    """
     base = replace(grid, extra_args=()).angles()
-    base_zeta = np.exp(1j * base)
     starts = np.arange(0, base.size, CELL)
     sizes = np.diff(starts, append=base.size)
-    centres = starts + sizes // 2
     # the arc to the farthest point of the cell bounds the chord; the slack
     # and 64 eps cover the rounding of the computed points and distances
     reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
-
-    # A: its sum on the whole base grid once per distinct A, its best kept
-    distinct = len(zeros.values) - count
-    top_angles = np.empty((distinct, REFINE_SEEDS))
-    top_values = np.empty((distinct, REFINE_SEEDS))
-    for row, (centre, centre_weights) in enumerate(zip(zeros.values[:distinct], zeros.weights[:distinct])):
-        whole = _in_row_blocks(base_zeta, lambda z: _frostman_rows(z, centre, centre_weights), REFINE_SEEDS)
-        top = np.lexsort((base, -whole))[:REFINE_SEEDS]
-        top_angles[row], top_values[row] = base[top], whole[top]
-
-    # then a chunk of trials at a time: for both sums, the off-base points;
-    # for Z, the cell centres with their bounds, then the points of the live cells
-    chunks = _trial_chunks(count, base.size, n)
-    step = chunks[0].stop
-    cell_angles, cell_zeta, cell_reach = (np.tile(x, step) for x in (base[centres], base_zeta[centres], reach))
-    cell_trials = np.arange(step).repeat(centres.size)
-    for chunk in chunks:
-        a_rows, z_rows = zeros.a_row[chunk], zeros.z_row[chunk]
-        size = a_rows.size
-        cells = size * centres.size
-        args, keep = _injected_args(np.concatenate([zeros.values[a_rows], zeros.values[z_rows]], axis=1), grid, base)
-        extra_trial, extra = np.nonzero(keep)[0], args[keep]
-        extra_zeta = np.exp(1j * extra)
-        a_extra, z_extra = _gathered_sums(
-            np.concatenate([extra_zeta, extra_zeta]), np.concatenate([a_rows[extra_trial], z_rows[extra_trial]]), zeros
-        ).reshape(2, -1)
-        cell_trial = cell_trials[:cells]
-        values, bound = _gathered_sums(cell_zeta[:cells], z_rows[cell_trial], zeros, cell_reach[:cells])
-        first = np.full((size, centres.size + args.shape[1]), -np.inf)
-        first[:, : centres.size] = values.reshape(size, -1)
-        first[:, centres.size :][keep] = z_extra
-        threshold = np.partition(first, -REFINE_SEEDS, axis=1)[:, -REFINE_SEEDS]
-        # every cell but the last has CELL points, so the last takes what is left
-        live = np.repeat(bound.reshape(size, -1) * (1.0 + BOUND_SLACK) >= threshold[:, None], CELL, axis=1)[:, : base.size]
-        live[:, centres] = False
-        rest_trial, rest = np.nonzero(live)
-        # (trial, value, argument) of every candidate seed; Z's trials count from size
-        candidates = [
-            (np.arange(size).repeat(REFINE_SEEDS), top_values[a_rows].ravel(), top_angles[a_rows].ravel()),
-            (extra_trial, a_extra, extra),
-            (size + cell_trial, values, cell_angles[:cells]),
-            (size + extra_trial, z_extra, extra),
-            (size + rest_trial, _gathered_sums(base_zeta[rest], z_rows[rest_trial], zeros), base[rest]),
-        ]
-        trial, value, angle = map(np.concatenate, zip(*candidates))
-        # a Z candidate below its trial's threshold has REFINE_SEEDS candidates ahead of it
-        kept = value >= np.concatenate([np.full(size, -np.inf), threshold])[trial]
-        picked, picked_values = _trial_seeds(trial[kept], value[kept], angle[kept], 2 * size)
-        seeds[:, chunk] = picked.reshape(2, size, REFINE_SEEDS)
-        best[:, chunk] = picked_values[:, 0].reshape(2, size)
+    centres = starts + sizes // 2
+    args, keep = _injected_args(injected, grid, base)
+    seeds = np.empty(zeros.row.shape + (REFINE_SEEDS,))
+    best = np.empty(zeros.row.shape)
+    for row, (values, weights) in enumerate(zip(zeros.values, zeros.weights)):
+        top_angles, top_values = _base_seeds(values, weights, base, centres, reach, group)
+        side, trial = np.nonzero(zeros.row == row)
+        for chunk in _trial_chunks(trial.size, args.shape[1], 1):
+            own = trial[chunk]
+            extra_scan, extra = np.nonzero(keep[own])[0], args[own][keep[own]]
+            extra_values = _in_row_blocks(
+                np.exp(1j * extra), lambda block: _frostman_rows(block, values, weights), group
+            )
+            picked, picked_values = _trial_seeds(
+                np.concatenate([np.arange(own.size).repeat(REFINE_SEEDS), extra_scan]),
+                np.concatenate([np.tile(top_values, own.size), extra_values]),
+                np.concatenate([np.tile(top_angles, own.size), extra]),
+                own.size,
+            )
+            seeds[side[chunk], own], best[side[chunk], own] = picked, picked_values[:, 0]
     return seeds, best
 
 
-def perturbation_reports(
-    pairs: Sequence[PairedSequences], r: float, grid: Optional[CircleGrid] = None
-) -> list[PerturbationReport]:
-    """perturbation_report for many trials at once, each bit-identical to its report alone.
+def _frostman_maxima(
+    zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The circle maximum and its (unwrapped) argument of every Frostman scan of _grid_pass.
 
-    All pairs must have the same length.  A failing trial raises the error
-    of the lowest-index one.  C3 and C4 come in closed form; only the two
-    Frostman sums are scanned.  Each trial scans its own grid (the base grid
-    plus the arguments of its A and Z points).  The grid pass (_grid_pass)
-    evaluates A's sum on the base grid once per distinct A, and skips the
-    cells of Z's base points that provably hold no refinement seed, so the
-    seeds and best grid values are the full grid's.  Then all golden-section
-    searches run in lockstep, each against its own zeros.  A search depends
-    only on its seed and its zeros, so a seed that trials with the same A
-    share is searched once for all of them.
+    After the grid pass all golden-section searches run in lockstep, each
+    against its own zeros, ROW_BLOCK * group points at a time.  A search
+    depends only on its seed and its zeros, so a seed that scans of one
+    zero set share is searched once for all of them.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"radius {r} must lie in (0, 1)")
-    pairs = list(pairs)
-    if len({len(p.A) for p in pairs}) > 1:
-        raise ValueError("the pairs of one batch must have equal length")
-    if not pairs:
-        return []
-    zeros = _TrialColumns.of(pairs)
-    columns = _pair_envelopes(zeros, r)
-    grid = grid or CircleGrid()
-    seeds, best = _grid_pass(zeros, grid)
-
+    seeds, best = _grid_pass(zeros, injected, grid, group)
     # each distinct (zero set, seed) once, found by sorting
-    owner = np.repeat(np.concatenate([zeros.a_row, zeros.z_row]), REFINE_SEEDS)
+    owner = np.repeat(zeros.row.ravel(), REFINE_SEEDS)
     starts = seeds.ravel()
     order = np.lexsort((starts, owner))
     owner, starts = owner[order], starts[order]
@@ -649,14 +598,46 @@ def perturbation_reports(
     search[order] = np.cumsum(new) - 1
     owner = owner[new]
     val, arg = _golden(
-        lambda x: _gathered_sums(np.exp(1j * (x % TWO_PI)), owner, zeros),
+        lambda x: _gathered_sums(np.exp(1j * (x % TWO_PI)), owner, zeros, group),
         starts[new],
         math.pi / grid.base_count,
         GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,
     )
     scans = search.reshape(-1, REFINE_SEEDS)
-    frostman, _ = _refine(seeds.reshape(-1, REFINE_SEEDS), best.ravel(), val[scans], arg[scans])
-    columns["frostman_A"], columns["frostman_Z"] = frostman.reshape(2, -1).tolist()
+    maxima, args = _refine(seeds.reshape(-1, REFINE_SEEDS), best.ravel(), val[scans], arg[scans])
+    return maxima.reshape(best.shape), args.reshape(best.shape)
+
+
+def _perturbation_scans(pairs: Sequence[PairedSequences]) -> tuple[_ZeroSets, np.ndarray]:
+    """The two Frostman scans of every trial: the zero sets, A's side then Z's, and each trial's A and Z points."""
+    zeros = _ZeroSets.of([p.A for p in pairs], [p.Z for p in pairs])
+    return zeros, np.concatenate(zeros.values[zeros.row], axis=1)
+
+
+def perturbation_reports(
+    pairs: Sequence[PairedSequences], r: float, grid: Optional[CircleGrid] = None
+) -> list[PerturbationReport]:
+    """perturbation_report for many trials at once, each bit-identical to its report alone.
+
+    All pairs must have the same length.  A failing trial raises the error
+    of the lowest-index one.  C3 and C4 come in closed form; only the two
+    Frostman sums are scanned, each on its trial's grid (the base grid plus
+    the arguments of its A and Z points): two scans of _frostman_maxima per
+    trial, ROW_BLOCK * REFINE_SEEDS points at a time.  A centre sequence
+    that trials share is one zero set, so its base pass and its searches
+    are done once.
+    """
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"radius {r} must lie in (0, 1)")
+    pairs = list(pairs)
+    if len({len(p.A) for p in pairs}) > 1:
+        raise ValueError("the pairs of one batch must have equal length")
+    if not pairs:
+        return []
+    zeros, points = _perturbation_scans(pairs)
+    columns = _pair_envelopes(*np.split(points, 2, axis=1), r)
+    frostman, _ = _frostman_maxima(zeros, points, grid or CircleGrid(), REFINE_SEEDS)
+    columns["frostman_A"], columns["frostman_Z"] = frostman.tolist()
     return [PerturbationReport(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "mobius",
     "pseudo_disk_to_euclidean",
     "kernel_bounds_check",
+    "elementwise_rho",
     "pairwise_rho",
     "one_minus_abs_sq",
     "wrap_angle",
@@ -164,11 +165,16 @@ def mobius(a: PointLike, z: PointLike) -> DiskPoint:
     return DiskPoint.from_complex((aw - zw) / (1.0 - aw.conjugate() * zw))
 
 
+def elementwise_rho(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rho(a, z) entry by entry, for complex arrays that broadcast together."""
+    return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
+
+
 def pairwise_rho(a_values, z_values) -> np.ndarray:
-    """Matrix of pseudohyperbolic distances, rows over a, columns over z."""
+    """Matrix of pseudohyperbolic distances, rows over a, columns over z: the outer case of elementwise_rho."""
     a = np.asarray(a_values, dtype=complex).reshape(-1, 1)
     z = np.asarray(z_values, dtype=complex).reshape(1, -1)
-    return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
+    return elementwise_rho(a, z)
 
 
 def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import TargetVector, ZeroSequence, as_targets
 from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
-from .geometry import DiskPoint, _euclidean_disks, pairwise_rho
+from .geometry import DiskPoint, _euclidean_disks, elementwise_rho, pairwise_rho
 
 __all__ = [
     "DEPTH_CAP",
@@ -58,7 +58,7 @@ class PairedSequences:
     @property
     def index_distances(self) -> np.ndarray:
         """rho(a_n, z_n) for every n, without the full pairwise matrix."""
-        return _index_rho(self.A.values, self.Z.values)
+        return elementwise_rho(self.A.values, self.Z.values)
 
     @property
     def nearness(self) -> float:
@@ -73,11 +73,6 @@ class PairedSequences:
     @property
     def z_self_separation(self) -> float:
         return self.Z.min_separation
-
-
-def _index_rho(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """rho(a, z) entry by entry, for arrays of any one shape."""
-    return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
 
 
 def frostman_example(n: int) -> ZeroSequence:

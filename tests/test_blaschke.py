@@ -207,7 +207,9 @@ def _row_block_outputs():
         "carleson": repr(b.carleson()),
         "lagrange": solve_kb(b, alpha)(points).tobytes(),
         "frostman_sum": repr(frostman_sum(seq, grid)),
-        "grid_pass": [a.tobytes() for a in criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)],
+        "grid_pass": [
+            a.tobytes() for a in criteria._grid_pass(*criteria._perturbation_scans(pairs), grid, criteria.REFINE_SEEDS)
+        ],
         "perturbation_reports": repr(perturbation_reports(pairs, 0.3, grid)),
     }
 

@@ -577,6 +577,7 @@ class TestMainCommands:
             ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
             ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
             ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.3", "--trials", "3", "--grid-size", "256"],
+            ["shift", "--generator", "frostman_example", "--n", "8", "--point", "0.3,0.1", "--grid-size", "256"],
         ],
         ids=lambda argv: argv[0],
     )

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +253,12 @@ class TestFrostmanSum:
         assert report.value == pytest.approx(10.0, abs=1e-9)
         assert report.argmax_or_argmin.arg == pytest.approx(0.1234567, abs=1e-9)
 
+    def test_empty_sequence_sums_to_zero(self):
+        # no zeros and no grid extras: each scan has no off-base point
+        report = frostman_sum(ZeroSequence([]), GRID)
+        assert report.value == 0.0
+        assert report.per_index == ()
+
     def test_per_index_matches_value_at_witness(self):
         report = frostman_sum(frostman_example(10), GRID)
         assert sum(report.per_index) == pytest.approx(report.value, rel=1e-12)
@@ -273,6 +281,23 @@ class TestFrostmanSum:
         value, witness, _ = scan_circle(_frostman_total(seq), GRID.with_injected(seq), mode="max")
         assert report.value.hex() == value.hex()
         assert report.argmax_or_argmin.arg.hex() == witness.arg.hex()
+
+    def test_each_base_point_is_evaluated_once_at_most(self, monkeypatch):
+        seq = random_deep_sequence(0, 500)
+        grid = CircleGrid()
+        base = set(np.exp(1j * grid.angles()).tolist())
+        seen = collections.Counter()
+        entries = _counted_entries(monkeypatch)
+        kernel = criteria._frostman_rows
+
+        def counted(zeta, values, *args):
+            seen.update(point for point in zeta.ravel().tolist() if point in base)
+            return kernel(zeta, values, *args)
+
+        monkeypatch.setattr(criteria, "_frostman_rows", counted)
+        frostman_sum(seq, grid)
+        assert max(seen.values()) == 1
+        assert entries[0] < len(seq) * grid.with_injected(seq).angles().size
 
     def test_memory_is_bounded_by_the_block(self):
         n = 500
@@ -675,8 +700,13 @@ def _full_grid_pass(pairs, grid):
     return seeds, best
 
 
+def _grid_pass(pairs, grid):
+    """The seeds and best grid values of a batch's Frostman scans, side x trial, as perturbation_reports finds them."""
+    return criteria._grid_pass(*criteria._perturbation_scans(pairs), grid, REFINE_SEEDS)
+
+
 def _assert_full_grid_seeds(pairs, grid):
-    seeds, best = criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+    seeds, best = _grid_pass(pairs, grid)
     ref_seeds, ref_best = _full_grid_pass(pairs, grid)
     assert seeds.tobytes() == ref_seeds.tobytes()
     assert best.tobytes() == ref_best.tobytes()
@@ -696,12 +726,28 @@ def _hump_pairs():
     """Trials whose best grid points sit on a broad hump, below a narrow injected peak.
 
     The zero at 1 - 1e-6 peaks only at its own argument 1; the shallow
-    zero near argument 3 makes every other top value a base point.  Their
-    cells are kept only by comparing bounds with the REFINE_SEEDS-th best
-    value, not with the maximum.
+    zero near argument 3 makes every other top value a base point, so each
+    scan's seeds merge its injected peak with the base pass's best points.
     """
     a = ZeroSequence([(1 - 1e-6) * np.exp(1j), 0.7 * np.exp(3j)])
     return [PairedSequences(A=a, Z=ZeroSequence([(1 - 2e-6) * np.exp(1.0000005j), 0.7 * np.exp(turn * 1j)])) for turn in (2.95, 3.05)]
+
+
+def _spike_pairs():
+    """A spike on a cell centre above a broad bump whose best points are off the centres.
+
+    The zero at 1 - 1e-6 sits on the centre of the first cell of the
+    256-point (A) or the 4096-point (Z) base grid; the shallow zero opposite
+    gives a bump about 0.4 lower whose cell bounds stay below the spike.
+    Those cells are kept only by comparing bounds with the REFINE_SEEDS-th
+    best centre value, not with the best one.
+    """
+
+    def spike(base_count):
+        turn = TWO_PI * 8 / base_count
+        return ZeroSequence([(1 - 1e-6) * np.exp(1j * turn), 0.4 * np.exp(1j * (turn + 3.0))])
+
+    return [PairedSequences(A=spike(256), Z=spike(4096))]
 
 
 def _constant_pairs():
@@ -729,12 +775,12 @@ def _full_grid_entries(pairs, grid):
 def _unpruned_pass_entries(pairs, grid):
     """The entries of a grid pass that prunes no cell.
 
-    Each distinct A is evaluated on the base grid once, and at each trial's
-    off-base points; each Z on its trial's whole grid.
+    Each distinct zero set is evaluated on the base grid once, and both
+    scans of a trial at its off-base points.
     """
-    centres = {p.A.values.tobytes() for p in pairs}
-    per_trial = (grid.with_injected(p.A, p.Z).angles().size for p in pairs)
-    return len(pairs[0].A) * (len(centres) * grid.base_count + sum(2 * size - grid.base_count for size in per_trial))
+    sets = {seq.values.tobytes() for p in pairs for seq in (p.A, p.Z)}
+    off_base = sum(grid.with_injected(p.A, p.Z).angles().size - grid.base_count for p in pairs)
+    return len(pairs[0].A) * (len(sets) * grid.base_count + 2 * off_base)
 
 
 _PASS_SETS = {
@@ -748,25 +794,41 @@ _PASS_SETS = {
     "shallow": _shallow_pairs,
     "constant": _constant_pairs,
     "hump": _hump_pairs,
+    "spike": _spike_pairs,
 }
 
 
+_PASS_GRIDS = pytest.mark.parametrize(
+    "grid",
+    [
+        CircleGrid(base_count=256, refinement_rounds=0),
+        CircleGrid(base_count=257, refinement_rounds=0),
+        CircleGrid(base_count=1000, refinement_rounds=0),
+        CircleGrid(base_count=4096, refinement_rounds=0),
+        CircleGrid(base_count=256, refinement_rounds=0, extra_args=(0.1234567, TWO_PI * 3 / 256, -0.5, 3.0001)),
+    ],
+    ids=["256", "257", "1000", "4096", "256-extras"],
+)
+
+
 class TestGridPass:
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            CircleGrid(base_count=256, refinement_rounds=0),
-            CircleGrid(base_count=257, refinement_rounds=0),
-            CircleGrid(base_count=1000, refinement_rounds=0),
-            CircleGrid(base_count=4096, refinement_rounds=0),
-            CircleGrid(base_count=256, refinement_rounds=0, extra_args=(0.1234567, TWO_PI * 3 / 256, -0.5, 3.0001)),
-        ],
-        ids=["256", "257", "1000", "4096", "256-extras"],
-    )
+    @_PASS_GRIDS
     @pytest.mark.parametrize("name", sorted(_PASS_SETS))
     def test_seeds_and_best_of_the_full_grid(self, name, grid):
         pairs = _PASS_SETS[name]()
         _assert_full_grid_seeds(pairs, grid)
+
+    @_PASS_GRIDS
+    @pytest.mark.parametrize("name", sorted(_PASS_SETS))
+    def test_frostman_sum_of_the_full_grid(self, name, grid):
+        # one round, so that every seed counts, not only the best grid point
+        grid = dataclasses.replace(grid, refinement_rounds=1)
+        for paired in _PASS_SETS[name]():
+            for seq in (paired.A, paired.Z):
+                report = frostman_sum(seq, grid)
+                value, witness, _ = scan_circle(_frostman_total(seq), grid.with_injected(seq))
+                assert report.value.hex() == value.hex()
+                assert report.argmax_or_argmin.arg.hex() == witness.arg.hex()
 
     @given(
         st.integers(0, 10_000),
@@ -792,7 +854,7 @@ class TestGridPass:
         pairs = _trials("frostman20", 32)
         grid = CircleGrid()
         entries = _counted_entries(monkeypatch)
-        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+        _grid_pass(pairs, grid)
         assert entries[0] <= 0.25 * _full_grid_entries(pairs, grid)
 
     # test_seeds_and_best_of_the_full_grid checks the bits of these sets
@@ -801,28 +863,32 @@ class TestGridPass:
         pairs = _PASS_SETS[name]()
         grid = CircleGrid(refinement_rounds=0)
         entries = _counted_entries(monkeypatch)
-        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
+        _grid_pass(pairs, grid)
         assert entries[0] == _unpruned_pass_entries(pairs, grid)
 
     def test_centre_base_grid_is_evaluated_once_per_distinct_centre(self, monkeypatch):
+        # at most once per base point and distinct centre, however many trials share it
         pairs = _trials("mixed20", 12)
         grid = CircleGrid()
-        base = np.exp(1j * grid.angles())
-        centres = {p.A.values.tobytes(): 0 for p in pairs}
+        base = set(np.exp(1j * grid.angles()).tolist())
+        centres = {p.A.values.tobytes() for p in pairs}
+        seen = collections.Counter()
         kernel = criteria._frostman_rows
 
         def counted(zeta, values, *args):
             rows = np.broadcast_to(values[..., None, :], np.broadcast_shapes(zeta.shape, values.shape[:-1] + (1,)) + values.shape[-1:])
             points = np.broadcast_to(zeta, rows.shape[:-1]).ravel()
-            for point, row in zip(points, rows.reshape(-1, rows.shape[-1])):
+            for point, row in zip(points.tolist(), rows.reshape(-1, rows.shape[-1])):
                 key = row.tobytes()
                 if key in centres and point in base:
-                    centres[key] += 1
+                    seen[key, point] += 1
             return kernel(zeta, values, *args)
 
         monkeypatch.setattr(criteria, "_frostman_rows", counted)
-        criteria._grid_pass(criteria._TrialColumns.of(pairs), grid)
-        assert list(centres.values()) == [grid.base_count] * 2
+        _grid_pass(pairs, grid)
+        assert len(centres) == 2
+        assert {key for key, _ in seen} == centres
+        assert max(seen.values()) == 1
 
 
 class TestPerturbationReports:
@@ -846,13 +912,14 @@ class TestPerturbationReports:
         for paired, report in zip(pairs, perturbation_reports(pairs, 0.6, GRID)):
             assert _bits(report) == _bits(_reference_report(paired, 0.6, GRID))
         # a duplicated point would show only in the seeds, so compare them too
-        seeds, best = criteria._grid_pass(criteria._TrialColumns.of(pairs), GRID)
+        seeds, best = _grid_pass(pairs, GRID)
         for t, paired in enumerate(pairs):
             for column, (f, grid) in enumerate(_reference_scans(paired, GRID)):
                 angles = grid.angles()
-                ref_seeds, ref_best = criteria._grid_seeds(f(angles), angles)
-                assert seeds[column, t].tobytes() == ref_seeds.tobytes()
-                assert best[column, t].hex() == ref_best.hex()
+                values = f(angles)
+                order = np.argsort(-values, kind="stable")[:REFINE_SEEDS]
+                assert seeds[column, t].tobytes() == angles[order].tobytes()
+                assert best[column, t].hex() == values[order[0]].hex()
 
     # blocks below and above ROW_BLOCK, checked against one-function scans
     @pytest.mark.parametrize("block", [1, 7, 512])
@@ -883,7 +950,7 @@ class TestPerturbationReports:
         pairs = _trials("mixed20", 6)
         perturbation_reports(pairs, 0.3, GRID)
         # one lockstep run: each distinct (A, seed) once, and every trial's Z seeds
-        seeds, _ = criteria._grid_pass(criteria._TrialColumns.of(pairs), GRID)
+        seeds, _ = _grid_pass(pairs, GRID)
         shared = {(p.A.values.tobytes(), seed) for p, row in zip(pairs, seeds[0]) for seed in row}
         assert len(shared) < len(pairs) * REFINE_SEEDS
         assert searches == [len(shared) + len(pairs) * REFINE_SEEDS]

@@ -128,6 +128,11 @@ class TestRho:
             for k, zw in enumerate(z):
                 assert mat[j, k] == pytest.approx(rho(aw, zw), abs=1e-15)
 
+    def test_elementwise_keeps_the_bits_of_the_pairwise_diagonal(self):
+        a = random_separated(1, 12).values
+        z = random_separated(2, 12).values
+        assert geometry.elementwise_rho(a, z).tobytes() == np.diag(pairwise_rho(a, z)).tobytes()
+
 
 class TestBeta:
     def test_atanh_of_rho(self):
