@@ -4,145 +4,105 @@ The package covers pseudohyperbolic geometry on the unit disk, stable
 evaluation of finite Blaschke products, thin-sequence diagnostics,
 closed-form and iterative interpolation on model-space node sets, and a
 command-line front end for reproducible experiments.
+
+Each public name is listed once below, under the submodule that defines
+it, and that submodule is imported on first access to the name, so a
+command loads only the modules it runs.  A submodule is imported on first
+access too: after ``import blaschke_lab``, ``blaschke_lab.geometry`` works.
 """
 
-from .blaschke import BlaschkeProduct, CarlesonReport, TargetVector, ZeroSequence, as_targets
-from .criteria import (
-    CircleGrid,
-    CriterionReport,
-    PerturbationReport,
-    cohn_sum,
-    cross_modulus,
-    dyakonov_sup,
-    frostman_sum,
-    nearness,
-    perturbation_report,
-    perturbation_reports,
-    scan_circle,
-    separation,
-    vasyunin_sum,
-)
-from .errors import (
-    BlaschkeLabError,
-    ConfigInvalid,
-    ContractionViolated,
-    DuplicatePoint,
-    IndexOutOfRange,
-    IoFailure,
-    MaxIterExceeded,
-    NearnessExceeded,
-    PointOutsideDisk,
-    PrecisionViolation,
-    RootVerificationFailed,
-    SamplingExhausted,
-    SeparationTooSmall,
-    TruncationTooDeep,
-    ZeroCollision,
-)
-from .geometry import (
-    BOUNDARY_MARGIN,
-    CirclePoint,
-    DiskPoint,
-    EuclideanDisk,
-    KernelBoundsReport,
-    beta,
-    kernel_bounds_check,
-    mobius,
-    one_minus_abs_sq,
-    pairwise_rho,
-    pseudo_disk_to_euclidean,
-    rho,
-)
-from .interpolation import (
-    InterpolantRep,
-    IterationTrace,
-    UnionConstruction,
-    frostman_shift_zeros,
-    interpolate_union,
-    kb_norms,
-    lebesgue_constant,
-    nearby_iterate,
-    solve_kb,
-    sup_norm,
-)
-from .sequences import (
-    DEPTH_CAP,
-    PairedSequences,
-    deinterlace,
-    deinterlace_targets,
-    frostman_example,
-    interlace,
-    interlace_targets,
-    perturb_sample,
-    radial_sequence,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BOUNDARY_MARGIN",
-    "DEPTH_CAP",
-    "BlaschkeLabError",
-    "BlaschkeProduct",
-    "CarlesonReport",
-    "CircleGrid",
-    "CirclePoint",
-    "ConfigInvalid",
-    "ContractionViolated",
-    "CriterionReport",
-    "DiskPoint",
-    "DuplicatePoint",
-    "EuclideanDisk",
-    "IndexOutOfRange",
-    "InterpolantRep",
-    "IoFailure",
-    "IterationTrace",
-    "KernelBoundsReport",
-    "MaxIterExceeded",
-    "NearnessExceeded",
-    "PairedSequences",
-    "PerturbationReport",
-    "PointOutsideDisk",
-    "PrecisionViolation",
-    "RootVerificationFailed",
-    "SamplingExhausted",
-    "SeparationTooSmall",
-    "TargetVector",
-    "TruncationTooDeep",
-    "UnionConstruction",
-    "ZeroCollision",
-    "ZeroSequence",
-    "as_targets",
-    "beta",
-    "cohn_sum",
-    "cross_modulus",
-    "deinterlace",
-    "deinterlace_targets",
-    "dyakonov_sup",
-    "frostman_example",
-    "frostman_shift_zeros",
-    "frostman_sum",
-    "interlace",
-    "interlace_targets",
-    "interpolate_union",
-    "kb_norms",
-    "kernel_bounds_check",
-    "lebesgue_constant",
-    "mobius",
-    "nearby_iterate",
-    "nearness",
-    "one_minus_abs_sq",
-    "pairwise_rho",
-    "perturb_sample",
-    "perturbation_report",
-    "perturbation_reports",
-    "pseudo_disk_to_euclidean",
-    "radial_sequence",
-    "rho",
-    "scan_circle",
-    "separation",
-    "solve_kb",
-    "sup_norm",
-    "vasyunin_sum",
-]
+_PUBLIC = {
+    "blaschke": ("BlaschkeProduct", "CarlesonReport", "TargetVector", "ZeroSequence", "as_targets"),
+    "criteria": (
+        "CircleGrid",
+        "CriterionReport",
+        "PerturbationReport",
+        "cohn_sum",
+        "cross_modulus",
+        "dyakonov_sup",
+        "frostman_sum",
+        "nearness",
+        "perturbation_report",
+        "perturbation_reports",
+        "scan_circle",
+        "separation",
+        "vasyunin_sum",
+    ),
+    "errors": (
+        "BlaschkeLabError",
+        "ConfigInvalid",
+        "ContractionViolated",
+        "DuplicatePoint",
+        "IndexOutOfRange",
+        "IoFailure",
+        "MaxIterExceeded",
+        "NearnessExceeded",
+        "PointOutsideDisk",
+        "PrecisionViolation",
+        "RootVerificationFailed",
+        "SamplingExhausted",
+        "SeparationTooSmall",
+        "TruncationTooDeep",
+        "ZeroCollision",
+    ),
+    "geometry": (
+        "BOUNDARY_MARGIN",
+        "CirclePoint",
+        "DiskPoint",
+        "EuclideanDisk",
+        "KernelBoundsReport",
+        "beta",
+        "kernel_bounds_check",
+        "mobius",
+        "one_minus_abs_sq",
+        "pairwise_rho",
+        "pseudo_disk_to_euclidean",
+        "rho",
+    ),
+    "interpolation": (
+        "InterpolantRep",
+        "IterationTrace",
+        "UnionConstruction",
+        "frostman_shift_zeros",
+        "interpolate_union",
+        "kb_norms",
+        "lebesgue_constant",
+        "nearby_iterate",
+        "solve_kb",
+        "sup_norm",
+    ),
+    "sequences": (
+        "DEPTH_CAP",
+        "PairedSequences",
+        "deinterlace",
+        "deinterlace_targets",
+        "frostman_example",
+        "interlace",
+        "interlace_targets",
+        "perturb_sample",
+        "radial_sequence",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -31,9 +31,15 @@ COINCIDENCE_TOL = 1e-13
 # matrix is built: node cofactors (so carleson), evaluate, derivative, the
 # Lagrange basis and its scans, and the Frostman circle maxima.  frostman_sum
 # takes ROW_BLOCK points at a time; the perturbation reports take
-# ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and chunk
-# the scans of one zero set by that block.
+# ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and so
+# many (trial, index) rows of their pair envelopes.
 ROW_BLOCK = 64
+
+
+def _nearest_pair(dist: np.ndarray) -> tuple[float, int, int]:
+    """The minimum of a rho matrix and the (j, k) of its first occurrence."""
+    j, k = np.unravel_index(int(dist.argmin()), dist.shape)
+    return float(dist[j, k]), int(j), int(k)
 
 
 class ZeroSequence(Sequence[DiskPoint]):
@@ -52,10 +58,8 @@ class ZeroSequence(Sequence[DiskPoint]):
     def __init__(self, points: Iterable[PointLike], separations: Optional[np.ndarray] = None):
         self._adopt(tuple(as_point(p) for p in points))
         if len(self) > 1:
-            dist = self._separations() if separations is None else separations
-            nearest = float(dist.min())
+            nearest, j, k = _nearest_pair(self._separations() if separations is None else separations)
             if nearest <= COINCIDENCE_TOL:
-                j, k = np.unravel_index(int(dist.argmin()), dist.shape)
                 raise DuplicatePoint(
                     f"points {j} and {k} coincide (rho = {nearest:.3e})"
                 )

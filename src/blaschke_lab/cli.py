@@ -20,12 +20,14 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import criteria as crit
-from . import interpolation as interp
 from .blaschke import BlaschkeProduct, TargetVector, ZeroSequence
 from .criteria import CircleGrid
 from .errors import BlaschkeLabError, ConfigInvalid, IoFailure
 from .geometry import CirclePoint, DiskPoint
 from .sequences import frostman_example, perturb_sample, radial_sequence
+
+# interpolation is imported inside the pipelines that call it, so that check
+# and perturb, each a fresh process, do not spend start-up time loading it.
 
 __all__ = [
     "ExperimentConfig",
@@ -158,8 +160,14 @@ def _raw_from_args(fields: tuple[Field, ...], args) -> dict:
     return raw
 
 
-def _number(cast, positive: bool = False) -> Callable[[Any, str], Any]:
-    """A check for ints or floats: numeric strings pass; bools and non-finite values do not."""
+_LEAST = {None: "", 0: "a non-negative ", 1: "a positive "}
+
+
+def _number(cast, least: Optional[int] = None) -> Callable[[Any, str], Any]:
+    """A check for ints or floats: numeric strings pass; bools, non-finite values and values below least do not.
+
+    least is None (any value), 0 or 1.
+    """
 
     def check(value, context: str):
         try:
@@ -169,9 +177,8 @@ def _number(cast, positive: bool = False) -> Callable[[Any, str], Any]:
             ok = ok and not (isinstance(value, float) and number != value)
         except (TypeError, ValueError, OverflowError):
             ok = False
-        if not ok or positive and number < 1:
-            kind = f"{'a positive ' if positive else ''}{cast.__name__}"
-            raise ConfigInvalid(f"{context}: expected {kind}, got {value!r}")
+        if not ok or least is not None and number < least:
+            raise ConfigInvalid(f"{context}: expected {_LEAST[least]}{cast.__name__}, got {value!r}")
         return number
 
     return check
@@ -179,7 +186,7 @@ def _number(cast, positive: bool = False) -> Callable[[Any, str], Any]:
 
 _INT = _number(int)
 _FLOAT = _number(float)
-_POSITIVE_INT = _number(int, positive=True)
+_POSITIVE_INT = _number(int, least=1)
 _RE_IM = (Field("re", _FLOAT), Field("im", _FLOAT))
 
 
@@ -339,9 +346,10 @@ def _report_json(report: crit.CriterionReport) -> dict:
     return payload
 
 
-def _report_detail_table(report: crit.CriterionReport, kind_label: str) -> Table:
+def _report_detail_table(report: crit.CriterionReport) -> Table:
+    """The report's per-index values, then its supremum."""
     rows = [(str(i), v) for i, v in enumerate(report.per_index)]
-    rows.append((kind_label, report.value))
+    rows.append(("sup", report.value))
     return Table(columns=("index", "value"), rows=tuple(rows))
 
 
@@ -351,16 +359,9 @@ def _complex_table(columns: tuple[str, str], values, residuals) -> Table:
     return Table(columns=("index", *columns, "residual"), rows=rows)
 
 
-def _column_series(table: Table, column: str, label: str, y_label: Optional[str] = None) -> Series:
-    """A table column plotted against the table's first column."""
-    j = table.columns.index(column)
-    return Series(
-        label=label,
-        x_label=table.columns[0],
-        y_label=y_label or column,
-        x=tuple(float(row[0]) for row in table.rows),
-        y=tuple(float(row[j]) for row in table.rows),
-    )
+def _series(label: str, x_label: str, y_label: str, x, y) -> Series:
+    """The points (x, y) as plain floats."""
+    return Series(label, x_label, y_label, tuple(float(v) for v in x), tuple(float(v) for v in y))
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +431,23 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     # frostman and cohn still hold the reports of the last schedule entry
     tables = {
         "criteria_trend": trend,
-        "frostman_detail": _report_detail_table(frostman, "sup"),
-        "cohn_detail": _report_detail_table(cohn, "sup"),
+        "frostman_detail": _report_detail_table(frostman),
+        "cohn_detail": _report_detail_table(cohn),
     }
-    series = {name: _column_series(trend, name, f"{name} vs N") for name in trend.columns[1:]}
+    column = dict(zip(trend.columns, zip(*rows)))
+    series = {name: _series(f"{name} vs N", "N", name, column["N"], column[name]) for name in trend.columns[1:]}
     return ReportBundle(config=config.as_dict(), results={"per_N": per_n}, tables=tables, series=series)
 
 
-def _circle_samples() -> tuple[np.ndarray, np.ndarray]:
-    """BOUNDARY_SAMPLES equispaced arguments and their points on the circle."""
+def _boundary_series(f: Callable[[np.ndarray], np.ndarray], label: str) -> Series:
+    """|f| at BOUNDARY_SAMPLES equispaced points of the circle, against their arguments."""
     angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-    return angles, np.exp(1j * angles)
-
-
-def _boundary_series(values: np.ndarray, label: str) -> Series:
-    """The moduli of values taken at the _circle_samples points."""
-    angles, _ = _circle_samples()
-    return Series(
-        label=label,
-        x_label="arg",
-        y_label="modulus",
-        x=tuple(float(a) for a in angles),
-        y=tuple(float(v) for v in np.abs(values)),
-    )
+    return _series(label, "arg", "modulus", angles, np.abs(f(np.exp(1j * angles))))
 
 
 def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
+    from . import interpolation as interp
+
     grid = config.circle_grid()
     seq = _resolve_sequence(config.inputs["sequence"])
     targets = _resolve_targets(config.inputs["targets"], len(seq))
@@ -464,7 +456,6 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
 
     node_values = rep(seq.values)
     residuals = np.abs(node_values - targets.values)
-    boundary = rep(_circle_samples()[1])
     sup, lebesgue = interp.kb_norms(rep, grid)
     # N eps Lambda bounds the rounding error of sum_j alpha_j L_j, relative to sup|alpha|.
     rounding = product.degree * float(np.finfo(float).eps) * lebesgue
@@ -477,11 +468,13 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
         "lebesgue_constant": lebesgue,
     }
     tables = {"nodes": _complex_table(("target_re", "target_im"), targets.values, residuals)}
-    series = {"boundary_modulus": _boundary_series(boundary, "interpolant modulus on the circle")}
+    series = {"boundary_modulus": _boundary_series(rep, "interpolant modulus on the circle")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
 def _run_union(config: ExperimentConfig) -> ReportBundle:
+    from . import interpolation as interp
+
     seq_a = _resolve_sequence(config.inputs["sequence"])
     seq_z = _resolve_sequence(config.inputs["sequence_b"])
     alpha = _resolve_targets(config.inputs["targets"], len(seq_a))
@@ -510,7 +503,7 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
         name: Table(columns=("index", "residual"), rows=tuple((j, float(r)) for j, r in enumerate(res)))
         for name, res in (("nodes_a", res_a), ("nodes_z", res_z))
     }
-    series = {"boundary_modulus": _boundary_series(union(_circle_samples()[1]), "union interpolant modulus")}
+    series = {"boundary_modulus": _boundary_series(union, "union interpolant modulus")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -521,6 +514,8 @@ def _min_sep(config: ExperimentConfig, seq: ZeroSequence) -> float:
 
 
 def _run_nearby(config: ExperimentConfig) -> ReportBundle:
+    from . import interpolation as interp
+
     grid = config.circle_grid()
     seq = _resolve_sequence(config.inputs["sequence"])
     targets = _resolve_targets(config.inputs["targets"], len(seq))
@@ -548,13 +543,14 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
         "contraction_marginal": trace.contraction_marginal,
         "final_residual": trace.residual_sup[-1],
     }
+    step = range(len(trace.residual_sup))
     steps = Table(
         columns=("step", "residual_sup", "bound_curve"),
-        rows=tuple(zip(range(len(trace.residual_sup)), trace.residual_sup, trace.bound_curve)),
+        rows=tuple(zip(step, trace.residual_sup, trace.bound_curve)),
     )
     series = {
-        "residual_vs_step": _column_series(steps, "residual_sup", "residual per correction step"),
-        "bound_vs_step": _column_series(steps, "bound_curve", "geometric bound per step", "bound"),
+        "residual_vs_step": _series("residual per correction step", "step", "residual_sup", step, trace.residual_sup),
+        "bound_vs_step": _series("geometric bound per step", "step", "bound", step, trace.bound_curve),
     }
     tables = {"steps": steps}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
@@ -595,9 +591,10 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
         columns=("trial", *keys),
         rows=tuple((i, *(r[k] for k in keys.values())) for i, r in enumerate(reports)),
     )
+    column = dict(zip(table.columns, zip(*table.rows)))
     series = {
-        "d1_vs_trial": _column_series(table, "D1", "lower size-ratio envelope per trial"),
-        "d2_vs_trial": _column_series(table, "D2", "upper size-ratio envelope per trial"),
+        "d1_vs_trial": _series("lower size-ratio envelope per trial", "trial", "D1", column["trial"], column["D1"]),
+        "d2_vs_trial": _series("upper size-ratio envelope per trial", "trial", "D2", column["trial"], column["D2"]),
     }
     results = {"aggregate": aggregate, "trial_reports": reports}
     tables = {"trials": table}
@@ -605,6 +602,8 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
 
 
 def _run_shift(config: ExperimentConfig) -> ReportBundle:
+    from . import interpolation as interp
+
     grid = config.circle_grid()
     seq = _resolve_sequence(config.inputs["sequence"])
     point = DiskPoint(config.inputs["point"]["re"], config.inputs["point"]["im"])
@@ -622,15 +621,9 @@ def _run_shift(config: ExperimentConfig) -> ReportBundle:
         "frostman_shifted": frostman_after.value,
     }
     tables = {"roots": _complex_table(("re", "im"), roots.values, residuals)}
-    series = {
-        "root_modulus": Series(
-            label="shifted zero moduli",
-            x_label="index",
-            y_label="modulus",
-            x=tuple(float(j) for j in range(len(roots))),
-            y=tuple(float(abs(w)) for w in roots.values),
-        )
-    }
+    # abs of each scalar: np.abs of the array can differ in the last bit
+    modulus = [abs(w) for w in roots.values]
+    series = {"root_modulus": _series("shifted zero moduli", "index", "modulus", range(len(roots)), modulus)}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -707,7 +700,7 @@ _GRID = Field("grid", None, {}, fields=(
     Field("base_count", _INT, 4096, ("--grid-size",), "circle grid base count"),
     Field("refinement_rounds", _INT, 3),
 ))
-_SEED = Field("seed", _INT, 0, ("--seed",), "seed for sampled experiments")
+_SEED = Field("seed", _number(int, least=0), 0, ("--seed",), "seed for sampled experiments")
 _SCHEDULE = Field("N_schedule", _schedule, [], ("--schedule",),
                   "comma-separated truncation depths, e.g. 10,20,40 (default: full length)",
                   to_raw=(lambda text, args: [n for n in text.split(",") if n.strip()],))
@@ -744,7 +737,8 @@ def _format_cell(value) -> Any:
     if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return repr(value)
+        # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+        return repr(float(value))
     return str(value)
 
 

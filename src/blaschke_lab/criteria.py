@@ -30,8 +30,15 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import blaschke
-from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _in_row_blocks, as_targets
+from .blaschke import (
+    COINCIDENCE_TOL,
+    BlaschkeProduct,
+    TargetVector,
+    ZeroSequence,
+    _in_row_blocks,
+    _nearest_pair,
+    as_targets,
+)
 from .errors import NearnessExceeded, ZeroCollision
 from .geometry import TWO_PI, CirclePoint, elementwise_rho, one_minus_abs_sq, pairwise_rho, wrap_angle
 from .sequences import PairedSequences
@@ -354,9 +361,8 @@ def vasyunin_sum(a_seq: ZeroSequence) -> float:
 def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
     """Smallest modulus of B over the other sequence: eta-hat = inf_j |B(z_j)|."""
     if b.degree and len(z_seq):
-        collisions = pairwise_rho(z_seq.values, b.zeros.values)
-        if float(collisions.min()) <= COINCIDENCE_TOL:
-            j, k = np.unravel_index(int(collisions.argmin()), collisions.shape)
+        nearest, j, k = _nearest_pair(pairwise_rho(z_seq.values, b.zeros.values))
+        if nearest <= COINCIDENCE_TOL:
             raise ZeroCollision(f"z_{j} coincides with zero {k} of the product")
     moduli = np.abs(b.evaluate(z_seq.values))
     j = int(np.argmin(moduli))
@@ -371,11 +377,11 @@ def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
 def separation(paired: PairedSequences) -> CriterionReport:
     """Exact inf over all pairs (j, k) of rho(a_j, z_k), with the witness pair."""
     dist = pairwise_rho(paired.A.values, paired.Z.values)
-    j, k = np.unravel_index(int(dist.argmin()), dist.shape)
+    value, j, k = _nearest_pair(dist)
     return CriterionReport(
         name="separation",
-        value=float(dist[j, k]),
-        argmax_or_argmin=(int(j), int(k)),
+        value=value,
+        argmax_or_argmin=(j, k),
         per_index=tuple(float(x) for x in dist.min(axis=1)),
     )
 
@@ -412,16 +418,6 @@ class _ZeroSets(NamedTuple):
         return cls(values, 1.0 - np.abs(values), np.array([[index[key] for key in side_keys] for side_keys in keys]))
 
 
-def _trial_chunks(count: int, per_trial: int, n: int) -> list[slice]:
-    """Consecutive chunks of count trials with per_trial entries each.
-
-    A chunk holds at most ROW_BLOCK * REFINE_SEEDS * n entries, the rows of
-    one block of golden searches against n zeros, or one trial.
-    """
-    step = max(1, blaschke.ROW_BLOCK * REFINE_SEEDS * n // max(1, per_trial))
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
     """The fields of every trial's perturbation report that need no circle scan, one list each.
 
@@ -435,7 +431,8 @@ def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
     K = |1 - conj(a) z| + |z - a| and
     |1 - conj(a) z|^2 = |z - a|^2 + (1 - |a|^2)(1 - |z|^2).  K is a sum of
     nonnegative terms, so it is free of cancellation.  The index-pair
-    envelopes C1 and C2 go by chunks of trials (_trial_chunks).
+    envelopes C1 and C2 take the extremes of each (trial, index) row, then
+    of each trial; the rows go ROW_BLOCK * REFINE_SEEDS at a time.
     """
     count, n = a.shape
     near = np.max(elementwise_rho(a, z), axis=1)
@@ -449,13 +446,16 @@ def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
 
     violations = np.sum(size_z > c_r * size_a + 1e-12, axis=1) + np.sum(size_a > c_r * size_z + 1e-12, axis=1)
     ratios = size_z / size_a
-    pair_min, pair_max = np.empty(count), np.empty(count)
-    for chunk in _trial_chunks(count, n * n, n):
-        ca, cz, sa, sz = a[chunk], z[chunk], size_a[chunk], size_z[chunk]
-        kernel_a = np.abs(1.0 - np.conj(ca)[:, :, None] * ca[:, None, :]) ** 2
-        kernel_z = np.abs(1.0 - np.conj(cz)[:, :, None] * cz[:, None, :]) ** 2
-        pair_ratios = (sz[:, :, None] * sz[:, None, :] / kernel_z) / (sa[:, :, None] * sa[:, None, :] / kernel_a)
-        pair_min[chunk], pair_max[chunk] = pair_ratios.min(axis=(1, 2)), pair_ratios.max(axis=(1, 2))
+
+    def pair_extremes(rows: np.ndarray) -> np.ndarray:
+        t, j = np.divmod(rows, n)
+        kernel_a = np.abs(1.0 - np.conj(a[t, j])[:, None] * a[t]) ** 2
+        kernel_z = np.abs(1.0 - np.conj(z[t, j])[:, None] * z[t]) ** 2
+        pair_ratios = (size_z[t, j][:, None] * size_z[t] / kernel_z) / (size_a[t, j][:, None] * size_a[t] / kernel_a)
+        return np.array([pair_ratios.min(axis=1), pair_ratios.max(axis=1)])
+
+    row_min, row_max = _in_row_blocks(np.arange(count * n), pair_extremes, REFINE_SEEDS).reshape(2, count, n)
+    pair_min, pair_max = row_min.min(axis=1), row_max.max(axis=1)
     gap = np.abs(z - a)
     kernel = np.sqrt(gap * gap + size_a * size_z) + gap
     return dict(
@@ -543,9 +543,9 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
     REFINE_SEEDS best base points are the only base points that can be
     seeds of any of its scans, since each other base point has that many
     ahead of it on every scan's grid.  Each scan merges them with its own
-    off-base points (_injected_args), the scans of one zero set a chunk
-    (_trial_chunks) at a time.  So the seeds and best values are those of
-    each scan's whole grid, bit for bit.
+    off-base points (_injected_args), all scans of one zero set in one
+    _trial_seeds call.  So the seeds and best values are those of each
+    scan's whole grid, bit for bit.
     """
     base = replace(grid, extra_args=()).angles()
     starts = np.arange(0, base.size, CELL)
@@ -560,19 +560,15 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
     for row, (values, weights) in enumerate(zip(zeros.values, zeros.weights)):
         top_angles, top_values = _base_seeds(values, weights, base, centres, reach, group)
         side, trial = np.nonzero(zeros.row == row)
-        for chunk in _trial_chunks(trial.size, args.shape[1], 1):
-            own = trial[chunk]
-            extra_scan, extra = np.nonzero(keep[own])[0], args[own][keep[own]]
-            extra_values = _in_row_blocks(
-                np.exp(1j * extra), lambda block: _frostman_rows(block, values, weights), group
-            )
-            picked, picked_values = _trial_seeds(
-                np.concatenate([np.arange(own.size).repeat(REFINE_SEEDS), extra_scan]),
-                np.concatenate([np.tile(top_values, own.size), extra_values]),
-                np.concatenate([np.tile(top_angles, own.size), extra]),
-                own.size,
-            )
-            seeds[side[chunk], own], best[side[chunk], own] = picked, picked_values[:, 0]
+        extra_scan, extra = np.nonzero(keep[trial])[0], args[trial][keep[trial]]
+        extra_values = _in_row_blocks(np.exp(1j * extra), lambda block: _frostman_rows(block, values, weights), group)
+        picked, picked_values = _trial_seeds(
+            np.concatenate([np.arange(trial.size).repeat(REFINE_SEEDS), extra_scan]),
+            np.concatenate([np.tile(top_values, trial.size), extra_values]),
+            np.concatenate([np.tile(top_angles, trial.size), extra]),
+            trial.size,
+        )
+        seeds[side, trial], best[side, trial] = picked, picked_values[:, 0]
     return seeds, best
 
 

@@ -33,6 +33,7 @@ from .blaschke import (
     ZeroSequence,
     _in_row_blocks,
     _kernel_ratios,
+    _nearest_pair,
     as_targets,
 )
 from .criteria import CircleGrid, scan_circle, scan_columns
@@ -263,11 +264,9 @@ def interpolate_union(
 
     a_vals = b.zeros.values
     z_vals = c.zeros.values
-    cross = pairwise_rho(a_vals, z_vals)
-    if float(cross.min()) <= COINCIDENCE_TOL:
-        j, k = np.unravel_index(int(cross.argmin()), cross.shape)
+    sep, j, k = _nearest_pair(pairwise_rho(a_vals, z_vals))
+    if sep <= COINCIDENCE_TOL:
         raise ZeroCollision(f"shared zero: a_{j} coincides with z_{k}")
-    sep = float(cross.min())
     if sep < UNION_SEPARATION_FLOOR:
         raise SeparationTooSmall(
             f"separation {sep:.3e} below {UNION_SEPARATION_FLOOR:g}; "

@@ -30,8 +30,9 @@ __all__ = [
 DEPTH_CAP = 60
 
 # Seeds are plain 64-bit integers fed to numpy's Generator; identical seed
-# means an identical, bit-exact sample stream.
-Seed = Union[int, np.random.SeedSequence]
+# means an identical, bit-exact sample stream.  The SeedSequence is named as
+# a string so that importing this module does not import numpy.random.
+Seed = Union[int, "np.random.SeedSequence"]
 
 RESAMPLING_ROUNDS = 1000
 

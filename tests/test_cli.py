@@ -58,11 +58,16 @@ def write_json(path, payload) -> str:
 
 
 def malformed_argv(tmp_path, config=None, sequence_file=None, command="run") -> list:
-    """argv for one malformed input: a config run, or check on a sequence file."""
+    """argv for one malformed input: a config run, or a command on a sequence file.
+
+    command is "run", "check", or the argv of a command before its --sequence.
+    """
     points = sequence_file or {"points": [{"re": 0.1, "im": 0.0}, {"re": 0.0, "im": 0.5}]}
     seq_path = write_json(tmp_path / "seq.json", points)
     if command == "check":
         return ["check", "--sequence", seq_path, "--schedule", "1", "--grid-size", "256"]
+    if command != "run":
+        return [*command, "--sequence", seq_path, "--grid-size", "256"]
     if config is None:
         config = {"kind": "criteria", "inputs": {"sequence": {"path": seq_path}}, "N_schedule": [1]}
     return ["run", write_json(tmp_path / "config.json", config)]
@@ -499,6 +504,21 @@ class TestMainCommands:
         assert payload["results"]["max_residual"] <= 1e-8
         assert len(payload["tables"]["roots"]["rows"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            pytest.param(["interpolate", "--fill", "1,0.5"], "nodes", id="interpolate"),
+            pytest.param(["shift", "--point", "0.1,0"], "roots", id="shift"),
+        ],
+    )
+    def test_complex_table_cells_are_numbers(self, tmp_path, argv, table):
+        sequence = ["--generator", "radial_sequence", "--n", "3", "--grid-size", "256"]
+        assert cli.main(argv + sequence + ["--format", "csv", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{table}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert all(np.isfinite(float(cell)) for cell in row.split(","))
+
     def test_perturb_aggregates(self, capsys):
         rc = cli.main(
             [
@@ -572,27 +592,48 @@ class TestMainCommands:
 
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unused",
         [
-            ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
-            ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
-            ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.3", "--trials", "3", "--grid-size", "256"],
-            ["shift", "--generator", "frostman_example", "--n", "8", "--point", "0.3,0.1", "--grid-size", "256"],
+            pytest.param(
+                ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
+                ["numpy.ma", "numpy.random", "blaschke_lab.interpolation"],
+                id="check",
+            ),
+            pytest.param(
+                ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
+                ["numpy.ma", "numpy.random"],
+                id="interpolate",
+            ),
+            pytest.param(
+                ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.3", "--trials", "3",
+                 "--grid-size", "256"],
+                ["numpy.ma", "blaschke_lab.interpolation"],
+                id="perturb",
+            ),
+            pytest.param(
+                ["shift", "--generator", "frostman_example", "--n", "8", "--point", "0.3,0.1", "--grid-size", "256"],
+                ["numpy.ma", "numpy.random"],
+                id="shift",
+            ),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_commands_do_not_import_numpy_ma(self, argv):
-        # numpy.ma costs about 15 ms of import; np.unique is one way to pull it in
+    def test_commands_load_only_what_they_run(self, argv, unused):
+        # Each unused module costs start-up time in every run: numpy.ma about
+        # 15 ms (np.unique is one way to pull it in), numpy.random about
+        # 13 ms, interpolation its compile time.
         src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
         code = (
-            "import sys; from blaschke_lab import cli; rc = cli.main(sys.argv[1:]); "
-            "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(rc)"
+            "import json, sys; from blaschke_lab import cli; rc = cli.main(sys.argv[2:]); "
+            "print(json.dumps(sorted(set(json.loads(sys.argv[1])) & set(sys.modules))), file=sys.stderr); "
+            "sys.exit(rc)"
         )
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(unused), *argv], capture_output=True, text=True, env=env
+        )
         assert proc.returncode == 0
-        assert proc.stderr.splitlines()[-1] == "False"
+        assert json.loads(proc.stderr.splitlines()[-1]) == []
 
 
 class TestDeterminism:
@@ -742,6 +783,8 @@ class TestExitCodes:
             malformed("radius-not-a-number", kind_config("perturb", radius="big")),
             malformed("base_count-not-a-number", criteria_config(grid={"base_count": "big"})),
             malformed("seed-not-a-number", criteria_config(seed="s")),
+            malformed("seed-negative", {**kind_config("perturb", radius=0.1, trials=2), "seed": -1}),
+            malformed("seed-negative-flag", command=["nearby", "--seed", "-1"]),
             malformed("schedule-entry-not-a-number", criteria_config(N_schedule=["x"])),
             malformed("point-re-not-a-number", kind_config("shift", point={"re": "a", "im": 0})),
             malformed("fill-a-string", kind_config("interpolate", targets={"fill": "ab"})),
