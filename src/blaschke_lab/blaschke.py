@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DuplicatePoint, IndexOutOfRange
-from .geometry import CirclePoint, DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho
+from .geometry import CirclePoint, DiskPoint, PointLike, complex_vector, disk_values, one_minus_abs_sq, pairwise_rho
 
 __all__ = [
     "COINCIDENCE_TOL",
@@ -27,12 +27,15 @@ __all__ = [
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
 
-# Rows per block of _in_row_blocks, the one block size wherever a points x N
-# matrix is built: node cofactors (so carleson), evaluate, derivative, the
-# Lagrange basis and its scans, and the Frostman circle maxima.  frostman_sum
-# takes ROW_BLOCK points at a time; the perturbation reports take
-# ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and so
-# many (trial, index) rows of their pair envelopes.
+# Rows per block of _in_row_blocks: node cofactors (so carleson), evaluate,
+# derivative, the Lagrange basis and its scans, and the Frostman circle
+# maxima.  frostman_sum takes ROW_BLOCK points at a time; the perturbation
+# reports take ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden
+# scans, and so many (trial, index) rows of their pair envelopes.  These
+# still build a whole points x N matrix: the duplicate check and
+# min_separation of ZeroSequence, cohn_sum, dyakonov_sup, cross_modulus,
+# separation, kernel_bounds_check, interpolate_union's cross matrix and
+# nearby_iterate's transfer matrix.
 ROW_BLOCK = 64
 
 
@@ -43,7 +46,7 @@ def _nearest_pair(dist: np.ndarray) -> tuple[float, int, int]:
 
 
 class ZeroSequence(Sequence[DiskPoint]):
-    """An ordered list of pairwise distinct points of the unit disk.
+    """An ordered list of pairwise distinct points of the unit disk, held as one complex array.
 
     Points within pseudohyperbolic distance 1e-13 of each other are
     rejected as duplicates.  The empty sequence is allowed so that the
@@ -51,12 +54,13 @@ class ZeroSequence(Sequence[DiskPoint]):
     generators always produce at least one point.  A caller that already
     holds pairwise_rho of the points with an infinite diagonal passes it
     as separations, and the check reads it instead of building its own.
+    Indexing and iteration build DiskPoints on demand.
     """
 
-    __slots__ = ("_points", "_values", "_min_separation")
+    __slots__ = ("_values", "_min_separation")
 
     def __init__(self, points: Iterable[PointLike], separations: Optional[np.ndarray] = None):
-        self._adopt(tuple(as_point(p) for p in points))
+        self._adopt(disk_values(points))
         if len(self) > 1:
             nearest, j, k = _nearest_pair(self._separations() if separations is None else separations)
             if nearest <= COINCIDENCE_TOL:
@@ -65,12 +69,18 @@ class ZeroSequence(Sequence[DiskPoint]):
                 )
             self._min_separation = nearest
 
-    def _adopt(self, pts: tuple[DiskPoint, ...]) -> None:
-        """Hold pts without checking them; min_separation is left to compute on demand."""
-        self._points = pts
-        self._values = np.array([p.z for p in pts], dtype=complex)
-        self._values.setflags(write=False)
-        self._min_separation = math.inf if len(pts) < 2 else None
+    @classmethod
+    def _subset(cls, values: np.ndarray) -> "ZeroSequence":
+        """Points taken from a checked sequence, so distinct by construction: held without a check."""
+        part = cls.__new__(cls)
+        part._adopt(values)
+        return part
+
+    def _adopt(self, values: np.ndarray) -> None:
+        """Hold values without checking them; min_separation is left to compute on demand."""
+        values.setflags(write=False)
+        self._values = values
+        self._min_separation = math.inf if values.size < 2 else None
 
     def _separations(self) -> np.ndarray:
         dist = pairwise_rho(self._values, self._values)
@@ -79,7 +89,7 @@ class ZeroSequence(Sequence[DiskPoint]):
 
     @property
     def points(self) -> tuple[DiskPoint, ...]:
-        return self._points
+        return tuple(self)
 
     @property
     def values(self) -> np.ndarray:
@@ -90,25 +100,22 @@ class ZeroSequence(Sequence[DiskPoint]):
     def min_separation(self) -> float:
         """Smallest pairwise pseudohyperbolic distance (inf for fewer than 2 points).
 
-        A slice computes it on first access: a subset's value can be larger.
+        A subset computes it on first access: its value can be larger.
         """
         if self._min_separation is None:
             self._min_separation = float(self._separations().min())
         return self._min_separation
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._values.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            # a slice of a checked sequence is distinct by construction
-            part = ZeroSequence.__new__(ZeroSequence)
-            part._adopt(self._points[index])
-            return part
-        return self._points[index]
+            return ZeroSequence._subset(self._values[index])
+        return DiskPoint.from_complex(self._values[index])
 
     def __iter__(self):
-        return iter(self._points)
+        return map(DiskPoint.from_complex, self._values.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZeroSequence):
@@ -125,7 +132,7 @@ class TargetVector(Sequence[complex]):
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[complex]):
-        vals = np.array([complex(v) for v in values], dtype=complex)
+        vals = complex_vector(values)
         if vals.size and not np.all(np.isfinite(vals.view(float))):
             raise ValueError("target values must be finite")
         self._values = vals
@@ -322,8 +329,7 @@ class BlaschkeProduct:
     def cofactor(self, j: int) -> "BlaschkeProduct":
         """The product with zero j removed, same rotation."""
         j = self._check_index(j)
-        pts = self._zeros.points
-        return BlaschkeProduct(ZeroSequence(pts[:j] + pts[j + 1:]), self._rotation)
+        return BlaschkeProduct(ZeroSequence._subset(np.delete(self._zeros.values, j)), self._rotation)
 
     def carleson(self) -> CarlesonReport:
         """Uniform-separation quantities (1 - |a_j|^2) |B'(a_j)| and their infimum.

@@ -23,7 +23,7 @@ from . import criteria as crit
 from .blaschke import BlaschkeProduct, TargetVector, ZeroSequence
 from .criteria import CircleGrid
 from .errors import BlaschkeLabError, ConfigInvalid, IoFailure
-from .geometry import CirclePoint, DiskPoint
+from .geometry import CirclePoint, DiskPoint, disk_values
 from .sequences import frostman_example, perturb_sample, radial_sequence
 
 # interpolation is imported inside the pipelines that call it, so that check
@@ -59,7 +59,7 @@ def _read_json(path, what: str):
 
 
 def _sequence_text(seq: ZeroSequence, meta: dict) -> str:
-    payload = {"points": [{"re": p.re, "im": p.im} for p in seq], "meta": meta}
+    payload = {"points": [{"re": w.real, "im": w.imag} for w in seq.values.tolist()], "meta": meta}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -71,13 +71,16 @@ def load_sequence_file(path) -> tuple[ZeroSequence, dict]:
     raw = _read_json(path, "sequence file")
     _require_keys(raw, {"points"}, {"meta"}, context=str(path))
     points = []
-    for i, entry in enumerate(_list(raw["points"], f"{path} points")):
-        point = _check_section(_RE_IM, entry, f"{path} point {i}")
-        points.append(DiskPoint(point["re"], point["im"]))
+    try:
+        for i, entry in enumerate(_list(raw["points"], f"{path} points")):
+            point = _check_section(_RE_IM, entry, f"{path} point {i}")
+            points.append(complex(point["re"], point["im"]))
+    finally:  # a point outside the disk is reported before any later fault of the file
+        values = disk_values(points)
     meta = raw.get("meta", {})
     if not isinstance(meta, dict):
         raise ConfigInvalid(f"{path} meta: expected a mapping, got {type(meta).__name__}")
-    return ZeroSequence(points), dict(meta)
+    return ZeroSequence(values), dict(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,7 @@ def _number(cast, least: Optional[int] = None) -> Callable[[Any, str], Any]:
 _INT = _number(int)
 _FLOAT = _number(float)
 _POSITIVE_INT = _number(int, least=1)
+_NON_NEGATIVE_FLOAT = _number(float, least=0)
 _RE_IM = (Field("re", _FLOAT), Field("im", _FLOAT))
 
 
@@ -569,15 +573,11 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     # the fields are plain numbers, so a shallow copy equals asdict's deep one
     reports = [dict(vars(report)) for report in crit.perturbation_reports(pairs, radius, grid)]
 
+    envelopes = ((min, "D1"), (max, "D2"), (min, "C1"), (max, "C2"), (min, "C3"), (min, "C4"))
     aggregate = {
         "trials": trials,
         "total_violations": int(sum(r["violations"] for r in reports)),
-        "min_D1": min(r["empirical_D1"] for r in reports),
-        "max_D2": max(r["empirical_D2"] for r in reports),
-        "min_C1": min(r["empirical_C1"] for r in reports),
-        "max_C2": max(r["empirical_C2"] for r in reports),
-        "min_C3": min(r["empirical_C3"] for r in reports),
-        "min_C4": min(r["empirical_C4"] for r in reports),
+        **{f"{pick.__name__}_{c}": pick(r[f"empirical_{c}"] for r in reports) for pick, c in envelopes},
         "C_r": reports[0]["C_r"],
     }
     # table column -> perturbation report key
@@ -658,7 +658,8 @@ _TARGETS, _TARGETS_B = (
           to_raw=(_values_file, lambda text, args: {"fill": text.split(",")}))
     for key, suffix in (("targets", ""), ("targets_b", "-b"))
 )
-_MIN_SEP = Field("min_sep", _FLOAT, None, ("--min-sep",), "separation floor of the perturbed points")
+_MIN_SEP = Field("min_sep", _NON_NEGATIVE_FLOAT, None, ("--min-sep",),
+                 "separation floor of the perturbed points")
 
 # kind -> (subcommand, its help, pipeline, input fields in echo order)
 _KINDS = {
@@ -678,7 +679,7 @@ _KINDS = {
         _TARGETS,
         Field("radius_scale", _FLOAT, 0.8, ("--radius-scale",),
               "perturbation radius as a fraction of the contraction threshold"),
-        Field("max_iter", _INT, 30, ("--max-iter",), "correction steps allowed"),
+        Field("max_iter", _POSITIVE_INT, 30, ("--max-iter",), "correction steps allowed"),
         _MIN_SEP,
     )),
     "perturb": ("perturb", "Monte Carlo perturbation inequality report", _run_perturb, (
@@ -705,7 +706,7 @@ _SCHEDULE = Field("N_schedule", _schedule, [], ("--schedule",),
                   "comma-separated truncation depths, e.g. 10,20,40 (default: full length)",
                   to_raw=(lambda text, args: [n for n in text.split(",") if n.strip()],))
 _TOLERANCES = Field("tolerances", None, {}, fields=(
-    Field("tol", _FLOAT, 1e-8, ("--tol",), "iteration residual tolerance"),
+    Field("tol", _NON_NEGATIVE_FLOAT, 1e-8, ("--tol",), "iteration residual tolerance"),
 ))
 
 

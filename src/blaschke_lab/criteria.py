@@ -311,19 +311,18 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     )
 
 
+def _indexed(name: str, rows: np.ndarray, pick: Callable[[np.ndarray], int] = np.argmax) -> CriterionReport:
+    """The report of the entry of rows that pick selects (the first maximum by default), witnessed by its index."""
+    k = int(pick(rows))
+    return CriterionReport(name=name, value=float(rows[k]), argmax_or_argmin=k, per_index=tuple(rows.tolist()))
+
+
 def cohn_sum(a_seq: ZeroSequence) -> CriterionReport:
     """Supremum over the sequence itself of sum_k (1 - |a_k|) / |1 - conj(a_k) a_n|."""
     values = a_seq.values
     weights = 1.0 - np.abs(values)
     kernels = np.abs(1.0 - np.conj(values)[None, :] * values[:, None])
-    rows = np.sum(weights[None, :] / kernels, axis=1)
-    n = int(np.argmax(rows))
-    return CriterionReport(
-        name="cohn",
-        value=float(rows[n]),
-        argmax_or_argmin=n,
-        per_index=tuple(float(x) for x in rows),
-    )
+    return _indexed("cohn", np.sum(weights[None, :] / kernels, axis=1))
 
 
 def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
@@ -342,14 +341,7 @@ def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
     inner = alpha.values[None, :] / (
         derivs[None, :] * (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
     )
-    rows = np.abs(np.sum(inner, axis=1))
-    k = int(np.argmax(rows))
-    return CriterionReport(
-        name="dyakonov",
-        value=float(rows[k]),
-        argmax_or_argmin=k,
-        per_index=tuple(float(x) for x in rows),
-    )
+    return _indexed("dyakonov", np.abs(np.sum(inner, axis=1)))
 
 
 def vasyunin_sum(a_seq: ZeroSequence) -> float:
@@ -364,14 +356,7 @@ def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
         nearest, j, k = _nearest_pair(pairwise_rho(z_seq.values, b.zeros.values))
         if nearest <= COINCIDENCE_TOL:
             raise ZeroCollision(f"z_{j} coincides with zero {k} of the product")
-    moduli = np.abs(b.evaluate(z_seq.values))
-    j = int(np.argmin(moduli))
-    return CriterionReport(
-        name="cross_modulus",
-        value=float(moduli[j]),
-        argmax_or_argmin=j,
-        per_index=tuple(float(m) for m in moduli),
-    )
+    return _indexed("cross_modulus", np.abs(b.evaluate(z_seq.values)), np.argmin)
 
 
 def separation(paired: PairedSequences) -> CriterionReport:
@@ -388,14 +373,7 @@ def separation(paired: PairedSequences) -> CriterionReport:
 
 def nearness(paired: PairedSequences) -> CriterionReport:
     """Exact sup over n of rho(a_n, z_n), with the witness index."""
-    dist = paired.index_distances
-    n = int(np.argmax(dist))
-    return CriterionReport(
-        name="nearness",
-        value=float(dist[n]),
-        argmax_or_argmin=n,
-        per_index=tuple(float(x) for x in dist),
-    )
+    return _indexed("nearness", paired.index_distances)
 
 
 class _ZeroSets(NamedTuple):

@@ -61,13 +61,9 @@ class DiskPoint:
     im: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise PointOutsideDisk(f"non-finite point ({self.re}, {self.im})")
-        if abs(complex(self.re, self.im)) >= 1.0 - BOUNDARY_MARGIN:
-            raise PointOutsideDisk(
-                f"|z| = {abs(complex(self.re, self.im)):.17g} is not strictly "
-                f"inside the unit disk (margin {BOUNDARY_MARGIN:g})"
-            )
+        finite = math.isfinite(self.re) and math.isfinite(self.im)
+        if not (finite and abs(complex(self.re, self.im)) < 1.0 - BOUNDARY_MARGIN):
+            raise _outside_disk(self.re, self.im)
 
     @classmethod
     def from_complex(cls, w: complex) -> "DiskPoint":
@@ -133,11 +129,43 @@ class EuclideanDisk:
         return self.center + self.radius * np.exp(1j * angles)
 
 
+def _outside_disk(re, im) -> PointOutsideDisk:
+    """The error for the point (re, im), which is not strictly inside the disk."""
+    if not (math.isfinite(re) and math.isfinite(im)):
+        return PointOutsideDisk(f"non-finite point ({re}, {im})")
+    return PointOutsideDisk(
+        f"|z| = {abs(complex(re, im)):.17g} is not strictly inside the unit disk (margin {BOUNDARY_MARGIN:g})"
+    )
+
+
 def as_point(value: PointLike) -> DiskPoint:
     """Coerce a complex-like value to a validated DiskPoint."""
     if isinstance(value, DiskPoint):
         return value
     return DiskPoint.from_complex(complex(value))
+
+
+def complex_vector(values: Iterable[complex]) -> np.ndarray:
+    """values as a new 1-D complex array, with the bits of complex(v) for each v."""
+    vector = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=complex)
+    if vector.ndim != 1:
+        raise TypeError(f"expected a flat list of values, got an array of shape {vector.shape}")
+    return vector
+
+
+def disk_values(points: Iterable[PointLike]) -> np.ndarray:
+    """The points as a new complex array, checked at once by DiskPoint's rule and error.
+
+    np.hypot of the parts is what Python's abs of a complex computes (np.abs
+    can differ in the last bit), so every decision is DiskPoint's.
+    """
+    values = complex_vector(points)
+    re, im = values.real, values.imag
+    outside = ~(np.isfinite(re) & np.isfinite(im) & (np.hypot(re, im) < 1.0 - BOUNDARY_MARGIN))
+    if outside.any():
+        first = int(outside.argmax())
+        raise _outside_disk(float(re[first]), float(im[first]))
+    return values
 
 
 def one_minus_abs_sq(values) -> np.ndarray:
@@ -253,8 +281,8 @@ def kernel_bounds_check(
     Raises PrecisionViolation if any bound fails by more than 1e-12, which
     signals a bug rather than bad input.
     """
-    a = np.asarray([as_point(p).z for p in a_points], dtype=complex)
-    z = np.asarray([as_point(p).z for p in z_points], dtype=complex)
+    a = disk_values(a_points)
+    z = disk_values(z_points)
     if a.size == 0 or z.size == 0:
         raise ValueError("both point sets must be nonempty")
     if not 0.0 < r:

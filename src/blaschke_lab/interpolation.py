@@ -45,7 +45,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import DiskPoint, PointLike, as_point, one_minus_abs_sq, pairwise_rho, wrap_angle
+from .geometry import PointLike, as_point, one_minus_abs_sq, pairwise_rho, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -420,11 +420,6 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
 
     roots = np.linalg.eigvals(_clark_matrix(b, target))
 
-    def _residual(w: complex) -> float:
-        if abs(w) > 1.0:
-            return math.inf
-        return abs(b.evaluate(w) - target)
-
     polished = []
     for root in roots:
         w = complex(root)
@@ -443,7 +438,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
             w = candidate
         polished.append(w)
 
-    residuals = [_residual(w) for w in polished]
+    residuals = [abs(b.evaluate(w) - target) if abs(w) <= 1.0 else math.inf for w in polished]
     bad = [i for i, res in enumerate(residuals) if res > ROOT_RESIDUAL_TOL or abs(polished[i]) >= 1.0]
     if bad:
         raise RootVerificationFailed(
@@ -455,9 +450,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
         arg = cmath.phase(w)
         return (0.0 if abs(arg) < ROOT_ARG_TOL else wrap_angle(arg), abs(w))
 
-    order = sorted(range(degree), key=lambda i: _sort_key(polished[i]))
     try:
-        points = [DiskPoint.from_complex(polished[i]) for i in order]
+        return ZeroSequence(sorted(polished, key=_sort_key))
     except PointOutsideDisk as exc:
         raise RootVerificationFailed(f"root grazes the boundary guard: {exc}") from exc
-    return ZeroSequence(points)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import TargetVector, ZeroSequence, as_targets
 from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
-from .geometry import DiskPoint, _euclidean_disks, elementwise_rho, pairwise_rho
+from .geometry import _euclidean_disks, elementwise_rho, pairwise_rho
 
 __all__ = [
     "DEPTH_CAP",
@@ -83,12 +83,9 @@ def frostman_example(n: int) -> ZeroSequence:
     even though the radii accumulate at the circle.
     """
     _check_depth(n)
-    points = []
-    for k in range(1, n + 1):
-        radius = 1.0 - 0.5**k
-        phase = (2.0**k) / (3.0**k)
-        points.append(_deep_point(radius * math.cos(phase), radius * math.sin(phase), n))
-    return ZeroSequence(points)
+    radii = [1.0 - 0.5**k for k in range(1, n + 1)]
+    phases = [(2.0**k) / (3.0**k) for k in range(1, n + 1)]
+    return _generated([complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, phases)], n)
 
 
 def radial_sequence(q: float, n: int, arg: float = 0.0) -> ZeroSequence:
@@ -97,12 +94,7 @@ def radial_sequence(q: float, n: int, arg: float = 0.0) -> ZeroSequence:
         raise ValueError(f"ratio q = {q} must lie in (0, 1)")
     _check_depth(n)
     phase = complex(math.cos(arg), math.sin(arg))
-    points = []
-    for k in range(1, n + 1):
-        radius = 1.0 - q**k
-        w = radius * phase
-        points.append(_deep_point(w.real, w.imag, n))
-    return ZeroSequence(points)
+    return _generated([(1.0 - q**k) * phase for k in range(1, n + 1)], n)
 
 
 def _check_depth(n: int) -> None:
@@ -114,9 +106,9 @@ def _check_depth(n: int) -> None:
         )
 
 
-def _deep_point(re: float, im: float, n: int) -> DiskPoint:
+def _generated(points: list[complex], n: int) -> ZeroSequence:
     try:
-        return DiskPoint(re, im)
+        return ZeroSequence(points)
     except PointOutsideDisk as exc:
         raise TruncationTooDeep(
             f"depth {n} reaches the near-boundary guard: {exc}"
@@ -130,10 +122,9 @@ def interlace(a_seq: ZeroSequence, z_seq: ZeroSequence) -> ZeroSequence:
     """
     if len(a_seq) != len(z_seq):
         raise ValueError("interlace requires equal lengths")
-    merged = []
-    for a, z in zip(a_seq, z_seq):
-        merged.append(a)
-        merged.append(z)
+    merged = np.empty(2 * len(a_seq), dtype=complex)
+    merged[0::2] = a_seq.values
+    merged[1::2] = z_seq.values
     return ZeroSequence(merged)
 
 
@@ -152,7 +143,7 @@ def interlace_targets(alpha: TargetVector, beta: TargetVector) -> TargetVector:
 def deinterlace(merged: ZeroSequence) -> tuple[ZeroSequence, ZeroSequence]:
     if len(merged) % 2:
         raise ValueError("deinterlace requires an even-length sequence")
-    return ZeroSequence(merged.values[0::2]), ZeroSequence(merged.values[1::2])
+    return ZeroSequence._subset(merged.values[0::2]), ZeroSequence._subset(merged.values[1::2])
 
 
 def deinterlace_targets(merged: TargetVector) -> tuple[TargetVector, TargetVector]:

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blaschke_lab import (
+    BOUNDARY_MARGIN,
     BlaschkeProduct,
     CircleGrid,
     DiskPoint,
     DuplicatePoint,
     IndexOutOfRange,
+    PointOutsideDisk,
     TargetVector,
     ZeroSequence,
     as_targets,
@@ -24,7 +26,54 @@ from blaschke_lab import blaschke, criteria
 from tests.conftest import deep_tolerance, mp_product, random_deep_sequence, random_separated
 
 
+MARGIN_EDGE = 1.0 - BOUNDARY_MARGIN
+
+
+def _ulps(x: float, k: int) -> float:
+    return x + k * math.ulp(x)
+
+
+# Points within a few ulps of |z| = 1 - BOUNDARY_MARGIN, and points with a
+# non-finite part.
+EDGE_POINTS = st.one_of(
+    st.builds(
+        lambda t, i, j: complex(_ulps(MARGIN_EDGE * math.cos(t), i), _ulps(MARGIN_EDGE * math.sin(t), j)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.integers(-8, 8),
+        st.integers(-8, 8),
+    ),
+    st.builds(complex, *[st.one_of(st.floats(-1.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))] * 2),
+)
+
+
+def _refusal(make, z):
+    """The PointOutsideDisk text make(z) raises, or None if it accepts z."""
+    try:
+        make(z)
+    except PointOutsideDisk as exc:
+        return str(exc)
+    return None
+
+
 class TestZeroSequence:
+    # With numpy 2 on x86-64, np.abs of these points falls on the other side of
+    # the margin from abs: an array modulus other than np.hypot would err here.
+    @example(complex(0.02207172033546026, -0.9997563899077769))
+    @example(complex(0.2882984376347221, 0.9575406053308527))
+    @example(complex(-0.19895775237236957, 0.9800080677070637))
+    @example(complex(0.9881838987713317, 0.15327290109177313))
+    @given(EDGE_POINTS)
+    def test_disk_rule_is_disk_points(self, z):
+        assert _refusal(lambda w: ZeroSequence([w]), z) == _refusal(DiskPoint.from_complex, z)
+
+    @given(st.lists(EDGE_POINTS, min_size=2, max_size=6))
+    def test_first_point_outside_is_named(self, points):
+        refusals = [_refusal(DiskPoint.from_complex, z) for z in points]
+        assume(any(refusals))
+        first = next(text for text in refusals if text is not None)
+        assert _refusal(ZeroSequence, points) == first
+        assert _refusal(ZeroSequence, np.array(points)) == first
+
     def test_construction_and_access(self):
         seq = ZeroSequence([0.1, DiskPoint(0.2, 0.3), -0.4j])
         assert len(seq) == 3
@@ -110,6 +159,22 @@ class TestTargetVector:
         u = TargetVector([0.5j, -1.0])
         assert (t + u) == TargetVector([1.0 + 0.5j, 1.0])
         assert (2.0 * t) == TargetVector([2.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, tuple, lambda v: (x for x in v), np.array, lambda v: TargetVector(v), lambda v: np.array(v, np.complex64)],
+        ids=["list", "tuple", "generator", "ndarray", "TargetVector", "complex64"],
+    )
+    def test_coercion_keeps_the_bits_of_complex(self, make):
+        values = [1, -0.0, 0.1, complex(-0.0, -0.0), 2.5 - 1e-300j, np.float32(0.1), np.complex64(1 + 0.1j), True]
+        expected = np.array([complex(v) for v in make(values)], dtype=complex)
+        assert TargetVector(make(values)).values.tobytes() == expected.tobytes()
+
+    def test_does_not_hold_the_callers_array(self):
+        given_values = np.array([0.25, 0.5j])
+        targets, zeros = TargetVector(given_values), ZeroSequence(given_values)
+        given_values[0] = 0.75
+        assert targets[0] == 0.25 and zeros.values[0] == 0.25
 
     def test_as_targets_passthrough(self):
         t = TargetVector([1.0])

@@ -715,6 +715,27 @@ class TestDeterminism:
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--generator", "frostman_example", "--n", "12", "--schedule", "6,12"],
+        ["check", "--sequence", None, "--schedule", "2,4"],
+        ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.05", "--trials", "3"],
+        ["perturb", "--sequence", None, "--radius", "0.05", "--trials", "3"],
+    ],
+    ids=["check-generator", "check-file", "perturb-generator", "perturb-file"],
+)
+def test_check_and_perturb_build_no_disk_point(tmp_path, monkeypatch, argv):
+    path = tmp_path / "seq.json"
+    write_sequence_file(path, ZeroSequence([0.1, -0.3 + 0.2j, 0.5j, 0.7 - 0.1j]))
+    built = []
+    validate = DiskPoint.__post_init__
+    monkeypatch.setattr(DiskPoint, "__post_init__", lambda self: built.append(self) or validate(self))
+    argv = [str(path) if arg is None else arg for arg in argv]
+    assert cli.main(argv + ["--grid-size", "256", "--out", str(tmp_path / "report.json")]) == 0
+    assert built == []
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -780,6 +801,12 @@ class TestExitCodes:
                 kind_config("interpolate", {"generator": "radial_sequence", "params": {"N": "x"}}),
             ),
             malformed("max_iter-not-a-number", kind_config("nearby", max_iter="many")),
+            malformed("max_iter-zero", kind_config("nearby", max_iter=0)),
+            malformed("max_iter-zero-flag", command=["nearby", "--max-iter", "0"]),
+            malformed("tol-negative", {**kind_config("nearby"), "tolerances": {"tol": -1}}),
+            malformed("tol-negative-flag", command=["nearby", "--tol", "-1"]),
+            malformed("min_sep-negative", kind_config("perturb", radius=0.1, min_sep=-1)),
+            malformed("min_sep-negative-flag", command=["perturb", "--radius", "0.1", "--min-sep", "-1"]),
             malformed("radius-not-a-number", kind_config("perturb", radius="big")),
             malformed("base_count-not-a-number", criteria_config(grid={"base_count": "big"})),
             malformed("seed-not-a-number", criteria_config(seed="s")),
