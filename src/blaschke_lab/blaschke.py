@@ -32,17 +32,24 @@ COINCIDENCE_TOL = 1e-13
 # maxima.  frostman_sum takes ROW_BLOCK points at a time; the perturbation
 # reports take ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden
 # scans, and so many (trial, index) rows of their pair envelopes.  These
-# still build a whole points x N matrix: the duplicate check and
-# min_separation of ZeroSequence, cohn_sum, dyakonov_sup, cross_modulus,
-# separation, kernel_bounds_check, interpolate_union's cross matrix and
-# nearby_iterate's transfer matrix.
+# still build a whole points x N matrix: cohn_sum, dyakonov_sup,
+# kernel_bounds_check, nearby_iterate's transfer matrix and _nearest_pair,
+# which answers every closest-pair question.  It is not blocked yet: the
+# whole matrix it frees at load raises glibc's dynamic mmap threshold, so
+# the Lagrange blocks that follow reuse heap memory instead of each being
+# mapped and unmapped.
 ROW_BLOCK = 64
 
 
-def _nearest_pair(dist: np.ndarray) -> tuple[float, int, int]:
-    """The minimum of a rho matrix and the (j, k) of its first occurrence."""
-    j, k = np.unravel_index(int(dist.argmin()), dist.shape)
-    return float(dist[j, k]), int(j), int(k)
+def _nearest_pair(a: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, int, int, np.ndarray]:
+    """Least rho(a_j, z_k), its first (j, k) in row-major order, and each row's least (z None: z = a, j != k)."""
+    dist = pairwise_rho(a, a if z is None else z)
+    if z is None:
+        np.fill_diagonal(dist, np.inf)
+    least = dist.min(axis=1)
+    j = int(least.argmin())
+    k = int(dist[j].argmin())
+    return float(dist[j, k]), j, k, least
 
 
 class ZeroSequence(Sequence[DiskPoint]):
@@ -51,22 +58,18 @@ class ZeroSequence(Sequence[DiskPoint]):
     Points within pseudohyperbolic distance 1e-13 of each other are
     rejected as duplicates.  The empty sequence is allowed so that the
     cofactor of a degree-one product (a constant) is representable;
-    generators always produce at least one point.  A caller that already
-    holds pairwise_rho of the points with an infinite diagonal passes it
-    as separations, and the check reads it instead of building its own.
-    Indexing and iteration build DiskPoints on demand.
+    generators always produce at least one point.  Indexing and iteration
+    build DiskPoints on demand.
     """
 
     __slots__ = ("_values", "_min_separation")
 
-    def __init__(self, points: Iterable[PointLike], separations: Optional[np.ndarray] = None):
+    def __init__(self, points: Iterable[PointLike]):
         self._adopt(disk_values(points))
         if len(self) > 1:
-            nearest, j, k = _nearest_pair(self._separations() if separations is None else separations)
+            nearest, j, k, _ = _nearest_pair(self._values)
             if nearest <= COINCIDENCE_TOL:
-                raise DuplicatePoint(
-                    f"points {j} and {k} coincide (rho = {nearest:.3e})"
-                )
+                raise DuplicatePoint(f"points {j} and {k} coincide (rho = {nearest:.3e})")
             self._min_separation = nearest
 
     @classmethod
@@ -81,11 +84,6 @@ class ZeroSequence(Sequence[DiskPoint]):
         values.setflags(write=False)
         self._values = values
         self._min_separation = math.inf if values.size < 2 else None
-
-    def _separations(self) -> np.ndarray:
-        dist = pairwise_rho(self._values, self._values)
-        np.fill_diagonal(dist, np.inf)
-        return dist
 
     @property
     def points(self) -> tuple[DiskPoint, ...]:
@@ -103,7 +101,7 @@ class ZeroSequence(Sequence[DiskPoint]):
         A subset computes it on first access: its value can be larger.
         """
         if self._min_separation is None:
-            self._min_separation = float(self._separations().min())
+            self._min_separation = _nearest_pair(self._values)[0]
         return self._min_separation
 
     def __len__(self) -> int:
@@ -123,7 +121,7 @@ class ZeroSequence(Sequence[DiskPoint]):
         return len(self) == len(other) and bool(np.array_equal(self._values, other._values))
 
     def __repr__(self) -> str:
-        return f"ZeroSequence({list(self._values)!r})"
+        return f"ZeroSequence({self._values.tolist()!r})"
 
 
 class TargetVector(Sequence[complex]):
@@ -167,7 +165,7 @@ class TargetVector(Sequence[complex]):
         return bool(np.array_equal(self._values, other._values))
 
     def __repr__(self) -> str:
-        return f"TargetVector({list(self._values)!r})"
+        return f"TargetVector({self._values.tolist()!r})"
 
 
 def as_targets(values: Union[TargetVector, Iterable[complex]]) -> TargetVector:

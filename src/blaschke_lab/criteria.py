@@ -40,7 +40,7 @@ from .blaschke import (
     as_targets,
 )
 from .errors import NearnessExceeded, ZeroCollision
-from .geometry import TWO_PI, CirclePoint, elementwise_rho, one_minus_abs_sq, pairwise_rho, wrap_angle
+from .geometry import TWO_PI, CirclePoint, elementwise_rho, one_minus_abs_sq, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -353,7 +353,7 @@ def vasyunin_sum(a_seq: ZeroSequence) -> float:
 def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
     """Smallest modulus of B over the other sequence: eta-hat = inf_j |B(z_j)|."""
     if b.degree and len(z_seq):
-        nearest, j, k = _nearest_pair(pairwise_rho(z_seq.values, b.zeros.values))
+        nearest, j, k, _ = _nearest_pair(z_seq.values, b.zeros.values)
         if nearest <= COINCIDENCE_TOL:
             raise ZeroCollision(f"z_{j} coincides with zero {k} of the product")
     return _indexed("cross_modulus", np.abs(b.evaluate(z_seq.values)), np.argmin)
@@ -361,14 +361,8 @@ def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
 
 def separation(paired: PairedSequences) -> CriterionReport:
     """Exact inf over all pairs (j, k) of rho(a_j, z_k), with the witness pair."""
-    dist = pairwise_rho(paired.A.values, paired.Z.values)
-    value, j, k = _nearest_pair(dist)
-    return CriterionReport(
-        name="separation",
-        value=value,
-        argmax_or_argmin=(j, k),
-        per_index=tuple(float(x) for x in dist.min(axis=1)),
-    )
+    value, j, k, least = _nearest_pair(paired.A.values, paired.Z.values)
+    return CriterionReport(name="separation", value=value, argmax_or_argmin=(j, k), per_index=tuple(least.tolist()))
 
 
 def nearness(paired: PairedSequences) -> CriterionReport:

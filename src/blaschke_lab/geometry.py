@@ -289,7 +289,9 @@ def kernel_bounds_check(
         raise ValueError(f"hyperbolic radius {r} must be positive")
 
     rho_mat = pairwise_rho(a, z)
-    sup_beta = float(np.max(np.arctanh(np.clip(rho_mat, 0.0, 1.0 - 1e-18))))
+    # rho near the circle can round to 1 or above it: capped, that is distance inf, not NaN.
+    with np.errstate(divide="ignore"):
+        sup_beta = float(np.max(np.arctanh(np.minimum(rho_mat, 1.0))))
     if sup_beta > r * (1.0 + 1e-12) + 1e-12:
         raise ValueError(
             f"pair at hyperbolic distance {sup_beta:.17g} exceeds the stated radius {r:.17g}"

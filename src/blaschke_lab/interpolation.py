@@ -45,7 +45,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import PointLike, as_point, one_minus_abs_sq, pairwise_rho, wrap_angle
+from .geometry import PointLike, as_point, one_minus_abs_sq, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -264,7 +264,7 @@ def interpolate_union(
 
     a_vals = b.zeros.values
     z_vals = c.zeros.values
-    sep, j, k = _nearest_pair(pairwise_rho(a_vals, z_vals))
+    sep, j, k, _ = _nearest_pair(a_vals, z_vals)
     if sep <= COINCIDENCE_TOL:
         raise ZeroCollision(f"shared zero: a_{j} coincides with z_{k}")
     if sep < UNION_SEPARATION_FLOOR:

@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .blaschke import TargetVector, ZeroSequence, as_targets
+from .blaschke import TargetVector, ZeroSequence, _nearest_pair, as_targets
 from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
 from .geometry import _euclidean_disks, elementwise_rho, pairwise_rho
 
@@ -69,7 +69,7 @@ class PairedSequences:
     @property
     def separation(self) -> float:
         """inf over all pairs (j, k) of rho(a_j, z_k); the diagonal counts."""
-        return float(np.min(pairwise_rho(self.A.values, self.Z.values)))
+        return _nearest_pair(self.A.values, self.Z.values)[0]
 
     @property
     def z_self_separation(self) -> float:
@@ -186,13 +186,16 @@ def perturb_sample(
         draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
         if np.max(np.diag(pairwise_rho(a_seq.values, draws))) > r:
             continue
-        sep = pairwise_rho(draws, draws)
-        np.fill_diagonal(sep, np.inf)
-        if count > 1 and float(sep.min()) < min_sep:
-            continue
         try:
-            z_seq = ZeroSequence(draws, separations=sep)
+            z_seq = ZeroSequence(draws)
         except DuplicatePoint:
+            continue
+        except PointOutsideDisk:
+            # Only a draw that would be kept must lie inside the margin.
+            if _nearest_pair(draws)[0] < min_sep:
+                continue
+            raise
+        if z_seq.min_separation < min_sep:
             continue
         return PairedSequences(A=a_seq, Z=z_seq)
 

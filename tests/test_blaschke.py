@@ -81,26 +81,12 @@ class TestZeroSequence:
         assert np.allclose(seq.values, [0.1, 0.2 + 0.3j, -0.4j])
 
     def test_rejects_exact_duplicate(self):
-        with pytest.raises(DuplicatePoint):
+        with pytest.raises(DuplicatePoint, match=r"points 0 and 2 coincide \(rho = 0\.000e\+00\)"):
             ZeroSequence([0.3, 0.1j, 0.3])
 
     def test_rejects_near_duplicate(self):
         with pytest.raises(DuplicatePoint):
             ZeroSequence([0.3, 0.3 + 1e-14])
-
-    def test_given_separations_are_read_as_its_own(self):
-        points = np.array([0.3, 0.1j, 0.3 + 1e-14, -0.5])
-        dist = pairwise_rho(points, points)
-        np.fill_diagonal(dist, np.inf)
-        with pytest.raises(DuplicatePoint) as own:
-            ZeroSequence(points)
-        with pytest.raises(DuplicatePoint) as supplied:
-            ZeroSequence(points, separations=dist)
-        assert str(supplied.value) == str(own.value)
-        distinct = np.delete(points, 2)
-        dist = pairwise_rho(distinct, distinct)
-        np.fill_diagonal(dist, np.inf)
-        assert ZeroSequence(distinct, separations=dist).min_separation == ZeroSequence(distinct).min_separation
 
     def test_accepts_close_but_distinct(self):
         seq = ZeroSequence([0.3, 0.3 + 1e-12])
@@ -142,6 +128,58 @@ class TestZeroSequence:
         with pytest.raises(ValueError):
             seq.values[0] = 0.9
 
+    @pytest.mark.parametrize("values", [[], [0.1], [0.1, -0.25j, 0.3 - 0.4j, 1e-300 + 0.7j]])
+    def test_repr_evaluates_to_an_equal_sequence(self, values):
+        seq = ZeroSequence(values)
+        assert eval(repr(seq), {"ZeroSequence": ZeroSequence}) == seq
+
+
+# A few points of the disk; arrays drawn from them repeat points, so equal
+# distances (ties) are exact.
+POINT_POOLS = st.lists(
+    st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)), st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _first_least_pair(dist: np.ndarray, skip_diagonal: bool):
+    """The least entry of dist, its first (j, k) in row-major order and every row's least, by double loop."""
+    value, witness, minima = math.inf, None, []
+    for j in range(dist.shape[0]):
+        row_least = math.inf
+        for k in range(dist.shape[1]):
+            if skip_diagonal and j == k:
+                continue
+            row_least = min(row_least, dist[j, k])
+            if witness is None or dist[j, k] < value:
+                value, witness = dist[j, k], (j, k)
+        minima.append(row_least)
+    return float(value), witness, np.array(minima)
+
+
+class TestNearestPair:
+    @given(st.data(), st.booleans())
+    @settings(max_examples=200)
+    def test_is_the_first_least_pair(self, data, square):
+        pool = data.draw(POINT_POOLS)
+
+        def drawn(least):
+            return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=least, max_size=6)), dtype=complex)
+
+        a = drawn(2 if square else 1)
+        z = None if square else drawn(1)
+        value, j, k, row_minima = blaschke._nearest_pair(a, z)
+        dist = pairwise_rho(a, a if square else z)
+        expected, witness, minima = _first_least_pair(dist, skip_diagonal=square)
+        assert (value, (j, k)) == (expected, witness)
+        assert row_minima.tobytes() == minima.tobytes()
+
+    def test_planted_tie_goes_to_the_first_pair(self):
+        p, q = 0.3 + 0.1j, -0.2j
+        assert blaschke._nearest_pair(np.array([q, p, 0.9, p, q]))[1:3] == (0, 4)
+        assert blaschke._nearest_pair(np.array([0.5, p, p]), np.array([0.0, p, p]))[1:3] == (1, 1)
+
 
 class TestTargetVector:
     def test_basics(self):
@@ -153,6 +191,11 @@ class TestTargetVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TargetVector([1.0, complex(math.nan, 0.0)])
+
+    @pytest.mark.parametrize("values", [[], [2.0], [1.0, -2j, 0.1 + 1e300j]])
+    def test_repr_evaluates_to_an_equal_vector(self, values):
+        targets = TargetVector(values)
+        assert eval(repr(targets), {"TargetVector": TargetVector}) == targets
 
     def test_arithmetic(self):
         t = TargetVector([1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,15 @@ class TestKernelBounds:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             kernel_bounds_check([], [0.1], 1.0)
+
+    @pytest.mark.parametrize("depth", [1e-9, 1e-12])
+    def test_pair_whose_rho_rounds_to_one_is_rejected_without_a_warning(self, depth):
+        a, z = 1.0 - depth, -(1.0 - depth)
+        assert pairwise_rho([a], [z])[0, 0] >= 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hyperbolic distance inf"):
+                kernel_bounds_check([a], [z], 1.0)
 
     def test_monte_carlo_paired_samples(self):
         for seed in range(40):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from blaschke_lab import (
+    BOUNDARY_MARGIN,
     DuplicatePoint,
     PairedSequences,
     SamplingExhausted,
@@ -21,6 +23,7 @@ from blaschke_lab import (
     radial_sequence,
     rho,
 )
+from blaschke_lab import blaschke, geometry
 from blaschke_lab import sequences as seq_mod
 from tests.conftest import random_separated
 
@@ -160,6 +163,26 @@ class TestInterlace:
             assert BlaschkeProduct(merged).carleson().delta > 0.0
 
 
+def _draw_rounds(a, r, seed):
+    """perturb_sample's draws, round by round, with each disk built by pseudo_disk_to_euclidean."""
+    disks = [pseudo_disk_to_euclidean(p, r) for p in a]
+    centers = np.array([d.center for d in disks], dtype=complex)
+    radii = np.array([d.radius for d in disks])
+    rng = np.random.default_rng(seed)
+    while True:
+        u, t = rng.random(len(a)), rng.random(len(a))
+        yield centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
+
+
+def _replayed(a, r, seed, min_sep):
+    """perturb_sample's rejection loop: the kept draws, their rho matrix and the number of rounds."""
+    for rounds, draws in enumerate(_draw_rounds(a, r, seed), 1):
+        sep = pairwise_rho(draws, draws)
+        np.fill_diagonal(sep, np.inf)
+        if np.max(np.diag(pairwise_rho(a.values, draws))) <= r and sep.min() >= min_sep:
+            return draws, sep, rounds
+
+
 class TestPerturbSample:
     def test_nearness_bounded_by_radius(self):
         a = random_separated(4, 6, min_rho=0.3)
@@ -194,23 +217,47 @@ class TestPerturbSample:
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_draws_are_those_of_the_disks_one_point_at_a_time(self, seed):
-        # the rejection loop replayed with each disk built by pseudo_disk_to_euclidean
-        a = frostman_example(20)
-        r, min_sep = 0.3, 0.01
-        disks = [pseudo_disk_to_euclidean(p, r) for p in a]
-        centers = np.array([d.center for d in disks], dtype=complex)
-        radii = np.array([d.radius for d in disks])
-        rng = np.random.default_rng(seed)
-        while True:
-            u, t = rng.random(len(a)), rng.random(len(a))
-            draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
-            sep = pairwise_rho(draws, draws)
-            np.fill_diagonal(sep, np.inf)
-            if np.max(np.diag(pairwise_rho(a.values, draws))) <= r and sep.min() >= min_sep:
-                break
+        a, r, min_sep = frostman_example(20), 0.3, 0.01
+        draws, sep, _ = _replayed(a, r, seed, min_sep)
         paired = perturb_sample(a, r, seed, min_sep=min_sep)
         assert paired.Z.values.tobytes() == draws.tobytes()
         assert paired.z_self_separation == float(sep.min())
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_pairwise_calls_mark_each_round(self, monkeypatch, seed):
+        # A tracer counts rejection rounds as the pairwise_rho calls whose
+        # first argument is the centres' array and whose second is another
+        # array; a self-distance passes one array as both.
+        a, r, min_sep = frostman_example(20), 0.5, 0.4
+        _, _, rounds = _replayed(a, r, seed, min_sep)
+        assert rounds > 1
+        calls = []
+        original = geometry.pairwise_rho
+
+        def recorded(a_values, z_values):
+            calls.append((a_values, z_values))
+            return original(a_values, z_values)
+
+        for module in (geometry, blaschke, seq_mod):
+            monkeypatch.setattr(module, "pairwise_rho", recorded)
+        perturb_sample(a, r, seed, min_sep=min_sep)
+        assert sum(x is a.values and z is not x for x, z in calls) == rounds
+        self_calls = [(x, z) for x, z in calls if x is not a.values]
+        assert self_calls and all(x is z for x, z in self_calls)
+
+    def test_a_rejected_round_may_draw_outside_the_margin(self):
+        # The deepest centre lies 2^-49 from the circle, so some rounds draw
+        # a point past the boundary margin; a round rejected for min_sep is
+        # redrawn whatever it holds.
+        a = frostman_example(49)
+        r, min_sep = 0.6, 0.99 * a.min_separation
+        draws, _, rounds = _replayed(a, r, 0, min_sep)
+        outside = [
+            bool(np.any(np.hypot(d.real, d.imag) >= 1.0 - BOUNDARY_MARGIN))
+            for d in itertools.islice(_draw_rounds(a, r, 0), rounds)
+        ]
+        assert any(outside[:-1]) and not outside[-1]
+        assert perturb_sample(a, r, 0, min_sep=min_sep).Z.values.tobytes() == draws.tobytes()
 
     def test_min_sep_above_self_separation_rejected(self):
         a = ZeroSequence([0.0, 0.5])
