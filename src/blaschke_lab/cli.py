@@ -327,11 +327,7 @@ def _complex_pair(w: complex) -> dict:
 
 
 def _witness_json(witness) -> Any:
-    if isinstance(witness, CirclePoint):
-        return {"arg": witness.arg}
-    if isinstance(witness, tuple):
-        return list(witness)
-    return witness
+    return {"arg": witness.arg} if isinstance(witness, CirclePoint) else witness
 
 
 def _report_json(report: crit.CriterionReport) -> dict:
@@ -339,7 +335,7 @@ def _report_json(report: crit.CriterionReport) -> dict:
         "name": report.name,
         "value": report.value,
         "argmax_or_argmin": _witness_json(report.argmax_or_argmin),
-        "per_index": list(report.per_index),
+        "per_index": report.per_index,
     }
     if report.grid_meta is not None:
         payload["grid"] = {
@@ -350,17 +346,9 @@ def _report_json(report: crit.CriterionReport) -> dict:
     return payload
 
 
-def _report_detail_table(report: crit.CriterionReport) -> Table:
-    """The report's per-index values, then its supremum."""
-    rows = [(str(i), v) for i, v in enumerate(report.per_index)]
-    rows.append(("sup", report.value))
-    return Table(columns=("index", "value"), rows=tuple(rows))
-
-
-def _complex_table(columns: tuple[str, str], values, residuals) -> Table:
-    """Index, real part, imaginary part and residual of each value."""
-    rows = tuple((j, w.real, w.imag, float(r)) for j, (w, r) in enumerate(zip(values, residuals)))
-    return Table(columns=("index", *columns, "residual"), rows=rows)
+def _table(**columns) -> Table:
+    """The given columns, in order, with one row per entry."""
+    return Table(columns=tuple(columns), rows=tuple(zip(*columns.values())))
 
 
 def _series(label: str, x_label: str, y_label: str, x, y) -> Series:
@@ -408,7 +396,8 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     deepest = max(config.N_schedule)
     if deepest > len(full):
         raise ConfigInvalid(f"schedule entry {deepest} exceeds the {len(full)} stored points")
-    per_n, rows = [], []
+    per_n = []
+    trend = {"N": [], "carleson_delta": [], "frostman_sum": [], "cohn_sum": [], "vasyunin_sum": []}
     for n in config.N_schedule:
         seq = full[:n]
         product = BlaschkeProduct(seq)
@@ -416,30 +405,24 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
         frostman = crit.frostman_sum(seq, grid)
         cohn = crit.cohn_sum(seq)
         vasyunin = crit.vasyunin_sum(seq)
-        rows.append((n, carleson.delta, frostman.value, cohn.value, vasyunin))
+        for column, value in zip(trend.values(), (n, carleson.delta, frostman.value, cohn.value, vasyunin)):
+            column.append(value)
         per_n.append(
             {
                 "N": n,
-                "carleson": {
-                    "delta": carleson.delta,
-                    "per_zero": [[i, q] for i, q in carleson.per_zero],
-                },
+                "carleson": {"delta": carleson.delta, "per_zero": carleson.per_zero},
                 "frostman": _report_json(frostman),
                 "cohn": _report_json(cohn),
                 "vasyunin": vasyunin,
             }
         )
-    trend = Table(
-        columns=("N", "carleson_delta", "frostman_sum", "cohn_sum", "vasyunin_sum"), rows=tuple(rows)
-    )
-    # frostman and cohn still hold the reports of the last schedule entry
-    tables = {
-        "criteria_trend": trend,
-        "frostman_detail": _report_detail_table(frostman),
-        "cohn_detail": _report_detail_table(cohn),
-    }
-    column = dict(zip(trend.columns, zip(*rows)))
-    series = {name: _series(f"{name} vs N", "N", name, column["N"], column[name]) for name in trend.columns[1:]}
+    tables = {"criteria_trend": _table(**trend)}
+    # frostman and cohn still hold the reports of the last schedule entry:
+    # their per-index values, then their supremum
+    for name, report in (("frostman", frostman), ("cohn", cohn)):
+        index = [*map(str, range(len(report.per_index))), "sup"]
+        tables[f"{name}_detail"] = _table(index=index, value=[*report.per_index, report.value])
+    series = {name: _series(f"{name} vs N", "N", name, trend["N"], trend[name]) for name in list(trend)[1:]}
     return ReportBundle(config=config.as_dict(), results={"per_N": per_n}, tables=tables, series=series)
 
 
@@ -471,7 +454,11 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
         "sup_norm": sup,
         "lebesgue_constant": lebesgue,
     }
-    tables = {"nodes": _complex_table(("target_re", "target_im"), targets.values, residuals)}
+    tables = {
+        "nodes": _table(
+            index=range(len(seq)), target_re=targets.values.real, target_im=targets.values.imag, residual=residuals
+        )
+    }
     series = {"boundary_modulus": _boundary_series(rep, "interpolant modulus on the circle")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
@@ -503,10 +490,8 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
         "g1_vanishing_on_z": float(vanish_z),
         "tilde_gamma": [_complex_pair(t) for t in union.tilde_gamma],
     }
-    tables = {
-        name: Table(columns=("index", "residual"), rows=tuple((j, float(r)) for j, r in enumerate(res)))
-        for name, res in (("nodes_a", res_a), ("nodes_z", res_z))
-    }
+    tables = {"nodes_a": _table(index=range(len(res_a)), residual=res_a),
+              "nodes_z": _table(index=range(len(res_z)), residual=res_z)}
     series = {"boundary_modulus": _boundary_series(union, "union interpolant modulus")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
@@ -548,15 +533,11 @@ def _run_nearby(config: ExperimentConfig) -> ReportBundle:
         "final_residual": trace.residual_sup[-1],
     }
     step = range(len(trace.residual_sup))
-    steps = Table(
-        columns=("step", "residual_sup", "bound_curve"),
-        rows=tuple(zip(step, trace.residual_sup, trace.bound_curve)),
-    )
     series = {
         "residual_vs_step": _series("residual per correction step", "step", "residual_sup", step, trace.residual_sup),
         "bound_vs_step": _series("geometric bound per step", "step", "bound", step, trace.bound_curve),
     }
-    tables = {"steps": steps}
+    tables = {"steps": _table(step=step, residual_sup=trace.residual_sup, bound_curve=trace.bound_curve)}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -572,29 +553,26 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
     # the fields are plain numbers, so a shallow copy equals asdict's deep one
     reports = [dict(vars(report)) for report in crit.perturbation_reports(pairs, radius, grid)]
+    column = {key: [r[key] for r in reports] for key in reports[0]}
 
     envelopes = ((min, "D1"), (max, "D2"), (min, "C1"), (max, "C2"), (min, "C3"), (min, "C4"))
     aggregate = {
         "trials": trials,
-        "total_violations": int(sum(r["violations"] for r in reports)),
-        **{f"{pick.__name__}_{c}": pick(r[f"empirical_{c}"] for r in reports) for pick, c in envelopes},
-        "C_r": reports[0]["C_r"],
+        "total_violations": int(sum(column["violations"])),
+        **{f"{pick.__name__}_{c}": pick(column[f"empirical_{c}"]) for pick, c in envelopes},
+        "C_r": column["C_r"][0],
     }
-    # table column -> perturbation report key
-    keys = {
-        "violations": "violations",
-        "nearness": "nearness",
-        **{c: f"empirical_{c}" for c in ("D1", "D2", "C1", "C2", "C3", "C4")},
-        "frostman_Z": "frostman_Z",
-    }
-    table = Table(
-        columns=("trial", *keys),
-        rows=tuple((i, *(r[k] for k in keys.values())) for i, r in enumerate(reports)),
+    trial = range(trials)
+    table = _table(
+        trial=trial,
+        violations=column["violations"],
+        nearness=column["nearness"],
+        **{c: column[f"empirical_{c}"] for _, c in envelopes},
+        frostman_Z=column["frostman_Z"],
     )
-    column = dict(zip(table.columns, zip(*table.rows)))
     series = {
-        "d1_vs_trial": _series("lower size-ratio envelope per trial", "trial", "D1", column["trial"], column["D1"]),
-        "d2_vs_trial": _series("upper size-ratio envelope per trial", "trial", "D2", column["trial"], column["D2"]),
+        "d1_vs_trial": _series("lower size-ratio envelope per trial", "trial", "D1", trial, column["empirical_D1"]),
+        "d2_vs_trial": _series("upper size-ratio envelope per trial", "trial", "D2", trial, column["empirical_D2"]),
     }
     results = {"aggregate": aggregate, "trial_reports": reports}
     tables = {"trials": table}
@@ -620,9 +598,10 @@ def _run_shift(config: ExperimentConfig) -> ReportBundle:
         "frostman_original": frostman_before.value,
         "frostman_shifted": frostman_after.value,
     }
-    tables = {"roots": _complex_table(("re", "im"), roots.values, residuals)}
-    # abs of each scalar: np.abs of the array can differ in the last bit
-    modulus = [abs(w) for w in roots.values]
+    re, im = roots.values.real, roots.values.imag
+    tables = {"roots": _table(index=range(len(roots)), re=re, im=im, residual=residuals)}
+    # hypot is what abs(complex) computes; np.abs of the array can differ in the last bit
+    modulus = np.hypot(re, im)
     series = {"root_modulus": _series("shifted zero moduli", "index", "modulus", range(len(roots)), modulus)}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
@@ -743,6 +722,23 @@ def _format_cell(value) -> Any:
     return str(value)
 
 
+def _csv_text(table: Table) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([_format_cell(v) for v in row] for row in table.rows)
+    return text.getvalue()
+
+
+def _dat_text(series: Series) -> str:
+    lines = [f"# {series.label}", *(f"{float(x)!r} {float(y)!r}" for x, y in zip(series.x, series.y))]
+    return "\n".join(lines) + "\n"
+
+
+# format -> (bundle part, file suffix, text of one item), one file per item
+_FILE_FORMATS = {"csv": ("tables", "csv", _csv_text), "plotdata": ("series", "dat", _dat_text)}
+
+
 def emit(bundle: ReportBundle, format: str = "json", path=None) -> Optional[str]:
     """Write a bundle deterministically.
 
@@ -759,28 +755,13 @@ def emit(bundle: ReportBundle, format: str = "json", path=None) -> Optional[str]
 
     if path is None:
         raise ConfigInvalid(f"format {format} requires an output directory")
+    if format not in _FILE_FORMATS:
+        raise ConfigInvalid(f"unknown output format {format!r}")
+    part, suffix, text = _FILE_FORMATS[format]
     # _write_text creates the directory, and fails if path is a file
-    target = Path(path)
-
-    if format == "csv":
-        for name, table in bundle.tables.items():
-            text = io.StringIO()
-            writer = csv.writer(text, lineterminator="\n")
-            writer.writerow(table.columns)
-            writer.writerows([_format_cell(v) for v in row] for row in table.rows)
-            _write_text(target / f"{name}.csv", text.getvalue())
-        return None
-
-    if format == "plotdata":
-        for name, series in bundle.series.items():
-            lines = [f"# {series.label}"]
-            lines.extend(
-                f"{repr(float(x))} {repr(float(y))}" for x, y in zip(series.x, series.y)
-            )
-            _write_text(target / f"{name}.dat", "\n".join(lines) + "\n")
-        return None
-
-    raise ConfigInvalid(f"unknown output format {format!r}")
+    for name, item in getattr(bundle, part).items():
+        _write_text(Path(path) / f"{name}.{suffix}", text(item))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ built from the zeros in factored form; no polynomial is ever expanded.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -224,12 +225,15 @@ def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
     return float(value)
 
 
+@functools.lru_cache(maxsize=1)
 def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> float:
     """Circle supremum of the absolute Lagrange basis row sum, clamped to >= 1.
 
     This is the norm of the interpolation map from bounded node values to
     (K_B, sup norm): the worst target vector aligns all basis phases at
-    the maximizing circle point.
+    the maximizing circle point.  The last value is kept: a product is
+    immutable and hashed by identity, and a grid is a frozen dataclass,
+    so nearby_iterate reuses the scan its caller made for the radius.
     """
     if b.degree == 0:
         raise ValueError("lebesgue constant requires at least one zero")

@@ -165,6 +165,7 @@ def perturb_sample(
     disk.  The whole vector is redrawn until the z's are rho-separated by
     at least min_sep, up to 1000 rounds; min_sep must stay below the
     self-separation of the centers or no draw can ever succeed reliably.
+    A round with a draw past the boundary margin is redrawn as well.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"perturbation radius {r} must lie in (0, 1)")
@@ -188,13 +189,8 @@ def perturb_sample(
             continue
         try:
             z_seq = ZeroSequence(draws)
-        except DuplicatePoint:
+        except (DuplicatePoint, PointOutsideDisk):
             continue
-        except PointOutsideDisk:
-            # Only a draw that would be kept must lie inside the margin.
-            if _nearest_pair(draws)[0] < min_sep:
-                continue
-            raise
         if z_seq.min_separation < min_sep:
             continue
         return PairedSequences(A=a_seq, Z=z_seq)

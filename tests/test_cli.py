@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import blaschke_lab
-from blaschke_lab import cli
+from blaschke_lab import cli, interpolation
 from blaschke_lab.blaschke import BlaschkeProduct, ZeroSequence
 from blaschke_lab.cli import (
     ExperimentConfig,
@@ -321,6 +321,11 @@ class TestEmit:
         with pytest.raises(ConfigInvalid):
             emit(self.bundle(), format="yaml", path=tmp_path)
 
+    def test_unknown_format_without_directory(self):
+        # a missing directory is reported before the format is looked up
+        with pytest.raises(ConfigInvalid, match="format yaml requires an output directory"):
+            emit(self.bundle(), format="yaml", path=None)
+
 
 class TestMainCommands:
     def test_gen_writes_loadable_file(self, tmp_path):
@@ -485,6 +490,21 @@ class TestMainCommands:
         steps = payload["tables"]["steps"]["rows"]
         assert len(steps) == payload["results"]["steps"]
 
+    def test_nearby_scans_the_circle_once(self, monkeypatch, capsys):
+        # The radius and nearby_iterate's contraction test read one Lebesgue constant.
+        calls = []
+        original = interpolation._lagrange_scan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "_lagrange_scan", counted)
+        argv = ["nearby", "--generator", "radial_sequence", "--n", "4", "--seed", "3", "--grid-size", "256"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["converged"] is True
+        assert len(calls) == 1
+
     def test_shift_roots_reported(self, capsys):
         rc = cli.main(
             [
@@ -595,9 +615,29 @@ class TestMainCommands:
         "argv, unused",
         [
             pytest.param(
+                ["gen", "--generator", "frostman_example", "--n", "8"],
+                ["numpy.ma", "numpy.random", "blaschke_lab.interpolation"],
+                id="gen",
+            ),
+            pytest.param(
                 ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
                 ["numpy.ma", "numpy.random", "blaschke_lab.interpolation"],
                 id="check",
+            ),
+            pytest.param(
+                ["run", "criteria.json"],
+                ["numpy.ma", "numpy.random", "blaschke_lab.interpolation"],
+                id="run-criteria",
+            ),
+            pytest.param(
+                ["union", "--sequence", "a.json", "--sequence-b", "b.json", "--grid-size", "256"],
+                ["numpy.ma", "numpy.random"],
+                id="union",
+            ),
+            pytest.param(
+                ["nearby", "--generator", "radial_sequence", "--n", "4", "--seed", "3", "--grid-size", "256"],
+                ["numpy.ma"],
+                id="nearby",
             ),
             pytest.param(
                 ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
@@ -617,10 +657,15 @@ class TestMainCommands:
             ),
         ],
     )
-    def test_commands_load_only_what_they_run(self, argv, unused):
+    def test_commands_load_only_what_they_run(self, argv, unused, tmp_path):
         # Each unused module costs start-up time in every run: numpy.ma about
         # 15 ms (np.unique is one way to pull it in), numpy.random about
         # 13 ms, interpolation its compile time.
+        write_sequence_file(tmp_path / "a.json", ZeroSequence([0.2, 0.5j]))
+        write_sequence_file(tmp_path / "b.json", ZeroSequence([-0.3, -0.4j]))
+        criteria = {"kind": "criteria", "inputs": {"sequence": {"generator": "radial_sequence", "params": {"N": 6}}},
+                    "grid": {"base_count": 256}, "N_schedule": [3, 6]}
+        (tmp_path / "criteria.json").write_text(json.dumps(criteria), encoding="utf-8")
         src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
@@ -630,7 +675,8 @@ class TestMainCommands:
             "sys.exit(rc)"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(unused), *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code, json.dumps(unused), *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stderr.splitlines()[-1]) == []

@@ -259,6 +259,18 @@ class TestPerturbSample:
         assert any(outside[:-1]) and not outside[-1]
         assert perturb_sample(a, r, 0, min_sep=min_sep).Z.values.tobytes() == draws.tobytes()
 
+    @pytest.mark.parametrize("master", [1, 2, 3])
+    def test_a_round_drawing_past_the_margin_is_redrawn(self, master):
+        # The trial seeds of perturb --n 49 --radius 0.6 --trials 20 --seed 1,
+        # 2 or 3: some trials meet a round that passes the radius and min_sep
+        # tests but holds a point past the boundary margin, and redraw it.
+        a, r = frostman_example(49), 0.6
+        for seed in np.random.default_rng(master).integers(0, 2**63 - 1, size=20):
+            paired = perturb_sample(a, r, int(seed))
+            moduli = np.hypot(paired.Z.values.real, paired.Z.values.imag)
+            assert np.all(moduli < 1.0 - BOUNDARY_MARGIN)
+            assert paired.nearness <= r and paired.z_self_separation >= 0.1
+
     def test_min_sep_above_self_separation_rejected(self):
         a = ZeroSequence([0.0, 0.5])
         with pytest.raises(ValueError):
