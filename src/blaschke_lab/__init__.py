@@ -69,7 +69,6 @@ _PUBLIC = {
         "UnionConstruction",
         "frostman_shift_zeros",
         "interpolate_union",
-        "kb_norms",
         "lebesgue_constant",
         "nearby_iterate",
         "solve_kb",

@@ -28,16 +28,15 @@ __all__ = [
 COINCIDENCE_TOL = 1e-13
 
 # Rows per block of _in_row_blocks: node cofactors (so carleson), evaluate,
-# derivative, the Lagrange basis and its scans, and the Frostman circle
-# maxima.  frostman_sum takes ROW_BLOCK points at a time; the perturbation
-# reports take ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden
-# scans, and so many (trial, index) rows of their pair envelopes.  These
-# still build a whole points x N matrix: cohn_sum, dyakonov_sup,
-# kernel_bounds_check, nearby_iterate's transfer matrix and _nearest_pair,
-# which answers every closest-pair question.  It is not blocked yet: the
-# whole matrix it frees at load raises glibc's dynamic mmap threshold, so
-# the Lagrange blocks that follow reuse heap memory instead of each being
-# mapped and unmapped.
+# derivative, the Cauchy sums of an interpolant, and the Frostman circle
+# maxima (so the Lebesgue constant).  frostman_sum takes ROW_BLOCK points at
+# a time; the perturbation reports take ROW_BLOCK * REFINE_SEEDS, the points
+# of ROW_BLOCK golden scans, and so many (trial, index) rows of their pair
+# envelopes.  These still build a whole points x N matrix: cohn_sum,
+# dyakonov_sup, kernel_bounds_check and _nearest_pair, which answers every
+# closest-pair question.  It is not blocked yet: the whole matrix it frees
+# at load raises glibc's dynamic mmap threshold, so the blocks that follow
+# reuse heap memory instead of each being mapped and unmapped.
 ROW_BLOCK = 64
 
 
@@ -223,10 +222,12 @@ class BlaschkeProduct:
     a zero at the origin.  Evaluation accepts scalars or numpy arrays of
     points in the closed disk and multiplies factors directly; cofactors
     share the rotation.  Instances are immutable, so the node cofactors
-    B_j(a_j) are computed once, at construction.
+    B_j(a_j) and the node weights w_j = 1 / B'(a_j) are computed once, at
+    construction.  The weights give the Lagrange basis of K_B in Cauchy
+    form, L_j(z) = B(z) w_j / (z - a_j).
     """
 
-    __slots__ = ("_zeros", "_rotation", "_prefactors", "_node_cofactors")
+    __slots__ = ("_zeros", "_rotation", "_prefactors", "_node_cofactors", "_node_weights")
 
     def __init__(
         self,
@@ -250,6 +251,9 @@ class BlaschkeProduct:
             np.arange(zs.size), lambda rows: self._cofactor_values(zs[rows])[np.arange(rows.size), rows]
         )
         self._node_cofactors.setflags(write=False)
+        # B'(a_j) = b_j'(a_j) B_j(a_j), and b_j'(a_j) = prefactor_j / (1 - |a_j|^2).
+        self._node_weights = one_minus_abs_sq(zs) / (self._prefactors * self._node_cofactors)
+        self._node_weights.setflags(write=False)
 
     @property
     def zeros(self) -> ZeroSequence:

@@ -443,8 +443,10 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
 
     node_values = rep(seq.values)
     residuals = np.abs(node_values - targets.values)
-    sup, lebesgue = interp.kb_norms(rep, grid)
-    # N eps Lambda bounds the rounding error of sum_j alpha_j L_j, relative to sup|alpha|.
+    sup = interp.sup_norm(rep, grid)
+    lebesgue = interp.lebesgue_constant(product, grid)
+    # N eps Lambda bounds the rounding error of the Cauchy form B(z) sum_j alpha_j w_j / (z - a_j),
+    # relative to sup|alpha|.
     rounding = product.degree * float(np.finfo(float).eps) * lebesgue
 
     results = {

@@ -11,8 +11,10 @@ golden-section refinement around the best grid cells.  Refinement only
 ever adds candidate points, so reported extrema never decrease when the
 grid is enlarged.  The boundary kernel ratios of a perturbation report
 need no scan: their infima over the circle have a closed form.  Every
-Frostman circle maximum, that of frostman_sum and both of each
-perturbation trial, comes from one engine (_frostman_maxima).  It makes
+circle maximum of a positively weighted sum sum_j c_j / |zeta - a_j|,
+that of frostman_sum, both of each perturbation trial and the Lebesgue
+constant of interpolation (weights |1 / B'(a_j)|), comes from one engine
+(_frostman_maxima); _frostman_scan is its one-scan case.  It makes
 one pruned pass over the base grid per distinct zero set, which skips the
 points that provably cannot be refinement seeds, merges its best points
 with each scan's injected arguments, and refines all scans' seeds in
@@ -220,33 +222,6 @@ def _refine(
     return best_val, best_arg
 
 
-def scan_columns(
-    f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Circle maxima of k functions of the argument at once, each as its scan alone finds it.
-
-    f maps an array of arguments to a k x len array, one row per function.
-    Returns the k maxima, their (unwrapped) arguments and the raw grid
-    values.  The k * REFINE_SEEDS golden searches run in lockstep: each step
-    calls f once, on the next argument of every search, and reads row c of
-    its values only at the searches of function c.
-    """
-    angles = grid.angles()
-    values = np.asarray(f(angles), dtype=float)
-    k = values.shape[0]
-    seeds, top = _trial_seeds(np.arange(k).repeat(angles.size), values.ravel(), np.tile(angles, k), k)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        own = np.asarray(f(x % TWO_PI), dtype=float).reshape(k, k, -1)
-        return own[np.arange(k), np.arange(k)].ravel()
-
-    val, arg = _golden(
-        evaluate, seeds.ravel(), math.pi / grid.base_count, GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
-    )
-    best_val, best_arg = _refine(seeds, top[:, 0], val.reshape(seeds.shape), arg.reshape(seeds.shape))
-    return best_val, best_arg, values
-
-
 def scan_circle(
     f: Callable[[np.ndarray], np.ndarray],
     grid: CircleGrid,
@@ -256,12 +231,22 @@ def scan_circle(
 
     f must map an array of arguments to an array of values.  Returns the
     extremal value, its argument, and the raw grid values; the result is
-    never worse than the best bare grid point.  The one-function case of
-    scan_columns, on sign * f.
+    never worse than the best bare grid point.  The maximum of sign * f
+    is found: the grid is evaluated in one call, and the golden searches
+    on its REFINE_SEEDS best cells run in lockstep, one call of f per step.
     """
     sign = 1.0 if mode == "max" else -1.0
-    best_val, best_arg, values = scan_columns(lambda x: sign * np.asarray(f(x), dtype=float)[None, :], grid)
-    return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), sign * values[0]
+
+    def signed(angles: np.ndarray) -> np.ndarray:
+        return sign * np.asarray(f(angles), dtype=float)
+
+    angles = grid.angles()
+    values = signed(angles)
+    seeds, top = _trial_seeds(np.zeros(angles.size, dtype=int), values, angles, 1)
+    steps = GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds
+    val, arg = _golden(lambda x: signed(x % TWO_PI), seeds[0], math.pi / grid.base_count, steps)
+    best_val, best_arg = _refine(seeds, top[:, 0], val[None, :], arg[None, :])
+    return float(sign * best_val[0]), CirclePoint(float(best_arg[0])), sign * values
 
 
 def _frostman_rows(
@@ -294,17 +279,17 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
 
     The arguments of the sequence points are always injected into the
     candidate grid: the sum peaks where the points accumulate angularly,
-    typically far between bare grid nodes for deep sequences.  The
-    one-scan case of _frostman_maxima, ROW_BLOCK points at a time.
+    typically far between bare grid nodes for deep sequences.
     """
     grid = grid or CircleGrid()
     values = a_seq.values
-    value, arg = _frostman_maxima(_ZeroSets.of([a_seq]), values[None, :], grid, 1)
-    witness = CirclePoint(float(arg[0, 0]))
-    terms = (1.0 - np.abs(values)) / np.abs(witness.value - values)
+    weights = 1.0 - np.abs(values)
+    value, arg = _frostman_scan(values, weights, grid)
+    witness = CirclePoint(arg)
+    terms = weights / np.abs(witness.value - values)
     return CriterionReport(
         name="frostman",
-        value=float(value[0, 0]),
+        value=value,
         argmax_or_argmin=witness,
         per_index=tuple(float(t) for t in terms),
         grid_meta=grid.with_injected(a_seq),
@@ -336,11 +321,7 @@ def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
     if len(alpha) != b.degree:
         raise ValueError("alpha length must equal the degree")
     zeros = b.zeros.values
-    # B'(a_j) = b_j'(a_j) B_j(a_j), and b_j'(a_j) = prefactor_j / (1 - |a_j|^2).
-    derivs = b._prefactors * b._node_cofactors / one_minus_abs_sq(zeros)
-    inner = alpha.values[None, :] / (
-        derivs[None, :] * (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
-    )
+    inner = (alpha.values * b._node_weights)[None, :] / (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
     return _indexed("dyakonov", np.abs(np.sum(inner, axis=1)))
 
 
@@ -371,10 +352,10 @@ def nearness(paired: PairedSequences) -> CriterionReport:
 
 
 class _ZeroSets(NamedTuple):
-    """Distinct zero sets, one row each, their Frostman weights 1 - |w|, and the row of every given sequence.
+    """Distinct zero sets, one row each, their positive weights, and the row of every given sequence.
 
-    Sequences are told apart by the bytes of their values; row[i, j] is
-    the row of sequence j of side i.
+    of() gives the Frostman weights 1 - |w|.  Sequences are told apart by
+    the bytes of their values; row[i, j] is the row of sequence j of side i.
     """
 
     values: np.ndarray
@@ -574,6 +555,18 @@ def _frostman_maxima(
     scans = search.reshape(-1, REFINE_SEEDS)
     maxima, args = _refine(seeds.reshape(-1, REFINE_SEEDS), best.ravel(), val[scans], arg[scans])
     return maxima.reshape(best.shape), args.reshape(best.shape)
+
+
+def _frostman_scan(values: np.ndarray, weights: np.ndarray, grid: CircleGrid) -> tuple[float, float]:
+    """Circle maximum of sum_j weights_j / |zeta - values_j| and its (unwrapped) argument.
+
+    One scan of _frostman_maxima, on the grid plus the arguments of the
+    values, ROW_BLOCK points at a time.  The weights must be positive, as
+    the pruned base pass bounds each cell's sum by its terms.
+    """
+    zeros = _ZeroSets(values[None, :], weights[None, :], np.zeros((1, 1), dtype=int))
+    value, arg = _frostman_maxima(zeros, values[None, :], grid, 1)
+    return float(value[0, 0]), float(arg[0, 0])
 
 
 def _perturbation_scans(pairs: Sequence[PairedSequences]) -> tuple[_ZeroSets, np.ndarray]:

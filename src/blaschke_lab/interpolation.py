@@ -7,11 +7,20 @@ element matching prescribed node values has the closed Lagrange form
     f(z) = sum_j alpha_j (B_j(z) / B_j(a_j)) (1 - |a_j|^2) / (1 - conj(a_j) z)
 
 with B_j the cofactor at zero j.  It is the one form an interpolant is
-held in.  On top of it this module builds the norm constant of the
-interpolation map (the Lebesgue constant), the union construction that
-interpolates across two disjoint zero sets at once, the iterative scheme
-that transports an interpolant to a nearby node set, and the preimages of
-a point under B, taken as the spectrum of a rank-one perturbation of the
+held in.  With w_j = 1 / B'(a_j) it is evaluated in Cauchy form (the first,
+modified Lagrange form of Berrut and Trefethen),
+
+    f(z) = B(z) sum_j alpha_j w_j / (z - a_j),
+
+which needs no cofactor at the evaluation point.  On the circle |B| = 1,
+so the Lagrange row sum sum_j |L_j| is a Frostman sum with weights |w_j|,
+and the norm constant of the interpolation map (the Lebesgue constant) is
+its maximum, found by the Frostman engine of criteria.  On top of the one
+form this module also builds the union construction that interpolates
+across two disjoint zero sets at once, the iterative scheme that
+transports an interpolant to a nearby node set (each step evaluates the
+interpolant of the residual at the nodes), and the preimages of a point
+under B, taken as the spectrum of a rank-one perturbation of the
 compressed shift on K_B.  Like the product itself, every one of these is
 built from the zeros in factored form; no polynomial is ever expanded.
 """
@@ -33,11 +42,10 @@ from .blaschke import (
     TargetVector,
     ZeroSequence,
     _in_row_blocks,
-    _kernel_ratios,
     _nearest_pair,
     as_targets,
 )
-from .criteria import CircleGrid, scan_circle, scan_columns
+from .criteria import CircleGrid, _frostman_scan, scan_circle
 from .errors import (
     ContractionViolated,
     MaxIterExceeded,
@@ -56,7 +64,6 @@ __all__ = [
     "solve_kb",
     "sup_norm",
     "lebesgue_constant",
-    "kb_norms",
     "interpolate_union",
     "nearby_iterate",
     "frostman_shift_zeros",
@@ -71,36 +78,14 @@ ROOT_RESIDUAL_TOL = 1e-8
 ROOT_ARG_TOL = 1e-12
 
 
-def _lagrange_matrix(b: BlaschkeProduct, points: np.ndarray) -> np.ndarray:
-    """Rows of Lagrange basis values L_j at the given points.
-
-    A point equal to a node gets the exact unit row, so interpolants
-    reproduce their node values without roundoff.
-    """
-    zeros = b.zeros.values
-    cof = b._cofactor_values(points)
-    rows = (cof / b._node_cofactors[None, :]) * _kernel_ratios(zeros, points)
-    hits = points[:, None] == zeros[None, :]
-    if hits.any():
-        rows[hits.any(axis=1)] = 0.0
-        rows[hits] = 1.0
-    return rows
-
-
-def _contract(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j rows[:, j], each row on its own.
-
-    Unlike @, the value of a row does not depend on the other rows.
-    """
-    return (rows * coeffs).sum(axis=1)
-
-
 class InterpolantRep:
     """An element of K_B held in Lagrange form.
 
-    lagrange_coeffs are exactly the node values.  A value sum_j alpha_j L_j(z)
+    lagrange_coeffs are exactly the node values.  The value
+    sum_j alpha_j L_j(z) is evaluated in Cauchy form,
+    B(z) sum_j gamma_j / (z - a_j) with gamma_j = alpha_j / B'(a_j), and
     carries rounding error up to about N eps Lambda sup|alpha|, with Lambda
-    the Lebesgue constant of the space.
+    the Lebesgue constant of the space.  A node returns its value exactly.
     """
 
     __slots__ = ("space", "lagrange_coeffs")
@@ -111,11 +96,23 @@ class InterpolantRep:
 
     def __call__(self, z) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        coeffs = self.lagrange_coeffs.values
-        values = _in_row_blocks(
-            arr, lambda block: _contract(_lagrange_matrix(self.space, block), coeffs)
-        )
-        return complex(values[0]) if np.ndim(z) == 0 else values
+        # B(z), which also rejects points outside the closed disk
+        outer = self.space.evaluate(arr)
+        zeros = self.space.zeros.values
+        alpha = self.lagrange_coeffs.values
+        gamma = alpha * self.space._node_weights
+
+        def values(rows: np.ndarray) -> np.ndarray:
+            gaps = arr[rows, None] - zeros
+            hits = gaps == 0
+            out = outer[rows] * np.sum(gamma / np.where(hits, 1.0, gaps), axis=1)
+            # a node's sum has a pole: the node gets its value exactly
+            point, node = np.nonzero(hits)
+            out[point] = alpha[node]
+            return out
+
+        result = _in_row_blocks(np.arange(arr.size), values)
+        return complex(result[0]) if np.ndim(z) == 0 else result
 
     def __repr__(self) -> str:
         return f"InterpolantRep(degree={self.space.degree})"
@@ -176,35 +173,6 @@ def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
     return InterpolantRep(space=b, lagrange_coeffs=alpha)
 
 
-def _lagrange_scan(
-    b: BlaschkeProduct, grid: Optional[CircleGrid], coeffs: Optional[np.ndarray] = None
-) -> list[float]:
-    """Circle maxima of |sum_j coeffs_j L_j| (when coeffs is given) and then of sum_j |L_j|.
-
-    Both columns come from one pass over each block of Lagrange rows, on
-    the grid with the zeros' arguments injected, and refine in lockstep.
-    Every value is row-local, so each maximum equals its scan_circle alone.
-    The row-sum maximum is the Lebesgue constant, so it is clamped to >= 1.
-    """
-    def reduce(angles: np.ndarray) -> np.ndarray:
-        rows = _lagrange_matrix(b, np.exp(1j * angles))
-        row_sum = np.sum(np.abs(rows), axis=1)
-        if coeffs is None:
-            return row_sum[None, :]
-        return np.array([np.abs(_contract(rows, coeffs)), row_sum])
-
-    grid = (grid or CircleGrid()).with_injected(b.zeros)
-    best, _, _ = scan_columns(lambda angles: _in_row_blocks(angles, reduce), grid)
-    best = best.tolist()
-    best[-1] = max(best[-1], 1.0)
-    return best
-
-
-def kb_norms(rep: InterpolantRep, grid: Optional[CircleGrid] = None) -> tuple[float, float]:
-    """(sup_norm(rep, grid), lebesgue_constant(rep.space, grid)) from one scan."""
-    return tuple(_lagrange_scan(rep.space, grid, rep.lagrange_coeffs.values))
-
-
 def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
     """Estimated sup of |f| over the unit circle, never below the grid max.
 
@@ -231,13 +199,22 @@ def lebesgue_constant(b: BlaschkeProduct, grid: Optional[CircleGrid] = None) -> 
 
     This is the norm of the interpolation map from bounded node values to
     (K_B, sup norm): the worst target vector aligns all basis phases at
-    the maximizing circle point.  The last value is kept: a product is
-    immutable and hashed by identity, and a grid is a frozen dataclass,
-    so nearby_iterate reuses the scan its caller made for the radius.
+    the maximizing circle point.  On the circle |B| = 1, so the row sum is
+    sum_j |w_j| / |zeta - a_j| with w_j = 1 / B'(a_j): a Frostman sum with
+    weights |w_j|, scanned by the Frostman engine on the grid plus the
+    zeros' arguments.  Degree one has the closed form 1 + |a_0|, which the
+    scan can miss by an ulp where a computed circle point has modulus
+    below 1.  The last value is kept: a product is immutable and hashed by
+    identity, and a grid is a frozen dataclass, so nearby_iterate reuses
+    the scan its caller made for the radius.
     """
     if b.degree == 0:
         raise ValueError("lebesgue constant requires at least one zero")
-    return _lagrange_scan(b, grid)[0]
+    zeros = b.zeros.values
+    if b.degree == 1:
+        return 1.0 + abs(complex(zeros[0]))
+    value, _ = _frostman_scan(zeros, np.abs(b._node_weights), grid or CircleGrid())
+    return max(value, 1.0)
 
 
 def interpolate_union(
@@ -349,7 +326,6 @@ def nearby_iterate(
             stacklevel=2,
         )
 
-    transfer = _lagrange_matrix(b, z_seq.values)
     total = np.zeros(b.degree, dtype=complex)
     achieved = np.zeros(b.degree, dtype=complex)
     residual = alpha.values.copy()
@@ -357,7 +333,7 @@ def nearby_iterate(
     converged = False
     for _ in range(max_iter):
         total = total + residual
-        achieved = achieved + transfer @ residual
+        achieved = achieved + solve_kb(b, residual)(z_seq.values)
         residual = alpha.values - achieved
         residual_sup.append(float(np.max(np.abs(residual))))
         if residual_sup[-1] <= tol:

@@ -84,6 +84,64 @@ def mp_product(b):
     return product
 
 
+def lagrange_rows(b, points):
+    """Rows of Lagrange basis values L_j(z) = (B_j(z) / B_j(a_j)) (1 - |a_j|^2) / (1 - conj(a_j) z).
+
+    The package's former evaluation path, kept as an oracle for the Cauchy
+    form: the cofactors come from prefix and suffix products of the plain
+    factors (z - a) / (1 - conj(a) z), whose unimodular normalization
+    cancels in the ratio, and the kernel denominator is accumulated as
+    (1 - |a|^2) + conj(a) (a - z).  A point equal to a node gets the exact
+    unit row.
+    """
+    zeros = b.zeros.values
+    points = np.asarray(points, dtype=complex)
+
+    def cofactors(z):
+        factors = (z[:, None] - zeros) / (1.0 - np.conj(zeros) * z[:, None])
+        ones = np.ones((z.size, 1), dtype=complex)
+        prefix = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
+        suffix = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        return prefix * suffix
+
+    sizes = one_minus_abs_sq(zeros)
+    kernels = sizes / (sizes + np.conj(zeros) * (zeros - points[:, None]))
+    rows = cofactors(points) / np.diag(cofactors(zeros)) * kernels
+    hits = points[:, None] == zeros
+    rows[hits.any(axis=1)] = 0.0
+    rows[hits] = 1.0
+    return rows
+
+
+def mp_interpolant(b, alpha):
+    """sum_j alpha_j L_j as an mpmath function, in Lagrange form at the working precision.
+
+    B_j(w) is taken as B(w) over factor j, so w must not be a zero; the
+    zeros and targets are taken exactly as stored.  Build and call the
+    result inside mpmath.workdps.
+    """
+    import mpmath
+
+    zeros = [mpmath.mpc(complex(a)) for a in b.zeros.values]
+    alpha = [mpmath.mpc(complex(x)) for x in alpha]
+
+    def factors(w):
+        return [(w - a) / (1 - mpmath.conj(a) * w) for a in zeros]
+
+    nodes = [mpmath.fprod(f for k, f in enumerate(factors(a)) if k != j) for j, a in enumerate(zeros)]
+
+    def interpolant(w):
+        w = mpmath.mpc(complex(w))
+        fs = factors(w)
+        product = mpmath.fprod(fs)
+        return mpmath.fsum(
+            x * product / (f * node) * (1 - abs(a) ** 2) / (1 - mpmath.conj(a) * w)
+            for x, f, node, a in zip(alpha, fs, nodes, zeros)
+        )
+
+    return interpolant
+
+
 def kernel_solve_oracle(zeros, targets):
     """Independent Cauchy-kernel solve, written out directly."""
     zeros = np.asarray(zeros, dtype=complex)

@@ -491,15 +491,16 @@ class TestMainCommands:
         assert len(steps) == payload["results"]["steps"]
 
     def test_nearby_scans_the_circle_once(self, monkeypatch, capsys):
-        # The radius and nearby_iterate's contraction test read one Lebesgue constant.
+        # The radius and nearby_iterate's contraction test read one Lebesgue constant,
+        # one weighted Frostman scan.
         calls = []
-        original = interpolation._lagrange_scan
+        original = interpolation._frostman_scan
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(interpolation, "_lagrange_scan", counted)
+        monkeypatch.setattr(interpolation, "_frostman_scan", counted)
         argv = ["nearby", "--generator", "radial_sequence", "--n", "4", "--seed", "3", "--grid-size", "256"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["results"]["converged"] is True

@@ -19,7 +19,6 @@ from blaschke_lab import (
     frostman_shift_zeros,
     interlace_targets,
     interpolate_union,
-    kb_norms,
     lebesgue_constant,
     nearby_iterate,
     perturb_sample,
@@ -29,10 +28,12 @@ from blaschke_lab import (
     sup_norm,
 )
 from blaschke_lab import blaschke, cli
-from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL, _lagrange_matrix
+from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL
 from tests.conftest import (
     kernel_solve_oracle,
     kw_interpolant,
+    lagrange_rows,
+    mp_interpolant,
     mp_product,
     peak_bytes,
     random_deep_sequence,
@@ -187,13 +188,31 @@ def _deep_rep(n, seed=2):
     return solve_kb(BlaschkeProduct(seq), alpha)
 
 
+def _dyadic_set(shifts):
+    """(1 - 2^-k) exp(2 pi i (j + shifts[k-1]) / 2^k), j < 2^k, k = 1..len(shifts)."""
+    return ZeroSequence(np.concatenate([
+        (1.0 - 2.0**-k) * np.exp(2j * np.pi * (np.arange(2**k) + shift) / 2**k)
+        for k, shift in enumerate(shifts, start=1)
+    ]))
+
+
+# The dyadic set of 254 zeros, the same turned by seeded shares of each level's
+# spacing, a deep set of 500 zeros and an unseparated set of 254 zeros.
+ORACLE_SETS = {
+    "dyadic": lambda: _dyadic_set([0.5 * (k % 2) for k in range(1, 8)]),
+    "rotated": lambda: _dyadic_set(np.random.default_rng(11).uniform(size=7)),
+    "deep": lambda: random_deep_sequence(11, 500, 1e-3, 0.5),
+    "unseparated": lambda: random_deep_sequence(12, 254, 1e-2, 0.5),
+}
+
+
 class TestLagrangeBlocks:
-    """Lagrange rows are built ROW_BLOCK points at a time and each is reduced on its own."""
+    """Interpolant values go ROW_BLOCK points at a time, each point's Cauchy sum on its own."""
 
     @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
     def test_call_blocks_keep_the_bits_of_one_whole_batch(self, monkeypatch, block):
         rep = _deep_rep(50)
-        # circle points, interior points, and nodes, whose rows are exact unit rows
+        # circle points, interior points, and nodes, whose values are exact
         points = np.concatenate([CIRCLE_256, 0.5 * CIRCLE_256[::3], rep.space.zeros.values[::7]])
         monkeypatch.setattr(blaschke, "ROW_BLOCK", points.size)
         whole = rep(points)
@@ -206,26 +225,58 @@ class TestLagrangeBlocks:
         singles = np.array([rep(complex(z)) for z in points])
         assert rep(points).tobytes() == singles.tobytes()
 
-    def test_kb_norms_equal_the_two_scans(self):
-        rep = _deep_rep(50)
-        grid = CircleGrid(base_count=1024)
-        norm, lebesgue = kb_norms(rep, grid)
-        assert norm.hex() == sup_norm(rep, grid).hex()
-        assert lebesgue.hex() == lebesgue_constant(rep.space, grid).hex()
-
     def test_sup_norm_equals_the_scan_of_the_callable(self):
         rep = _deep_rep(50)
         value = sup_norm(lambda z: rep(z), GRID.with_injected(rep.space.zeros))
         assert sup_norm(rep, GRID).hex() == value.hex()
 
-    def test_lebesgue_constant_equals_the_one_shot_scan(self):
-        b = _deep_rep(50).space
+    def test_lebesgue_constant_equals_the_lagrange_row_sum_scan(self):
+        # The weighted Frostman maximum against the circle scan of sum_j |L_j|, built from cofactors.
+        grid = CircleGrid(base_count=1024)
+        for name, make in ORACLE_SETS.items():
+            b = BlaschkeProduct(make())
 
-        def row_sum(angles):
-            return np.sum(np.abs(_lagrange_matrix(b, np.exp(1j * angles))), axis=1)
+            def row_sum(angles):
+                return np.sum(np.abs(lagrange_rows(b, np.exp(1j * angles))), axis=1)
 
-        value, _, _ = scan_circle(row_sum, GRID.with_injected(b.zeros), mode="max")
-        assert lebesgue_constant(b, GRID).hex() == max(float(value), 1.0).hex()
+            value, _, _ = scan_circle(row_sum, grid.with_injected(b.zeros), mode="max")
+            assert lebesgue_constant(b, grid) == pytest.approx(max(value, 1.0), rel=1e-13, abs=0.0), name
+
+    @pytest.mark.parametrize("name", ["dyadic-126", "deep-50", "deep-200"])
+    def test_values_match_mpmath(self, name):
+        # Within N eps Lambda sup|alpha|, the bound that ill_conditioned reports, at interior
+        # points, at points 1e-9 from a node and on the circle.
+        mpmath = pytest.importorskip("mpmath")
+        if name == "dyadic-126":
+            seq = _dyadic_set([0.5 * (k % 2) for k in range(1, 7)])
+            rng = np.random.default_rng(5)
+            rep = solve_kb(BlaschkeProduct(seq), TargetVector(rng.normal(size=len(seq)) + 1j * rng.normal(size=len(seq))))
+        else:
+            rep = _deep_rep(int(name[5:]))
+        zeros = rep.space.zeros.values
+        alpha = rep.lagrange_coeffs
+        near = zeros[::9] * (1.0 - 1e-9 / np.abs(zeros[::9]))
+        args = np.angle(zeros[::9])
+        points = np.concatenate([0.5 * CIRCLE_256[3::16], [0.0, 0.3 - 0.2j], near, np.exp(1j * args), CIRCLE_256[::16]])
+        bound = len(zeros) * np.finfo(float).eps * lebesgue_constant(rep.space, GRID) * alpha.sup_norm
+        with mpmath.workdps(40):
+            exact = mp_interpolant(rep.space, alpha.values)
+            errors = [float(abs(mpmath.mpc(complex(v)) - exact(z))) for v, z in zip(rep(points), points)]
+        assert max(errors) <= bound
+
+    def test_nodes_are_exact_and_warning_free(self):
+        rep = _deep_rep(50)
+        nodes = rep.space.zeros.values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rep(nodes).tobytes() == rep.lagrange_coeffs.values.tobytes()
+            assert rep(complex(nodes[3])) == rep.lagrange_coeffs[3]
+            # a node among other points gets its value alone, like the oracle's unit row
+            mixed = np.array([0.1j, nodes[7], 0.5])
+            assert rep(mixed)[1] == rep.lagrange_coeffs[7]
+            assert np.max(np.abs(rep(mixed) - lagrange_rows(rep.space, mixed) @ rep.lagrange_coeffs.values)) <= 1e-10
+        with pytest.raises(ValueError, match="closed unit disk"):
+            rep(1.01)
 
     def test_memory_is_bounded_by_the_block(self):
         n = 500
@@ -233,7 +284,8 @@ class TestLagrangeBlocks:
         points = CircleGrid().with_injected(rep.space.zeros).angles().size
         # eight complex temporaries of one block, and 16 float arrays of grid length
         bound = 8 * blaschke.ROW_BLOCK * n * 16 + 16 * points * 8
-        assert peak_bytes(lambda: kb_norms(rep)) <= bound
+        assert peak_bytes(lambda: sup_norm(rep)) <= bound
+        assert peak_bytes(lambda: lebesgue_constant(rep.space)) <= bound
 
 
 class TestInterpolateUnion:

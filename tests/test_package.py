@@ -28,7 +28,7 @@ PUBLIC = {
     ],
     "interpolation": [
         "InterpolantRep", "IterationTrace", "UnionConstruction", "frostman_shift_zeros", "interpolate_union",
-        "kb_norms", "lebesgue_constant", "nearby_iterate", "solve_kb", "sup_norm",
+        "lebesgue_constant", "nearby_iterate", "solve_kb", "sup_norm",
     ],
     "sequences": [
         "DEPTH_CAP", "PairedSequences", "deinterlace", "deinterlace_targets", "frostman_example", "interlace",
@@ -39,7 +39,7 @@ PUBLIC = {
 
 def test_public_names():
     names = [name for module_names in PUBLIC.values() for name in module_names]
-    assert len(blaschke_lab.__all__) == 65
+    assert len(blaschke_lab.__all__) == 64
     assert set(blaschke_lab.__all__) == {"__version__", *names}
     for module, module_names in PUBLIC.items():
         submodule = importlib.import_module(f"blaschke_lab.{module}")
