@@ -9,12 +9,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DuplicatePoint, IndexOutOfRange
-from .geometry import CirclePoint, DiskPoint, PointLike, complex_vector, disk_values, one_minus_abs_sq, pairwise_rho
+# ROW_BLOCK is named here too: blaschke.ROW_BLOCK is the block size of every row-block pass.
+from .geometry import (
+    ROW_BLOCK,
+    Buffers,
+    CirclePoint,
+    DiskPoint,
+    PointLike,
+    _in_row_blocks,
+    _rho_rows,
+    complex_vector,
+    disk_values,
+    one_minus_abs_sq,
+)
 
 __all__ = [
     "COINCIDENCE_TOL",
@@ -27,28 +39,29 @@ __all__ = [
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
 
-# Rows per block of _in_row_blocks: node cofactors (so carleson), evaluate,
-# derivative, the Cauchy sums of an interpolant, and the Frostman circle
-# maxima (so the Lebesgue constant).  frostman_sum takes ROW_BLOCK points at
-# a time; the perturbation reports take ROW_BLOCK * REFINE_SEEDS, the points
-# of ROW_BLOCK golden scans, and so many (trial, index) rows of their pair
-# envelopes.  These still build a whole points x N matrix: cohn_sum,
-# dyakonov_sup, kernel_bounds_check and _nearest_pair, which answers every
-# closest-pair question.  It is not blocked yet: the whole matrix it frees
-# at load raises glibc's dynamic mmap threshold, so the blocks that follow
-# reuse heap memory instead of each being mapped and unmapped.
-ROW_BLOCK = 64
-
 
 def _nearest_pair(a: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, int, int, np.ndarray]:
-    """Least rho(a_j, z_k), its first (j, k) in row-major order, and each row's least (z None: z = a, j != k)."""
-    dist = pairwise_rho(a, a if z is None else z)
-    if z is None:
-        np.fill_diagonal(dist, np.inf)
-    least = dist.min(axis=1)
+    """Least rho(a_j, z_k), its first (j, k) in row-major order, and each row's least (z None: z = a, j != k).
+
+    The row minima go ROW_BLOCK rows at a time; row j of the least is then
+    computed alone for its first k.  Each entry has the bits of
+    pairwise_rho's.
+    """
+    square = z is None
+    z = a if square else z
+    buffers = Buffers()
+
+    def distances(block: slice) -> np.ndarray:
+        dist = _rho_rows(a[block], z, buffers)
+        if square:
+            diagonal = np.arange(dist.shape[0])
+            dist[diagonal, block.start + diagonal] = np.inf
+        return dist
+
+    least = _in_row_blocks(a.size, lambda block: distances(block).min(axis=1))
     j = int(least.argmin())
-    k = int(dist[j].argmin())
-    return float(dist[j, k]), j, k, least
+    k = int(distances(slice(j, j + 1))[0].argmin())
+    return float(least[j]), j, k, least
 
 
 class ZeroSequence(Sequence[DiskPoint]):
@@ -181,28 +194,6 @@ class CarlesonReport:
     delta: float
 
 
-def _in_row_blocks(points: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray], group: int = 1) -> np.ndarray:
-    """reduce(points), computed ROW_BLOCK * group points at a time.
-
-    reduce maps m points to an array whose last axis has length m, each
-    entry computed from its own point alone (one row of a points x zeros
-    matrix, reduced by itself).  Then the values do not depend on the
-    blocking, and temporaries hold ROW_BLOCK * group rows at most.  A
-    caller whose rows need more than the point passes row indices as the
-    points.  The perturbation pass passes group = REFINE_SEEDS: a block
-    then holds as many rows as ROW_BLOCK of its golden scans.
-    """
-    block = ROW_BLOCK * group
-    if points.size <= block:
-        return reduce(points)
-    first = reduce(points[:block])
-    out = np.empty(first.shape[:-1] + points.shape, first.dtype)
-    out[..., :block] = first
-    for start in range(block, points.size, block):
-        out[..., start:start + block] = reduce(points[start:start + block])
-    return out
-
-
 def _kernel_ratios(zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(1 - |a_j|^2) / (1 - conj(a_j) z_i) for every point/zero pair.
 
@@ -245,11 +236,15 @@ class BlaschkeProduct:
         safe = np.where(zs == 0, 1.0, zs)
         self._prefactors = np.where(zs == 0, 1.0, -np.abs(zs) / safe)
         self._prefactors.setflags(write=False)
-        # Row blocks bound the N x N temporaries: row j of the block is
-        # _cofactor_values(a_j), and B_j(a_j) is its entry j.
-        self._node_cofactors = _in_row_blocks(
-            np.arange(zs.size), lambda rows: self._cofactor_values(zs[rows])[np.arange(rows.size), rows]
-        )
+        rotation = self._rotation.value
+        buffers = Buffers()
+
+        def node_cofactors(rows: slice) -> np.ndarray:
+            # row i of the block is the point a_j, j = rows.start + i, and B_j(a_j) takes column j
+            prefix, suffix = self._cofactor_parts(zs[rows], buffers)
+            return rotation * prefix[:, rows].diagonal() * suffix[:, rows].diagonal()
+
+        self._node_cofactors = _in_row_blocks(zs.size, node_cofactors)
         self._node_cofactors.setflags(write=False)
         # B'(a_j) = b_j'(a_j) B_j(a_j), and b_j'(a_j) = prefactor_j / (1 - |a_j|^2).
         self._node_weights = one_minus_abs_sq(zs) / (self._prefactors * self._node_cofactors)
@@ -278,34 +273,42 @@ class BlaschkeProduct:
             raise ValueError("evaluation points must lie in the closed unit disk")
         return arr, scalar
 
-    def _factors(self, z: np.ndarray) -> np.ndarray:
-        """Matrix of single-factor values, rows over points, columns over zeros."""
+    def _factors(self, z: np.ndarray, buffers: Buffers) -> np.ndarray:
+        """Matrix of single-factor values, rows over points, columns over zeros, written into buffers."""
         zs = self._zeros.values
-        if zs.size == 0:
-            return np.ones((z.size, 0), dtype=complex)
-        num = z[:, None] - zs[None, :]
-        den = 1.0 - np.conj(zs)[None, :] * z[:, None]
-        return self._prefactors[None, :] * num / den
+        shape = (z.size, zs.size)
+        factors = buffers.take("factors", shape)
+        partial = buffers.take("partial", shape)
+        # No complex product is written over one of its factors: numpy's in-place
+        # product of a single element takes another loop, with other bits.
+        np.multiply(self._prefactors[None, :], np.subtract(z[:, None], zs[None, :], out=partial), out=factors)
+        np.subtract(1.0, np.multiply(np.conj(zs)[None, :], z[:, None], out=partial), out=partial)
+        return np.divide(factors, partial, out=factors)
 
-    def _cofactor_values(self, z: np.ndarray) -> np.ndarray:
-        """B_j(z) for every j at once, via prefix/suffix products.
+    def _cofactor_parts(self, z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
+        """The prefix and suffix products of the factors at each point: B_j(z) = rotation * prefix_j * suffix_j.
 
-        Stays exact when z hits a zero (no division by a vanishing factor).
+        No factor is ever divided out, so this stays exact when z hits a zero.
         """
-        factors = self._factors(z)
-        m, n = factors.shape
-        ones = np.ones((m, 1), dtype=complex)
-        prefix = np.concatenate([ones, np.cumprod(factors, axis=1)[:, :-1]], axis=1)
-        suffix = np.concatenate(
-            [np.cumprod(factors[:, ::-1], axis=1)[:, ::-1][:, 1:], ones], axis=1
-        )
-        return self._rotation.value * prefix * suffix
+        m, n = z.size, self._zeros.values.size
+        # Each row is one running product over all n factors, in each direction, as numpy
+        # runs it: a shorter run would change the loop, and with it the bits.  Column 0
+        # holds the empty product.  The prefixes take the memory of the factors'
+        # denominators, taken at its full size first and spent before it is written.
+        prefix = buffers.take("partial", (m, n + 1))
+        suffix = buffers.take("suffix", (m, n + 1))
+        factors = self._factors(z, buffers)
+        prefix[:, 0] = suffix[:, 0] = 1.0
+        np.cumprod(factors, axis=1, out=prefix[:, 1:])
+        np.cumprod(factors[:, ::-1], axis=1, out=suffix[:, 1:])
+        return prefix[:, :n], suffix[:, :n][:, ::-1]
 
     def evaluate(self, z) -> Union[complex, np.ndarray]:
         """B(z), factor by factor, for |z| <= 1."""
         arr, scalar = self._coerce_arg(z)
         rotation = self._rotation.value
-        result = _in_row_blocks(arr, lambda block: rotation * np.prod(self._factors(block), axis=1))
+        buffers = Buffers()
+        result = _in_row_blocks(arr.size, lambda rows: rotation * np.prod(self._factors(arr[rows], buffers), axis=1))
         return complex(result[0]) if scalar else result
 
     __call__ = evaluate
@@ -320,12 +323,16 @@ class BlaschkeProduct:
         arr, scalar = self._coerce_arg(z)
         zs = self._zeros.values
         sizes = one_minus_abs_sq(zs)
+        rotation = self._rotation.value
+        buffers = Buffers()
 
-        def rows(block: np.ndarray) -> np.ndarray:
-            slopes = self._prefactors * _kernel_ratios(zs, block) ** 2 / sizes
-            return np.sum(slopes * self._cofactor_values(block), axis=1)
+        def rows(block: slice) -> np.ndarray:
+            points = arr[block]
+            slopes = self._prefactors * _kernel_ratios(zs, points) ** 2 / sizes
+            prefix, suffix = self._cofactor_parts(points, buffers)
+            return np.sum(slopes * (rotation * prefix * suffix), axis=1)
 
-        result = _in_row_blocks(arr, rows)
+        result = _in_row_blocks(arr.size, rows)
         return complex(result[0]) if scalar else result
 
     def cofactor(self, j: int) -> "BlaschkeProduct":

@@ -32,17 +32,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blaschke import (
-    COINCIDENCE_TOL,
-    BlaschkeProduct,
-    TargetVector,
-    ZeroSequence,
-    _in_row_blocks,
-    _nearest_pair,
-    as_targets,
-)
+from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _nearest_pair, as_targets
 from .errors import NearnessExceeded, ZeroCollision
-from .geometry import TWO_PI, CirclePoint, elementwise_rho, one_minus_abs_sq, wrap_angle
+from .geometry import TWO_PI, Buffers, CirclePoint, _in_row_blocks, elementwise_rho, one_minus_abs_sq, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -250,7 +242,7 @@ def scan_circle(
 
 
 def _frostman_rows(
-    zeta: np.ndarray, values: np.ndarray, weights: np.ndarray, reach: Optional[np.ndarray] = None
+    zeta: np.ndarray, values: np.ndarray, weights: np.ndarray, buffers: Buffers, reach: Optional[np.ndarray] = None
 ) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Sum over the zeros w of weight_w / |zeta - w|, one row per point.
 
@@ -258,19 +250,26 @@ def _frostman_rows(
     points x zeros, the zeros on the last, contiguous axis, and each
     point's row is summed over that axis by itself, so a value does not
     depend on the other points of the call.  Batch axes broadcast: zeta
-    (..., m) against values and weights (..., n) gives (..., m).
+    (..., m) against values and weights (..., n) gives (..., m).  The
+    entries are written into buffers.
 
     Given a reach per point, also return an upper bound of the sum over
     every point within that distance of zeta: the sum of
     weight_w / (|zeta - w| - reach), +inf when some zero lies within
     reach.  It reuses the distances of the sum itself.
     """
-    dist = np.abs(zeta[..., :, None] - values[..., None, :])
-    sums = np.sum(weights[..., None, :] / dist, axis=-1)
+    shape = np.broadcast_shapes(zeta[..., :, None].shape, values[..., None, :].shape)
+    gaps = buffers.take("complex", shape)
+    dist = buffers.take("dist", shape, float)
+    np.abs(np.subtract(zeta[..., :, None], values[..., None, :], out=gaps), out=dist)
+    # the gaps are read: their memory takes the terms
+    terms = buffers.take("complex", shape, float)
+    sums = np.sum(np.divide(weights[..., None, :], dist, out=terms), axis=-1)
     if reach is None:
         return sums
     with np.errstate(divide="ignore", over="ignore"):
-        bound = np.sum(weights[..., None, :] / np.maximum(dist - reach[..., None], 0.0), axis=-1)
+        np.maximum(np.subtract(dist, reach[..., None], out=terms), 0.0, out=terms)
+        bound = np.sum(np.divide(weights[..., None, :], terms, out=terms), axis=-1)
     return sums, bound
 
 
@@ -306,8 +305,17 @@ def cohn_sum(a_seq: ZeroSequence) -> CriterionReport:
     """Supremum over the sequence itself of sum_k (1 - |a_k|) / |1 - conj(a_k) a_n|."""
     values = a_seq.values
     weights = 1.0 - np.abs(values)
-    kernels = np.abs(1.0 - np.conj(values)[None, :] * values[:, None])
-    return _indexed("cohn", np.sum(weights[None, :] / kernels, axis=1))
+    conj = np.conj(values)
+    buffers = Buffers()
+
+    def rows(block: slice) -> np.ndarray:
+        shape = (values[block].size, values.size)
+        kernels = buffers.take("complex", shape)
+        dist = buffers.take("dist", shape, float)
+        np.abs(np.subtract(1.0, np.multiply(conj[None, :], values[block, None], out=kernels), out=kernels), out=dist)
+        return np.sum(np.divide(weights[None, :], dist, out=dist), axis=1)
+
+    return _indexed("cohn", _in_row_blocks(values.size, rows))
 
 
 def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
@@ -321,8 +329,15 @@ def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
     if len(alpha) != b.degree:
         raise ValueError("alpha length must equal the degree")
     zeros = b.zeros.values
-    inner = (alpha.values * b._node_weights)[None, :] / (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
-    return _indexed("dyakonov", np.abs(np.sum(inner, axis=1)))
+    coefficients = alpha.values * b._node_weights
+    buffers = Buffers()
+
+    def rows(block: slice) -> np.ndarray:
+        inner = buffers.take("complex", (zeros[block].size, zeros.size))
+        np.subtract(1.0, np.multiply(zeros[None, :], np.conj(zeros[block])[:, None], out=inner), out=inner)
+        return np.abs(np.sum(np.divide(coefficients[None, :], inner, out=inner), axis=1))
+
+    return _indexed("dyakonov", _in_row_blocks(zeros.size, rows))
 
 
 def vasyunin_sum(a_seq: ZeroSequence) -> float:
@@ -399,15 +414,37 @@ def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
 
     violations = np.sum(size_z > c_r * size_a + 1e-12, axis=1) + np.sum(size_a > c_r * size_z + 1e-12, axis=1)
     ratios = size_z / size_a
+    index = np.arange(count * n)
+    buffers = Buffers()
 
-    def pair_extremes(rows: np.ndarray) -> np.ndarray:
-        t, j = np.divmod(rows, n)
-        kernel_a = np.abs(1.0 - np.conj(a[t, j])[:, None] * a[t]) ** 2
-        kernel_z = np.abs(1.0 - np.conj(z[t, j])[:, None] * z[t]) ** 2
-        pair_ratios = (size_z[t, j][:, None] * size_z[t] / kernel_z) / (size_a[t, j][:, None] * size_a[t] / kernel_a)
+    # Row (t, j) gathers trial t's points and sizes.  np.take in mode "clip" writes
+    # straight into out (every index is in range); mode "raise" would copy out first.
+    def kernel_squares(points: np.ndarray, t: np.ndarray, j: np.ndarray, name: str) -> np.ndarray:
+        """|1 - conj(p_tj) p_tk|^2 of rows (t, j) over k.
+
+        The product goes to its own buffer: numpy's in-place complex product
+        of a single element takes another loop, with other bits.
+        """
+        gathered = np.take(points, t, axis=0, out=buffers.take("gathered", (t.size, n)), mode="clip")
+        product = np.multiply(np.conj(points[t, j])[:, None], gathered, out=buffers.take("complex", gathered.shape))
+        square = np.abs(np.subtract(1.0, product, out=product), out=buffers.take(name, gathered.shape, float))
+        return np.square(square, out=square)
+
+    def scaled(sizes: np.ndarray, t: np.ndarray, j: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """size_tj size_tk / kernel of rows (t, j) over k."""
+        np.take(sizes, t, axis=0, out=out, mode="clip")
+        return np.divide(np.multiply(sizes[t, j][:, None], out, out=out), kernel, out=out)
+
+    def pair_extremes(rows: slice) -> np.ndarray:
+        t, j = np.divmod(index[rows], n)
+        kernel_a = kernel_squares(a, t, j, "kernel_a")
+        kernel_z = kernel_squares(z, t, j, "kernel_z")
+        # the complex rows are read: their memory takes both sides of the ratio
+        num, den = buffers.take("complex", (2, t.size, n), float)
+        pair_ratios = np.divide(scaled(size_z, t, j, kernel_z, num), scaled(size_a, t, j, kernel_a, den), out=num)
         return np.array([pair_ratios.min(axis=1), pair_ratios.max(axis=1)])
 
-    row_min, row_max = _in_row_blocks(np.arange(count * n), pair_extremes, REFINE_SEEDS).reshape(2, count, n)
+    row_min, row_max = _in_row_blocks(count * n, pair_extremes, REFINE_SEEDS).reshape(2, count, n)
     pair_min, pair_max = row_min.min(axis=1), row_max.max(axis=1)
     gap = np.abs(z - a)
     kernel = np.sqrt(gap * gap + size_a * size_z) + gap
@@ -442,21 +479,33 @@ def _injected_args(points: np.ndarray, grid: CircleGrid, base: np.ndarray) -> tu
     return args, keep
 
 
-def _gathered_sums(zeta: np.ndarray, owner: np.ndarray, zeros: _ZeroSets, group: int) -> np.ndarray:
-    """_frostman_rows of each point zeta[i] against the zero set in row owner[i] of zeros.
+def _search_slabs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Searches laid out REFINE_SEEDS to a slab, every slab against one zero set.
 
-    The points go ROW_BLOCK * group at a time.
+    owner holds each search's row of zeros, sorted.  The searches of one
+    zero set fill consecutive slabs in order, and the spare places of a
+    slab repeat its first search.  Returns the search at each place of
+    each slab, and each search's slab and place.
     """
-
-    def reduce(i: np.ndarray) -> np.ndarray:
-        own = owner[i]
-        return _frostman_rows(zeta[i, None], zeros.values[own], zeros.weights[own])[..., 0]
-
-    return _in_row_blocks(np.arange(zeta.size), reduce, group)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    counts = np.diff(starts, append=owner.size)
+    rank = np.arange(owner.size) - np.repeat(starts, counts)
+    slabs = -(-counts // REFINE_SEEDS)
+    slab = np.repeat(np.cumsum(slabs) - slabs, counts) + rank // REFINE_SEEDS
+    place = rank % REFINE_SEEDS
+    members = np.repeat(np.flatnonzero(place == 0)[:, None], REFINE_SEEDS, axis=1)
+    members[slab, place] = np.arange(owner.size)
+    return members, slab, place
 
 
 def _base_seeds(
-    values: np.ndarray, weights: np.ndarray, base: np.ndarray, centres: np.ndarray, reach: np.ndarray, group: int
+    values: np.ndarray,
+    weights: np.ndarray,
+    base: np.ndarray,
+    centres: np.ndarray,
+    reach: np.ndarray,
+    group: int,
+    buffers: Buffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The REFINE_SEEDS best base points of one Frostman sum, best first, and their values.
 
@@ -472,8 +521,8 @@ def _base_seeds(
     ROW_BLOCK * group at a time.
     """
     first, bound = _in_row_blocks(
-        np.arange(centres.size),
-        lambda i: np.array(_frostman_rows(np.exp(1j * base[centres[i]]), values, weights, reach[i])),
+        centres.size,
+        lambda i: np.array(_frostman_rows(np.exp(1j * base[centres[i]]), values, weights, buffers, reach[i])),
         group,
     )
     threshold = np.partition(first, -REFINE_SEEDS)[-REFINE_SEEDS]
@@ -481,7 +530,9 @@ def _base_seeds(
     live = np.repeat(bound * (1.0 + BOUND_SLACK) >= threshold, CELL)[: base.size]
     live[centres] = False
     rest = np.flatnonzero(live)
-    rest_values = _in_row_blocks(np.exp(1j * base[rest]), lambda block: _frostman_rows(block, values, weights), group)
+    rest_values = _in_row_blocks(
+        rest.size, lambda i: _frostman_rows(np.exp(1j * base[rest[i]]), values, weights, buffers), group
+    )
     points = np.concatenate([centres, rest])
     seeds, top = _trial_seeds(np.zeros(points.size, dtype=int), np.concatenate([first, rest_values]), base[points], 1)
     return seeds[0], top[0]
@@ -498,7 +549,8 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
     ahead of it on every scan's grid.  Each scan merges them with its own
     off-base points (_injected_args), all scans of one zero set in one
     _trial_seeds call.  So the seeds and best values are those of each
-    scan's whole grid, bit for bit.
+    scan's whole grid, bit for bit.  The kernel temporaries of every pass
+    share one set of buffers.
     """
     base = replace(grid, extra_args=()).angles()
     starts = np.arange(0, base.size, CELL)
@@ -510,11 +562,14 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
     args, keep = _injected_args(injected, grid, base)
     seeds = np.empty(zeros.row.shape + (REFINE_SEEDS,))
     best = np.empty(zeros.row.shape)
+    buffers = Buffers()
     for row, (values, weights) in enumerate(zip(zeros.values, zeros.weights)):
-        top_angles, top_values = _base_seeds(values, weights, base, centres, reach, group)
+        top_angles, top_values = _base_seeds(values, weights, base, centres, reach, group, buffers)
         side, trial = np.nonzero(zeros.row == row)
         extra_scan, extra = np.nonzero(keep[trial])[0], args[trial][keep[trial]]
-        extra_values = _in_row_blocks(np.exp(1j * extra), lambda block: _frostman_rows(block, values, weights), group)
+        extra_values = _in_row_blocks(
+            extra.size, lambda i: _frostman_rows(np.exp(1j * extra[i]), values, weights, buffers), group
+        )
         picked, picked_values = _trial_seeds(
             np.concatenate([np.arange(trial.size).repeat(REFINE_SEEDS), extra_scan]),
             np.concatenate([np.tile(top_values, trial.size), extra_values]),
@@ -531,9 +586,11 @@ def _frostman_maxima(
     """The circle maximum and its (unwrapped) argument of every Frostman scan of _grid_pass.
 
     After the grid pass all golden-section searches run in lockstep, each
-    against its own zeros, ROW_BLOCK * group points at a time.  A search
-    depends only on its seed and its zeros, so a seed that scans of one
-    zero set share is searched once for all of them.
+    against its own zeros.  A search depends only on its seed and its
+    zeros, so a seed that scans of one zero set share is searched once for
+    all of them.  The searches of one zero set go REFINE_SEEDS to a slab,
+    whose points broadcast against one row of zeros, gathered once; the
+    slabs go ROW_BLOCK at a time, on one set of buffers for every step.
     """
     seeds, best = _grid_pass(zeros, injected, grid, group)
     # each distinct (zero set, seed) once, found by sorting
@@ -546,8 +603,20 @@ def _frostman_maxima(
     search = np.empty(order.size, dtype=int)
     search[order] = np.cumsum(new) - 1
     owner = owner[new]
+    members, slab, place = _search_slabs(owner)
+    own = owner[members[:, 0]]
+    values, weights = zeros.values[own], zeros.weights[own]
+    buffers = Buffers()
+
+    def sums(x: np.ndarray) -> np.ndarray:
+        zeta = np.exp(1j * (x % TWO_PI))[members]
+        by_place = _in_row_blocks(
+            len(members), lambda rows: _frostman_rows(zeta[rows], values[rows], weights[rows], buffers).T
+        )
+        return by_place[place, slab]
+
     val, arg = _golden(
-        lambda x: _gathered_sums(np.exp(1j * (x % TWO_PI)), owner, zeros, group),
+        sums,
         starts[new],
         math.pi / grid.base_count,
         GOLDEN_STEPS_PER_ROUND * grid.refinement_rounds,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -39,6 +39,18 @@ __all__ = [
 BOUNDARY_MARGIN = 1e-15
 
 TWO_PI = 2.0 * math.pi
+
+# Rows per block of _in_row_blocks.  Every pass that reduces the rows of a
+# points x N matrix goes through it: the closest-pair reduction (so the
+# duplicate check and every separation), kernel_bounds_check, the node
+# cofactors, evaluate, derivative, the interpolant's Cauchy sums, the
+# Frostman sums (so the Lebesgue constant), cohn_sum and dyakonov_sup.
+# frostman_sum takes ROW_BLOCK points at a time; the perturbation reports
+# take ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and so
+# many (trial, index) rows of their pair envelopes.  A pass writes its block
+# temporaries into Buffers that it owns, so its blocks reuse one allocation
+# each.
+ROW_BLOCK = 64
 
 PointLike = Union["DiskPoint", complex, float, int]
 
@@ -205,6 +217,69 @@ def pairwise_rho(a_values, z_values) -> np.ndarray:
     return elementwise_rho(a, z)
 
 
+class Buffers:
+    """Named scratch memory that the row blocks of one pass write their temporaries into.
+
+    take(name, shape, dtype) views the memory called name as an array of
+    that shape, grown when it is too small, so the blocks of a pass reuse
+    one allocation per name instead of making their own.  Two takes of one
+    name share memory: a kernel may take a name again, under another dtype,
+    once it is done with the first view.  The memory goes with the Buffers,
+    so whoever creates them decides how long it is kept.
+    """
+
+    __slots__ = ("_memory",)
+
+    def __init__(self):
+        self._memory = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        memory = self._memory.get(name)
+        if memory is None or memory.size < size:
+            memory = self._memory[name] = np.empty(size, np.uint8)
+        return memory[:size].view(dtype).reshape(shape)
+
+
+def _in_row_blocks(count: int, reduce: Callable[[slice], np.ndarray], group: int = 1) -> np.ndarray:
+    """reduce(rows) over range(count), ROW_BLOCK * group consecutive rows at a time.
+
+    reduce maps a slice of m rows to an array whose last axis has length m,
+    each entry computed from its own row alone (one row of a points x zeros
+    matrix, reduced by itself).  Then the values do not depend on the
+    blocking, and temporaries hold ROW_BLOCK * group rows at most.  The
+    perturbation pass passes group = REFINE_SEEDS: a block then holds as
+    many rows as ROW_BLOCK of its golden scans.
+    """
+    block = ROW_BLOCK * group
+    if count <= block:
+        return reduce(slice(0, count))
+    first = reduce(slice(0, block))
+    out = np.empty(first.shape[:-1] + (count,), first.dtype)
+    out[..., :block] = first
+    for start in range(block, count, block):
+        out[..., start:start + block] = reduce(slice(start, start + block))
+    return out
+
+
+def _rho_rows(a: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:
+    """pairwise_rho(a, z), written into buffers: the same operations, with no new matrix.
+
+    The operands keep pairwise_rho's shapes, (m, 1) against (1, n): numpy
+    picks its complex loops by shape, and one row of one column, (1, 1)
+    against (1,), takes a loop whose bits differ.
+    """
+    shape = (a.size, z.size)
+    gaps = buffers.take("complex", shape)
+    dist = buffers.take("dist", shape, float)
+    kernel = buffers.take("kernel", shape, float)
+    np.abs(np.subtract(z[None, :], a[:, None], out=gaps), out=dist)
+    np.multiply(np.conj(a)[:, None], z[None, :], out=gaps)
+    np.abs(np.subtract(1.0, gaps, out=gaps), out=kernel)
+    return np.divide(dist, kernel, out=dist)
+
+
 def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:
     """Euclidean realization of the pseudohyperbolic disk of radius r.
 
@@ -279,7 +354,10 @@ def kernel_bounds_check(
         (1 - |z|^2) / |1 - conj(a) z| >= 1 - s.
 
     Raises PrecisionViolation if any bound fails by more than 1e-12, which
-    signals a bug rather than bad input.
+    signals a bug rather than bad input.  rho and |1 - conj(a) z| come from
+    the kernel (1 - |a|^2) + conj(a) (a - z), exact where a and z nearly
+    coincide near the circle, ROW_BLOCK rows of a at a time; the witness is
+    the first pair in row-major order with the worst slack.
     """
     a = disk_values(a_points)
     z = disk_values(z_points)
@@ -288,31 +366,55 @@ def kernel_bounds_check(
     if not 0.0 < r:
         raise ValueError(f"hyperbolic radius {r} must be positive")
 
-    rho_mat = pairwise_rho(a, z)
-    # rho near the circle can round to 1 or above it: capped, that is distance inf, not NaN.
+    s = math.tanh(r)
+    size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
+    mid_z = (1.0 - s * np.abs(z)) / size_z
+    mid_a = (1.0 - s * np.abs(a)) / size_a
+    slacks = {
+        "floor_slack": lambda rows, inv, out: np.subtract(mid_z, 1.0 - s, out=out),
+        "z_kernel_slack": lambda rows, inv, out: np.subtract(inv, mid_z, out=out),
+        "a_kernel_slack": lambda rows, inv, out: np.subtract(inv, mid_a[rows, None], out=out),
+        "normalized_kernel_slack": lambda rows, inv, out: np.subtract(
+            np.multiply(size_z, inv, out=out), 1.0 - s, out=out
+        ),
+    }
+    buffers = Buffers()
+
+    def kernels(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """rho and 1 / |1 - conj(a) z| of rows of a against every z, the kernel as (1 - |a|^2) + conj(a) (a - z)."""
+        shape = (a[rows].size, z.size)
+        gaps = np.subtract(a[rows, None], z, out=buffers.take("gaps", shape))
+        dist = np.abs(gaps, out=buffers.take("dist", shape, float))
+        # the product goes to its own buffer: numpy's in-place complex product
+        # of a single element takes another loop, with other bits
+        kernel = np.multiply(np.conj(a[rows])[:, None], gaps, out=buffers.take("kernel", shape))
+        # the gaps are read: their memory takes 1 / |kernel|
+        inv = np.abs(np.add(size_a[rows, None], kernel, out=kernel), out=buffers.take("gaps", shape, float))
+        np.divide(dist, inv, out=dist)
+        return dist, np.divide(1.0, inv, out=inv)
+
+    def row_extremes(rows: slice) -> np.ndarray:
+        dist, inv = kernels(rows)
+        extremes = [dist.max(axis=1)]
+        # dist is read: its memory takes each slack in turn
+        extremes += [slack(rows, inv, dist).min(axis=1) for slack in slacks.values()]
+        return np.array(extremes)
+
+    nearest, *row_worst = _in_row_blocks(a.size, row_extremes)
+    # rho near the circle can round to 1: capped, that is distance inf, not NaN.
     with np.errstate(divide="ignore"):
-        sup_beta = float(np.max(np.arctanh(np.minimum(rho_mat, 1.0))))
+        sup_beta = float(np.arctanh(min(nearest.max(), 1.0)))
     if sup_beta > r * (1.0 + 1e-12) + 1e-12:
         raise ValueError(
             f"pair at hyperbolic distance {sup_beta:.17g} exceeds the stated radius {r:.17g}"
         )
 
-    s = math.tanh(r)
-    inv_kernel = 1.0 / np.abs(1.0 - np.conj(a)[:, None] * z[None, :])
-    mid_z = (1.0 - s * np.abs(z))[None, :] / one_minus_abs_sq(z)[None, :]
-    mid_a = (1.0 - s * np.abs(a))[:, None] / one_minus_abs_sq(a)[:, None]
-
-    slacks = {
-        "floor_slack": np.broadcast_to(mid_z - (1.0 - s), rho_mat.shape),
-        "z_kernel_slack": inv_kernel - mid_z,
-        "a_kernel_slack": inv_kernel - mid_a,
-        "normalized_kernel_slack": one_minus_abs_sq(z)[None, :] * inv_kernel - (1.0 - s),
-    }
-
-    worst = {name: float(np.min(grid)) for name, grid in slacks.items()}
+    worst = {name: float(row.min()) for name, row in zip(slacks, row_worst)}
     worst_name = min(worst, key=worst.get)
-    flat = int(np.argmin(slacks[worst_name]))
-    witness = (flat // z.size, flat % z.size)
+    # the first row-major witness: the first row that holds the worst, and its first column
+    j = int(row_worst[list(slacks).index(worst_name)].argmin())
+    dist, inv = kernels(slice(j, j + 1))
+    witness = (j, int(slacks[worst_name](slice(j, j + 1), inv, dist).argmin()))
 
     report = KernelBoundsReport(s=s, witness=witness, **worst)
     if report.min_slack() < -1e-12:

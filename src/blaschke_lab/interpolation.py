@@ -36,15 +36,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .blaschke import (
-    COINCIDENCE_TOL,
-    BlaschkeProduct,
-    TargetVector,
-    ZeroSequence,
-    _in_row_blocks,
-    _nearest_pair,
-    as_targets,
-)
+from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _nearest_pair, as_targets
 from .criteria import CircleGrid, _frostman_scan, scan_circle
 from .errors import (
     ContractionViolated,
@@ -54,7 +46,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import PointLike, as_point, one_minus_abs_sq, wrap_angle
+from .geometry import Buffers, PointLike, _in_row_blocks, as_point, one_minus_abs_sq, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -101,17 +93,20 @@ class InterpolantRep:
         zeros = self.space.zeros.values
         alpha = self.lagrange_coeffs.values
         gamma = alpha * self.space._node_weights
+        buffers = Buffers()
 
-        def values(rows: np.ndarray) -> np.ndarray:
-            gaps = arr[rows, None] - zeros
-            hits = gaps == 0
-            out = outer[rows] * np.sum(gamma / np.where(hits, 1.0, gaps), axis=1)
+        def values(rows: slice) -> np.ndarray:
+            shape = (arr[rows].size, zeros.size)
+            gaps = np.subtract(arr[rows, None], zeros, out=buffers.take("complex", shape))
+            hits = np.equal(gaps, 0, out=buffers.take("hits", shape, bool))
+            np.copyto(gaps, 1.0, where=hits)
+            out = outer[rows] * np.sum(np.divide(gamma, gaps, out=gaps), axis=1)
             # a node's sum has a pole: the node gets its value exactly
             point, node = np.nonzero(hits)
             out[point] = alpha[node]
             return out
 
-        result = _in_row_blocks(np.arange(arr.size), values)
+        result = _in_row_blocks(arr.size, values)
         return complex(result[0]) if np.ndim(z) == 0 else result
 
     def __repr__(self) -> str:

@@ -1,9 +1,18 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blaschke_lab import BlaschkeProduct, DiskPoint, ZeroSequence, one_minus_abs_sq, pairwise_rho
+from blaschke_lab import (
+    BlaschkeProduct,
+    CriterionReport,
+    DiskPoint,
+    KernelBoundsReport,
+    ZeroSequence,
+    one_minus_abs_sq,
+    pairwise_rho,
+)
 
 ACCEPTANCE_LINES = []
 
@@ -53,6 +62,88 @@ def random_deep_sequence(seed, n, depth_min=1e-6, depth_max=0.5):
     rng = np.random.default_rng(seed)
     depth = np.exp(rng.uniform(np.log(depth_min), np.log(depth_max), n))
     return ZeroSequence((1.0 - depth) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+
+
+def mirrored_deep_sequence(seed, half):
+    """Check-deep's family, 1 - |a| log-uniform in [1e-3, 0.5], as half points S followed by -S.
+
+    Negating both points of a pair negates z - a and leaves conj(a) z as it
+    is, bit for bit, so rho(-a, -z) = rho(a, z) exactly: every least pair
+    has a twin half the length further on.  With half a multiple of 8 and
+    2 half > 128, numpy's pairwise sum splits each row at half, so the Cohn
+    rows of a and -a, whose halves are swapped, tie exactly too.
+    """
+    values = random_deep_sequence(seed, half, 1e-3, 0.5).values
+    return ZeroSequence(np.concatenate([values, -values]))
+
+
+def whole_nearest_pair(a, z=None):
+    """The least rho(a_j, z_k) of one whole matrix, its first (j, k) in row-major order and each row's least.
+
+    The whole-matrix form of blaschke._nearest_pair (z None: z = a, j != k).
+    """
+    dist = pairwise_rho(a, a if z is None else z)
+    if z is None:
+        np.fill_diagonal(dist, np.inf)
+    j, k = divmod(int(dist.argmin()), dist.shape[1])
+    return float(dist[j, k]), j, k, dist.min(axis=1)
+
+
+def whole_node_cofactors(b):
+    """B_j(a_j) for every j from one whole N x N matrix of factors, by prefix and suffix products."""
+    zeros = b.zeros.values
+    prefactors = np.where(zeros == 0, 1.0, -np.abs(zeros) / np.where(zeros == 0, 1.0, zeros))
+    factors = prefactors[None, :] * (zeros[:, None] - zeros[None, :]) / (1.0 - np.conj(zeros)[None, :] * zeros[:, None])
+    ones = np.ones((zeros.size, 1), dtype=complex)
+    prefix = np.concatenate([ones, np.cumprod(factors, axis=1)[:, :-1]], axis=1)
+    suffix = np.concatenate([np.cumprod(factors[:, ::-1], axis=1)[:, ::-1][:, 1:], ones], axis=1)
+    return np.diagonal(b.rotation.value * prefix * suffix)
+
+
+def _first_maximum(name, rows):
+    k = int(np.argmax(rows))
+    return CriterionReport(name=name, value=float(rows[k]), argmax_or_argmin=k, per_index=tuple(rows.tolist()))
+
+
+def whole_cohn_sum(a_seq):
+    """cohn_sum from one whole N x N kernel matrix."""
+    values = a_seq.values
+    weights = 1.0 - np.abs(values)
+    kernels = np.abs(1.0 - np.conj(values)[None, :] * values[:, None])
+    return _first_maximum("cohn", np.sum(weights[None, :] / kernels, axis=1))
+
+
+def whole_dyakonov_sup(b, alpha):
+    """dyakonov_sup from one whole N x N matrix."""
+    zeros = b.zeros.values
+    coefficients = np.asarray(alpha, dtype=complex) * b._node_weights
+    inner = coefficients[None, :] / (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
+    return _first_maximum("dyakonov", np.abs(np.sum(inner, axis=1)))
+
+
+def whole_kernel_bounds_check(a, z, r):
+    """kernel_bounds_check's report from whole points x N matrices, with the kernel (1 - |a|^2) + conj(a) (a - z).
+
+    Returns the report and the largest rho; the witness is the first
+    row-major entry of the worst slack's matrix.
+    """
+    a, z = np.asarray(a, dtype=complex), np.asarray(z, dtype=complex)
+    s = math.tanh(r)
+    size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
+    shifted = a[:, None] - z[None, :]
+    kernel = np.abs(size_a[:, None] + np.conj(a)[:, None] * shifted)
+    inv_kernel = 1.0 / kernel
+    mid_z = ((1.0 - s * np.abs(z)) / size_z)[None, :]
+    mid_a = ((1.0 - s * np.abs(a)) / size_a)[:, None]
+    slacks = {
+        "floor_slack": np.broadcast_to(mid_z - (1.0 - s), kernel.shape),
+        "z_kernel_slack": inv_kernel - mid_z,
+        "a_kernel_slack": inv_kernel - mid_a,
+        "normalized_kernel_slack": size_z[None, :] * inv_kernel - (1.0 - s),
+    }
+    worst = {name: float(np.min(grid)) for name, grid in slacks.items()}
+    witness = divmod(int(np.argmin(slacks[min(worst, key=worst.get)])), z.size)
+    return KernelBoundsReport(s=s, witness=witness, **worst), float(np.max(np.abs(shifted) / kernel))
 
 
 def deep_tolerance(seq):

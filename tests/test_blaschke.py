@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +17,27 @@ from blaschke_lab import (
     TargetVector,
     ZeroSequence,
     as_targets,
+    cohn_sum,
+    dyakonov_sup,
     frostman_sum,
+    kernel_bounds_check,
     pairwise_rho,
     perturb_sample,
     perturbation_reports,
     solve_kb,
 )
-from blaschke_lab import blaschke, criteria
-from tests.conftest import deep_tolerance, mp_product, random_deep_sequence, random_separated
+from blaschke_lab import blaschke, criteria, geometry
+from blaschke_lab.sequences import PairedSequences
+from tests.conftest import (
+    deep_tolerance,
+    mirrored_deep_sequence,
+    mp_product,
+    peak_bytes,
+    random_deep_sequence,
+    random_separated,
+    whole_nearest_pair,
+    whole_node_cofactors,
+)
 
 
 MARGIN_EDGE = 1.0 - BOUNDARY_MARGIN
@@ -143,6 +157,12 @@ POINT_POOLS = st.lists(
 )
 
 
+def _bits(nearest):
+    """A _nearest_pair result as bits: the value's hex, the witness and the row minima's bytes."""
+    value, j, k, least = nearest
+    return value.hex(), j, k, least.tobytes()
+
+
 def _first_least_pair(dist: np.ndarray, skip_diagonal: bool):
     """The least entry of dist, its first (j, k) in row-major order and every row's least, by double loop."""
     value, witness, minima = math.inf, None, []
@@ -159,21 +179,37 @@ def _first_least_pair(dist: np.ndarray, skip_diagonal: bool):
 
 
 class TestNearestPair:
-    @given(st.data(), st.booleans())
+    @given(st.data(), st.booleans(), st.integers(1, 3))
     @settings(max_examples=200)
-    def test_is_the_first_least_pair(self, data, square):
+    def test_is_the_first_least_pair(self, data, square, block):
         pool = data.draw(POINT_POOLS)
 
         def drawn(least):
-            return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=least, max_size=6)), dtype=complex)
+            return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=least, max_size=8)), dtype=complex)
 
         a = drawn(2 if square else 1)
         z = None if square else drawn(1)
-        value, j, k, row_minima = blaschke._nearest_pair(a, z)
+        # rows go 1 to 3 at a time, so the repeated points tie across blocks
+        with mock.patch.object(geometry, "ROW_BLOCK", block):
+            value, j, k, row_minima = blaschke._nearest_pair(a, z)
         dist = pairwise_rho(a, a if square else z)
         expected, witness, minima = _first_least_pair(dist, skip_diagonal=square)
         assert (value, (j, k)) == (expected, witness)
         assert row_minima.tobytes() == minima.tobytes()
+
+    @pytest.mark.parametrize("block", [7, blaschke.ROW_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocks_equal_the_whole_matrix(self, monkeypatch, seed, block):
+        # 144 points, S then -S: each least pair has a twin 72 rows on, in another block
+        a = mirrored_deep_sequence(seed, 72).values
+        z = mirrored_deep_sequence(seed + 10, 72).values
+        assert a.size >= 2 * blaschke.ROW_BLOCK + 1
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+        for other in (None, z):
+            value, j, k, least = whole_nearest_pair(a, other)
+            dist = pairwise_rho(a, a if other is None else other)
+            assert np.count_nonzero(dist == value) >= 2 and (j + 72) // block != j // block
+            assert _bits(blaschke._nearest_pair(a, other)) == _bits((value, j, k, least))
 
     def test_planted_tie_goes_to_the_first_pair(self):
         p, q = 0.3 + 0.1j, -0.2j
@@ -299,6 +335,8 @@ def _row_block_outputs():
     """
     seq = random_deep_sequence(5, 40)
     b = BlaschkeProduct(seq, rotation=np.exp(0.3j))
+    # one zero: each points x zeros matrix is one column
+    lone = BlaschkeProduct([0.4 - 0.3j], rotation=np.exp(0.3j))
     rng = np.random.default_rng(4)
     circle = np.exp(2j * np.pi * rng.uniform(size=150))
     inner = 0.9 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
@@ -312,6 +350,7 @@ def _row_block_outputs():
     return {
         "evaluate": b.evaluate(points).tobytes(),
         "derivative": b.derivative(points).tobytes(),
+        "one_zero": [lone.evaluate(points).tobytes(), solve_kb(lone, [0.5j])(points).tobytes()],
         "carleson": repr(b.carleson()),
         "lagrange": solve_kb(b, alpha)(points).tobytes(),
         "frostman_sum": repr(frostman_sum(seq, grid)),
@@ -319,7 +358,28 @@ def _row_block_outputs():
             a.tobytes() for a in criteria._grid_pass(*criteria._perturbation_scans(pairs), grid, criteria.REFINE_SEEDS)
         ],
         "perturbation_reports": repr(perturbation_reports(pairs, 0.3, grid)),
+        "nearest_pair": _bits(blaschke._nearest_pair(seq.values, points[150:])),
+        "cohn_sum": repr(cohn_sum(seq)),
+        "dyakonov_sup": repr(dyakonov_sup(b, TargetVector(alpha))),
+        "kernel_bounds_check": repr(kernel_bounds_check(seq.values, seq.values * (1.0 - 1e-3), 12.0)),
     }
+
+
+def _linear_memory_inputs(n):
+    """Check-deep's family at N = n, a copy moved 1e-4 of the way to the origin, and the product."""
+    seq = random_deep_sequence(0, n, 1e-3, 0.5)
+    return seq, ZeroSequence(seq.values * (1.0 - 1e-4)), BlaschkeProduct(seq)
+
+
+# Each pass that built a whole points x N matrix, on the inputs above.
+_LINEAR_MEMORY_CALLS = {
+    "ZeroSequence": lambda seq, near, b: ZeroSequence(seq.values),
+    "min_separation": lambda seq, near, b: seq[1:].min_separation,
+    "cohn_sum": lambda seq, near, b: cohn_sum(seq),
+    "dyakonov_sup": lambda seq, near, b: dyakonov_sup(b, TargetVector(np.ones(len(seq)))),
+    "kernel_bounds_check": lambda seq, near, b: kernel_bounds_check(seq.values, near.values, 12.0),
+    "separation": lambda seq, near, b: PairedSequences(seq, near).separation,
+}
 
 
 class TestRowBlocks:
@@ -328,10 +388,24 @@ class TestRowBlocks:
     @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
     def test_blocks_keep_the_bits_of_one_whole_batch(self, monkeypatch, block):
         # larger than every call's rows: each call is one block
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", 10**6)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", 10**6)
         whole = _row_block_outputs()
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
         assert _row_block_outputs() == whole
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 40, 130])
+    def test_node_cofactors_equal_the_whole_matrix(self, degree):
+        b = BlaschkeProduct(random_deep_sequence(degree, degree), rotation=np.exp(0.7j))
+        assert b._node_cofactors.tobytes() == whole_node_cofactors(b).tobytes()
+
+    @pytest.mark.parametrize("call", sorted(_LINEAR_MEMORY_CALLS))
+    def test_memory_is_linear_in_n(self, call):
+        n = 2000
+        inputs = _linear_memory_inputs(n)
+        # kernel_bounds_check's temporaries of one block, two complex and one real,
+        # and 32 complex arrays of length N
+        bound = blaschke.ROW_BLOCK * n * (2 * 16 + 8) + 32 * n * 16
+        assert peak_bytes(lambda: _LINEAR_MEMORY_CALLS[call](*inputs)) <= bound
 
 
 class TestCofactor:

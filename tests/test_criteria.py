@@ -33,15 +33,18 @@ from blaschke_lab import (
     separation,
     vasyunin_sum,
 )
-from blaschke_lab import blaschke, criteria
+from blaschke_lab import blaschke, criteria, geometry
 from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
 from blaschke_lab.geometry import TWO_PI, one_minus_abs_sq
 from tests.conftest import (
     deep_tolerance,
+    mirrored_deep_sequence,
     peak_bytes,
     random_deep_sequence,
     random_separated,
     split_separated,
+    whole_cohn_sum,
+    whole_dyakonov_sup,
 )
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
@@ -275,7 +278,7 @@ class TestFrostmanSum:
 
     @pytest.mark.parametrize("block", [1, 7, blaschke.ROW_BLOCK])
     def test_point_blocks_keep_the_bits_of_one_whole_grid_call(self, monkeypatch, block):
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
         seq = random_deep_sequence(3, 40)
         report = frostman_sum(seq, GRID)
         value, witness, _ = scan_circle(_frostman_total(seq), GRID.with_injected(seq), mode="max")
@@ -320,8 +323,28 @@ class TestCohnSum:
         report = cohn_sum(ZeroSequence([0.3]))
         assert report.value == pytest.approx(0.7 / (1.0 - 0.09))
 
+    @pytest.mark.parametrize("block", [7, blaschke.ROW_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocks_equal_the_whole_matrix(self, monkeypatch, seed, block):
+        # S then -S: row n and row n + 72 tie exactly, in different blocks
+        seq = mirrored_deep_sequence(seed, 72)
+        assert len(seq) >= 2 * blaschke.ROW_BLOCK + 1
+        whole = whole_cohn_sum(seq)
+        assert whole.per_index.count(whole.value) == 2
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+        assert repr(cohn_sum(seq)) == repr(whole)
+
 
 class TestDyakonovSup:
+    @pytest.mark.parametrize("block", [7, blaschke.ROW_BLOCK])
+    def test_blocks_equal_the_whole_matrix(self, monkeypatch, block):
+        # the witness is the first maximum of rows with the whole matrix's bits
+        b = BlaschkeProduct(mirrored_deep_sequence(2, 72))
+        alpha = np.exp(1j * np.arange(b.degree))
+        whole = whole_dyakonov_sup(b, alpha)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+        assert repr(dyakonov_sup(b, TargetVector(alpha))) == repr(whole)
+
     def test_frozen_pair(self):
         b = BlaschkeProduct(ZeroSequence([0.0, 0.5]))
         report = dyakonov_sup(b, TargetVector([1.0, 1.0]))
@@ -924,7 +947,7 @@ class TestPerturbationReports:
     # blocks below and above ROW_BLOCK, checked against one-function scans
     @pytest.mark.parametrize("block", [1, 7, 512])
     def test_point_blocks_keep_the_bits(self, monkeypatch, block):
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
         pairs = _trials("mixed20", 6)
         for paired, report in zip(pairs, perturbation_reports(pairs, 0.3, GRID)):
             assert _bits(report) == _bits(_reference_report(paired, 0.3, GRID))

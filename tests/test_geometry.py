@@ -22,7 +22,7 @@ from blaschke_lab import (
 )
 from blaschke_lab import geometry
 from blaschke_lab.sequences import perturb_sample
-from tests.conftest import random_separated
+from tests.conftest import mirrored_deep_sequence, random_separated, whole_kernel_bounds_check
 
 
 def disk_points(max_mod=0.999):
@@ -270,6 +270,28 @@ class TestKernelBounds:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="hyperbolic distance inf"):
                 kernel_bounds_check([a], [z], 1.0)
+
+    def test_pair_near_the_circle_is_at_its_hyperbolic_distance(self):
+        # 1 - |a| = 5.5e-14 and 1 - |z| = 3.9e-11: the naive 1 - conj(a) z gives rho = 1 + 1e-12,
+        # where the exact kernel gives 1 - 8.4e-15 (50-digit mpmath: 1 - 8.6e-15, distance 16.54)
+        a = 0.8594185567410162 - 0.511272671212807j
+        z = 0.8594300055400923 - 0.5112534259042746j
+        report = kernel_bounds_check([a], [z], 30.0)
+        assert report.min_slack() >= -1e-12
+        with pytest.raises(ValueError, match="hyperbolic distance 16.5"):
+            kernel_bounds_check([a], [z], 16.0)
+
+    @pytest.mark.parametrize("block", [7, geometry.ROW_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_blocks_equal_the_whole_matrix(self, monkeypatch, seed, block):
+        # a and z are S then -S: every slack at (j, k) recurs at (j + 72, k + 72), in another block
+        a = mirrored_deep_sequence(seed, 72).values
+        z = a * (1.0 - 1e-4)
+        assert a.size >= 2 * geometry.ROW_BLOCK + 1
+        whole, rho_max = whole_kernel_bounds_check(a, z, 12.0)
+        assert math.atanh(rho_max) < 12.0
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+        assert repr(kernel_bounds_check(a, z, 12.0)) == repr(whole)
 
     def test_monte_carlo_paired_samples(self):
         for seed in range(40):

@@ -27,7 +27,7 @@ from blaschke_lab import (
     solve_kb,
     sup_norm,
 )
-from blaschke_lab import blaschke, cli
+from blaschke_lab import blaschke, cli, geometry
 from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL
 from tests.conftest import (
     kernel_solve_oracle,
@@ -214,9 +214,9 @@ class TestLagrangeBlocks:
         rep = _deep_rep(50)
         # circle points, interior points, and nodes, whose values are exact
         points = np.concatenate([CIRCLE_256, 0.5 * CIRCLE_256[::3], rep.space.zeros.values[::7]])
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", points.size)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", points.size)
         whole = rep(points)
-        monkeypatch.setattr(blaschke, "ROW_BLOCK", block)
+        monkeypatch.setattr(geometry, "ROW_BLOCK", block)
         assert rep(points).tobytes() == whole.tobytes()
 
     def test_one_call_equals_one_point_calls(self):
