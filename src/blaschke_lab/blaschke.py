@@ -22,7 +22,8 @@ from .geometry import (
     DiskPoint,
     PointLike,
     _in_row_blocks,
-    _rho_rows,
+    _kernel,
+    _rho,
     complex_vector,
     disk_values,
     one_minus_abs_sq,
@@ -40,19 +41,22 @@ __all__ = [
 COINCIDENCE_TOL = 1e-13
 
 
-def _nearest_pair(a: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, int, int, np.ndarray]:
+def _nearest_pair(
+    a: np.ndarray, z: Optional[np.ndarray] = None, sizes: Optional[np.ndarray] = None
+) -> tuple[float, int, int, np.ndarray]:
     """Least rho(a_j, z_k), its first (j, k) in row-major order, and each row's least (z None: z = a, j != k).
 
-    The row minima go ROW_BLOCK rows at a time; row j of the least is then
-    computed alone for its first k.  Each entry has the bits of
-    pairwise_rho's.
+    sizes are one_minus_abs_sq(a), computed when not given.  The row minima
+    go ROW_BLOCK rows at a time; row j of the least is then computed alone
+    for its first k.  Each entry has the bits of pairwise_rho's.
     """
     square = z is None
     z = a if square else z
+    sizes = one_minus_abs_sq(a) if sizes is None else sizes
     buffers = Buffers()
 
     def distances(block: slice) -> np.ndarray:
-        dist = _rho_rows(a[block], z, buffers)
+        dist = _rho(a[block, None], z[None, :], sizes[block, None], buffers)
         if square:
             diagonal = np.arange(dist.shape[0])
             dist[diagonal, block.start + diagonal] = np.inf
@@ -71,15 +75,15 @@ class ZeroSequence(Sequence[DiskPoint]):
     rejected as duplicates.  The empty sequence is allowed so that the
     cofactor of a degree-one product (a constant) is representable;
     generators always produce at least one point.  Indexing and iteration
-    build DiskPoints on demand.
+    build DiskPoints on demand.  The sizes 1 - |a|^2 are formed once, with the array.
     """
 
-    __slots__ = ("_values", "_min_separation")
+    __slots__ = ("_values", "_sizes", "_min_separation")
 
     def __init__(self, points: Iterable[PointLike]):
         self._adopt(disk_values(points))
         if len(self) > 1:
-            nearest, j, k, _ = _nearest_pair(self._values)
+            nearest, j, k, _ = _nearest_pair(self._values, sizes=self._sizes)
             if nearest <= COINCIDENCE_TOL:
                 raise DuplicatePoint(f"points {j} and {k} coincide (rho = {nearest:.3e})")
             self._min_separation = nearest
@@ -92,9 +96,11 @@ class ZeroSequence(Sequence[DiskPoint]):
         return part
 
     def _adopt(self, values: np.ndarray) -> None:
-        """Hold values without checking them; min_separation is left to compute on demand."""
+        """Hold values, and their sizes, without checking them; min_separation is left to compute on demand."""
         values.setflags(write=False)
         self._values = values
+        self._sizes = one_minus_abs_sq(values)
+        self._sizes.setflags(write=False)
         self._min_separation = math.inf if values.size < 2 else None
 
     @property
@@ -113,7 +119,7 @@ class ZeroSequence(Sequence[DiskPoint]):
         A subset computes it on first access: its value can be larger.
         """
         if self._min_separation is None:
-            self._min_separation = _nearest_pair(self._values)[0]
+            self._min_separation = _nearest_pair(self._values, sizes=self._sizes)[0]
         return self._min_separation
 
     def __len__(self) -> int:
@@ -194,18 +200,6 @@ class CarlesonReport:
     delta: float
 
 
-def _kernel_ratios(zeros: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1 - |a_j|^2) / (1 - conj(a_j) z_i) for every point/zero pair.
-
-    The denominator is accumulated as (1 - |a|^2) + conj(a) (a - z), which
-    is exact when a point coincides with a zero; the naive 1 - conj(a) z
-    loses all accuracy there once the zero sits deep near the boundary.
-    """
-    sizes = one_minus_abs_sq(zeros)[None, :]
-    shifted = zeros[None, :] - points[:, None]
-    return sizes / (sizes + np.conj(zeros)[None, :] * shifted)
-
-
 class BlaschkeProduct:
     """A finite Blaschke product: rotation times one factor per zero.
 
@@ -247,7 +241,7 @@ class BlaschkeProduct:
         self._node_cofactors = _in_row_blocks(zs.size, node_cofactors)
         self._node_cofactors.setflags(write=False)
         # B'(a_j) = b_j'(a_j) B_j(a_j), and b_j'(a_j) = prefactor_j / (1 - |a_j|^2).
-        self._node_weights = one_minus_abs_sq(zs) / (self._prefactors * self._node_cofactors)
+        self._node_weights = zeros._sizes / (self._prefactors * self._node_cofactors)
         self._node_weights.setflags(write=False)
 
     @property
@@ -277,13 +271,11 @@ class BlaschkeProduct:
         """Matrix of single-factor values, rows over points, columns over zeros, written into buffers."""
         zs = self._zeros.values
         shape = (z.size, zs.size)
-        factors = buffers.take("factors", shape)
-        partial = buffers.take("partial", shape)
+        gaps = np.subtract(z[:, None], zs[None, :], out=buffers.take("partial", shape))
+        kernel = _kernel(zs[None, :], self._zeros._sizes[None, :], gaps, buffers.take("factors", shape))
         # No complex product is written over one of its factors: numpy's in-place
         # product of a single element takes another loop, with other bits.
-        np.multiply(self._prefactors[None, :], np.subtract(z[:, None], zs[None, :], out=partial), out=factors)
-        np.subtract(1.0, np.multiply(np.conj(zs)[None, :], z[:, None], out=partial), out=partial)
-        return np.divide(factors, partial, out=factors)
+        return np.multiply(self._prefactors[None, :], np.divide(gaps, kernel, out=gaps), out=kernel)
 
     def _cofactor_parts(self, z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
         """The prefix and suffix products of the factors at each point: B_j(z) = rotation * prefix_j * suffix_j.
@@ -294,7 +286,7 @@ class BlaschkeProduct:
         # Each row is one running product over all n factors, in each direction, as numpy
         # runs it: a shorter run would change the loop, and with it the bits.  Column 0
         # holds the empty product.  The prefixes take the memory of the factors'
-        # denominators, taken at its full size first and spent before it is written.
+        # gaps, taken at its full size first and spent before it is written.
         prefix = buffers.take("partial", (m, n + 1))
         suffix = buffers.take("suffix", (m, n + 1))
         factors = self._factors(z, buffers)
@@ -316,19 +308,22 @@ class BlaschkeProduct:
     def derivative(self, z) -> Union[complex, np.ndarray]:
         """B'(z) = sum over j of b_j'(z) B_j(z), for |z| <= 1, zeros included.
 
-        With r_j the exact-denominator kernel ratio, each factor has
-        b_j'(z) = prefactor_j r_j(z)^2 / (1 - |a_j|^2); the cofactors come
+        Each factor has b_j'(z) = prefactor_j (1 - |a_j|^2) / (1 - conj(a_j) z)^2,
+        the kernel formed from the gaps z - a_j (_kernel); the cofactors come
         from prefix/suffix products, so no factor is ever divided out.
         """
         arr, scalar = self._coerce_arg(z)
         zs = self._zeros.values
-        sizes = one_minus_abs_sq(zs)
+        sizes = self._zeros._sizes
         rotation = self._rotation.value
         buffers = Buffers()
 
         def rows(block: slice) -> np.ndarray:
             points = arr[block]
-            slopes = self._prefactors * _kernel_ratios(zs, points) ** 2 / sizes
+            shape = (points.size, zs.size)
+            gaps = np.subtract(points[:, None], zs, out=buffers.take("gaps", shape))
+            kernel = _kernel(zs, sizes, gaps, buffers.take("kernel", shape))
+            slopes = self._prefactors * sizes / (kernel * kernel)
             prefix, suffix = self._cofactor_parts(points, buffers)
             return np.sum(slopes * (rotation * prefix * suffix), axis=1)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .blaschke import COINCIDENCE_TOL, BlaschkeProduct, TargetVector, ZeroSequence, _nearest_pair, as_targets
 from .errors import NearnessExceeded, ZeroCollision
-from .geometry import TWO_PI, Buffers, CirclePoint, _in_row_blocks, elementwise_rho, one_minus_abs_sq, wrap_angle
+from .geometry import TWO_PI, Buffers, CirclePoint, _depth, _in_row_blocks, _kernel, _rho, one_minus_abs_sq, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -282,7 +282,7 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
     """
     grid = grid or CircleGrid()
     values = a_seq.values
-    weights = 1.0 - np.abs(values)
+    weights = _depth(values, a_seq._sizes)
     value, arg = _frostman_scan(values, weights, grid)
     witness = CirclePoint(arg)
     terms = weights / np.abs(witness.value - values)
@@ -303,17 +303,17 @@ def _indexed(name: str, rows: np.ndarray, pick: Callable[[np.ndarray], int] = np
 
 def cohn_sum(a_seq: ZeroSequence) -> CriterionReport:
     """Supremum over the sequence itself of sum_k (1 - |a_k|) / |1 - conj(a_k) a_n|."""
-    values = a_seq.values
-    weights = 1.0 - np.abs(values)
-    conj = np.conj(values)
+    values, sizes = a_seq.values, a_seq._sizes
+    weights = _depth(values, sizes)
     buffers = Buffers()
 
     def rows(block: slice) -> np.ndarray:
         shape = (values[block].size, values.size)
-        kernels = buffers.take("complex", shape)
-        dist = buffers.take("dist", shape, float)
-        np.abs(np.subtract(1.0, np.multiply(conj[None, :], values[block, None], out=kernels), out=kernels), out=dist)
-        return np.sum(np.divide(weights[None, :], dist, out=dist), axis=1)
+        gaps = np.subtract(values[block, None], values, out=buffers.take("gaps", shape))
+        kernels = _kernel(values, sizes, gaps, buffers.take("kernels", shape))
+        # the gaps are read: their memory takes the moduli
+        dist = np.abs(kernels, out=buffers.take("gaps", shape, float))
+        return np.sum(np.divide(weights, dist, out=dist), axis=1)
 
     return _indexed("cohn", _in_row_blocks(values.size, rows))
 
@@ -323,27 +323,29 @@ def dyakonov_sup(b: BlaschkeProduct, alpha: TargetVector) -> CriterionReport:
 
     The denominator conjugation is kept exactly in this printed form; a
     global conjugation of the index k would not change the supremum of
-    absolute values.
+    absolute values.  1 - a_j conj(a_k) is the kernel of a_k at a_j, from
+    the gaps a_j - a_k.
     """
     alpha = as_targets(alpha)
     if len(alpha) != b.degree:
         raise ValueError("alpha length must equal the degree")
-    zeros = b.zeros.values
+    zeros, sizes = b.zeros.values, b.zeros._sizes
     coefficients = alpha.values * b._node_weights
     buffers = Buffers()
 
     def rows(block: slice) -> np.ndarray:
-        inner = buffers.take("complex", (zeros[block].size, zeros.size))
-        np.subtract(1.0, np.multiply(zeros[None, :], np.conj(zeros[block])[:, None], out=inner), out=inner)
-        return np.abs(np.sum(np.divide(coefficients[None, :], inner, out=inner), axis=1))
+        shape = (zeros[block].size, zeros.size)
+        gaps = np.subtract(zeros, zeros[block, None], out=buffers.take("gaps", shape))
+        inner = _kernel(zeros[block, None], sizes[block, None], gaps, buffers.take("inner", shape))
+        return np.abs(np.sum(np.divide(coefficients, inner, out=inner), axis=1))
 
     return _indexed("dyakonov", _in_row_blocks(zeros.size, rows))
 
 
 def vasyunin_sum(a_seq: ZeroSequence) -> float:
     """sum of (1 - |a_n|) log(1 / (1 - |a_n|)), the truncated entropy sum."""
-    gaps = 1.0 - np.abs(a_seq.values)
-    return float(-np.sum(gaps * np.log(gaps)))
+    depths = _depth(a_seq.values, a_seq._sizes)
+    return float(-np.sum(depths * np.log(depths)))
 
 
 def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
@@ -380,10 +382,11 @@ class _ZeroSets(NamedTuple):
     @classmethod
     def of(cls, *sides: Sequence[ZeroSequence]) -> "_ZeroSets":
         keys = [[seq.values.tobytes() for seq in side] for side in sides]
-        distinct = {key: seq.values for side, side_keys in zip(sides, keys) for seq, key in zip(side, side_keys)}
+        distinct = {key: seq for side, side_keys in zip(sides, keys) for seq, key in zip(side, side_keys)}
         index = {key: j for j, key in enumerate(distinct)}
-        values = np.array(list(distinct.values()))
-        return cls(values, 1.0 - np.abs(values), np.array([[index[key] for key in side_keys] for side_keys in keys]))
+        values = np.array([seq.values for seq in distinct.values()])
+        weights = _depth(values, np.array([seq._sizes for seq in distinct.values()]))
+        return cls(values, weights, np.array([[index[key] for key in side_keys] for side_keys in keys]))
 
 
 def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
@@ -399,17 +402,19 @@ def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
     K = |1 - conj(a) z| + |z - a| and
     |1 - conj(a) z|^2 = |z - a|^2 + (1 - |a|^2)(1 - |z|^2).  K is a sum of
     nonnegative terms, so it is free of cancellation.  The index-pair
-    envelopes C1 and C2 take the extremes of each (trial, index) row, then
-    of each trial; the rows go ROW_BLOCK * REFINE_SEEDS at a time.
+    envelopes C1 and C2 are the extremes of (1 - rho(z_j, z_k)^2) /
+    (1 - rho(a_j, a_k)^2) over each (trial, index) row, then over each
+    trial, with 1 - rho(p, q)^2 = (1 - |p|^2)(1 - |q|^2) / |1 - conj(p) q|^2;
+    the rows go ROW_BLOCK * REFINE_SEEDS at a time.
     """
     count, n = a.shape
-    near = np.max(elementwise_rho(a, z), axis=1)
+    size_a = one_minus_abs_sq(a)
+    size_z = one_minus_abs_sq(z)
+    near = np.max(_rho(a, z, size_a, Buffers()), axis=1)
     far = np.flatnonzero(near > r * (1.0 + 1e-12) + 1e-15)
     if far.size:
         raise NearnessExceeded(f"pair nearness {near[far[0]]:.6g} exceeds the stated radius {r:.6g}")
 
-    size_a = one_minus_abs_sq(a)
-    size_z = one_minus_abs_sq(z)
     c_r = (1.0 + r) / (1.0 - r)
 
     violations = np.sum(size_z > c_r * size_a + 1e-12, axis=1) + np.sum(size_a > c_r * size_z + 1e-12, axis=1)
@@ -419,35 +424,27 @@ def _pair_envelopes(a: np.ndarray, z: np.ndarray, r: float) -> dict[str, list]:
 
     # Row (t, j) gathers trial t's points and sizes.  np.take in mode "clip" writes
     # straight into out (every index is in range); mode "raise" would copy out first.
-    def kernel_squares(points: np.ndarray, t: np.ndarray, j: np.ndarray, name: str) -> np.ndarray:
-        """|1 - conj(p_tj) p_tk|^2 of rows (t, j) over k.
-
-        The product goes to its own buffer: numpy's in-place complex product
-        of a single element takes another loop, with other bits.
-        """
-        gathered = np.take(points, t, axis=0, out=buffers.take("gathered", (t.size, n)), mode="clip")
-        product = np.multiply(np.conj(points[t, j])[:, None], gathered, out=buffers.take("complex", gathered.shape))
-        square = np.abs(np.subtract(1.0, product, out=product), out=buffers.take(name, gathered.shape, float))
-        return np.square(square, out=square)
-
-    def scaled(sizes: np.ndarray, t: np.ndarray, j: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """size_tj size_tk / kernel of rows (t, j) over k."""
-        np.take(sizes, t, axis=0, out=out, mode="clip")
-        return np.divide(np.multiply(sizes[t, j][:, None], out, out=out), kernel, out=out)
+    def closeness(points: np.ndarray, sizes: np.ndarray, t: np.ndarray, j: np.ndarray, name: str) -> np.ndarray:
+        """1 - rho(p_tj, p_tk)^2 of rows (t, j) over k, from the kernels of the gaps p_tk - p_tj."""
+        gaps = np.take(points, t, axis=0, out=buffers.take("gathered", (t.size, n)), mode="clip")
+        own, own_size = points[t, j][:, None], sizes[t, j][:, None]
+        kernel = _kernel(own, own_size, np.subtract(gaps, own, out=gaps), buffers.take("complex", gaps.shape))
+        square = np.abs(kernel, out=buffers.take(name, gaps.shape, float))
+        np.square(square, out=square)
+        # the gathered points are read: their memory takes the gathered sizes
+        gathered = np.take(sizes, t, axis=0, out=buffers.take("gathered", gaps.shape, float), mode="clip")
+        return np.divide(np.multiply(own_size, gathered, out=gathered), square, out=square)
 
     def pair_extremes(rows: slice) -> np.ndarray:
         t, j = np.divmod(index[rows], n)
-        kernel_a = kernel_squares(a, t, j, "kernel_a")
-        kernel_z = kernel_squares(z, t, j, "kernel_z")
-        # the complex rows are read: their memory takes both sides of the ratio
-        num, den = buffers.take("complex", (2, t.size, n), float)
-        pair_ratios = np.divide(scaled(size_z, t, j, kernel_z, num), scaled(size_a, t, j, kernel_a, den), out=num)
+        near_z = closeness(z, size_z, t, j, "near_z")
+        pair_ratios = np.divide(near_z, closeness(a, size_a, t, j, "near_a"), out=near_z)
         return np.array([pair_ratios.min(axis=1), pair_ratios.max(axis=1)])
 
     row_min, row_max = _in_row_blocks(count * n, pair_extremes, REFINE_SEEDS).reshape(2, count, n)
     pair_min, pair_max = row_min.min(axis=1), row_max.max(axis=1)
-    gap = np.abs(z - a)
-    kernel = np.sqrt(gap * gap + size_a * size_z) + gap
+    gaps = z - a
+    kernel = np.abs(_kernel(a, size_a, gaps, np.empty_like(gaps))) + np.abs(gaps)
     return dict(
         C_r=[c_r] * count,
         empirical_C1=pair_min.tolist(),

@@ -1,9 +1,10 @@
 """Pseudohyperbolic geometry on the open unit disk.
 
 Distances, the disk automorphisms that realize them, and the Euclidean
-description of pseudohyperbolic disks.  All quantities of the form
-1 - |z|^2 are computed as (1 - |z|)(1 + |z|) so that points close to the
-circle keep their full relative accuracy.
+description of pseudohyperbolic disks.  The size 1 - |z|^2, the depth
+1 - |z| and the kernel 1 - conj(a) z are each formed once, exact to a few
+eps up to the boundary margin (one_minus_abs_sq, _depth, _kernel), and so
+are rho, 1 - rho^2 and beta.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "mobius",
     "pseudo_disk_to_euclidean",
     "kernel_bounds_check",
-    "elementwise_rho",
     "pairwise_rho",
     "one_minus_abs_sq",
     "wrap_angle",
@@ -180,43 +180,6 @@ def disk_values(points: Iterable[PointLike]) -> np.ndarray:
     return values
 
 
-def one_minus_abs_sq(values) -> np.ndarray:
-    """1 - |z|^2 in the cancellation-safe form (1 - |z|)(1 + |z|)."""
-    mod = np.abs(np.asarray(values, dtype=complex))
-    return (1.0 - mod) * (1.0 + mod)
-
-
-def rho(a: PointLike, z: PointLike) -> float:
-    """Pseudohyperbolic distance |z - a| / |1 - conj(a) z|."""
-    aw = as_point(a).z
-    zw = as_point(z).z
-    return abs(zw - aw) / abs(1.0 - aw.conjugate() * zw)
-
-
-def beta(a: PointLike, z: PointLike) -> float:
-    """Hyperbolic distance, (1/2) log((1 + rho) / (1 - rho))."""
-    return math.atanh(rho(a, z))
-
-
-def mobius(a: PointLike, z: PointLike) -> DiskPoint:
-    """The involutive automorphism (a - z) / (1 - conj(a) z) applied to z."""
-    aw = as_point(a).z
-    zw = as_point(z).z
-    return DiskPoint.from_complex((aw - zw) / (1.0 - aw.conjugate() * zw))
-
-
-def elementwise_rho(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """rho(a, z) entry by entry, for complex arrays that broadcast together."""
-    return np.abs(z - a) / np.abs(1.0 - np.conj(a) * z)
-
-
-def pairwise_rho(a_values, z_values) -> np.ndarray:
-    """Matrix of pseudohyperbolic distances, rows over a, columns over z: the outer case of elementwise_rho."""
-    a = np.asarray(a_values, dtype=complex).reshape(-1, 1)
-    z = np.asarray(z_values, dtype=complex).reshape(1, -1)
-    return elementwise_rho(a, z)
-
-
 class Buffers:
     """Named scratch memory that the row blocks of one pass write their temporaries into.
 
@@ -263,21 +226,94 @@ def _in_row_blocks(count: int, reduce: Callable[[slice], np.ndarray], group: int
     return out
 
 
-def _rho_rows(a: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:
-    """pairwise_rho(a, z), written into buffers: the same operations, with no new matrix.
+def one_minus_abs_sq(values) -> np.ndarray:
+    """1 - |z|^2 of each point, as 1 - x^2 - y^2 with only the last two operations rounded: within an ulp.
 
-    The operands keep pairwise_rho's shapes, (m, 1) against (1, n): numpy
-    picks its complex loops by shape, and one row of one column, (1, 1)
-    against (1,), takes a loop whose bits differ.
+    Each square splits error-free as x^2 = p + e (Dekker, Numer. Math. 18,
+    1971), and p_x + p_y = s + t by TwoSum (Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 26, 2005); where 1 - s cancels it is exact (Sterbenz).
     """
-    shape = (a.size, z.size)
-    gaps = buffers.take("complex", shape)
-    dist = buffers.take("dist", shape, float)
-    kernel = buffers.take("kernel", shape, float)
-    np.abs(np.subtract(z[None, :], a[:, None], out=gaps), out=dist)
-    np.multiply(np.conj(a)[:, None], z[None, :], out=gaps)
-    np.abs(np.subtract(1.0, gaps, out=gaps), out=kernel)
-    return np.divide(dist, kernel, out=dist)
+    values = np.asarray(values, dtype=complex)
+    parts = np.ascontiguousarray(values).view(float).reshape(values.shape + (2,))
+    squares = parts * parts
+    # Veltkamp's split by 2^27 + 1, into halves of 26 bits whose products are exact
+    split = 134217729.0 * parts
+    high = split - (split - parts)
+    low = parts - high
+    errors = ((high * high - squares) + 2.0 * high * low) + low * low
+    p_x, p_y = squares[..., 0], squares[..., 1]
+    total = p_x + p_y
+    virtual = total - p_x
+    tail = (p_x - (total - virtual)) + (p_y - virtual)
+    return (1.0 - total) - ((tail + errors[..., 0]) + errors[..., 1])
+
+
+def _depth(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """1 - |z| of each point, as (1 - |z|^2) / (1 + |z|) from its sizes one_minus_abs_sq(values)."""
+    return sizes / (1.0 + np.abs(values))
+
+
+def _kernel(a: np.ndarray, sizes: np.ndarray, gaps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 - conj(a) z as (1 - |a|^2) - conj(a) (z - a), from the gaps z - a, into out: exact to a few eps.
+
+    a and its sizes broadcast against the gaps, so the zeros may run along
+    either axis.  out must not be the gaps: numpy's in-place complex
+    product of a single element takes another loop, with other bits.
+    """
+    np.multiply(np.conj(a), gaps, out=out)
+    return np.subtract(sizes, out, out=out)
+
+
+def _pair(a: PointLike, z: PointLike) -> tuple[complex, complex, np.ndarray]:
+    """z - a, 1 - conj(a) z (_kernel) and the sizes of a and z, for two points."""
+    points = np.array([as_point(a).z, as_point(z).z])
+    sizes = one_minus_abs_sq(points)
+    gap = points[1:] - points[:1]
+    kernel = _kernel(points[:1], sizes[:1], gap, np.empty(1, dtype=complex))
+    return complex(gap[0]), complex(kernel[0]), sizes
+
+
+def rho(a: PointLike, z: PointLike) -> float:
+    """Pseudohyperbolic distance |z - a| / |1 - conj(a) z|."""
+    gap, kernel, _ = _pair(a, z)
+    return abs(gap) / abs(kernel)
+
+
+def beta(a: PointLike, z: PointLike) -> float:
+    """Hyperbolic distance atanh(rho), as log1p(2 rho (1 + rho) / (1 - rho^2)) / 2.
+
+    1 - rho^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2 has no cancellation: a
+    pair whose rho rounds to 1 keeps its finite distance, and a close one its digits.
+    """
+    gap, kernel, sizes = _pair(a, z)
+    dist = abs(gap) / abs(kernel)
+    return 0.5 * math.log1p(2.0 * dist * (1.0 + dist) / (sizes[0] * sizes[1] / abs(kernel) ** 2))
+
+
+def mobius(a: PointLike, z: PointLike) -> DiskPoint:
+    """The involutive automorphism (a - z) / (1 - conj(a) z) applied to z."""
+    gap, kernel, _ = _pair(a, z)
+    return DiskPoint.from_complex(-gap / kernel)
+
+
+def _rho(a: np.ndarray, z: np.ndarray, sizes: np.ndarray, buffers: Buffers) -> np.ndarray:
+    """rho(a, z) entry by entry, for complex arrays that broadcast together, written into buffers.
+
+    sizes are one_minus_abs_sq(a), shaped like a.
+    """
+    shape = np.broadcast_shapes(a.shape, z.shape)
+    gaps = np.subtract(z, a, out=buffers.take("gaps", shape))
+    dist = np.abs(gaps, out=buffers.take("dist", shape, float))
+    kernel = _kernel(a, sizes, gaps, buffers.take("kernel", shape))
+    # the gaps are read: their memory takes |kernel|
+    return np.divide(dist, np.abs(kernel, out=buffers.take("gaps", shape, float)), out=dist)
+
+
+def pairwise_rho(a_values, z_values) -> np.ndarray:
+    """Matrix of pseudohyperbolic distances, rows over a, columns over z."""
+    a = np.asarray(a_values, dtype=complex).reshape(-1, 1)
+    z = np.asarray(z_values, dtype=complex).reshape(1, -1)
+    return _rho(a, z, one_minus_abs_sq(a), Buffers())
 
 
 def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:
@@ -295,18 +331,22 @@ def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:
     return EuclideanDisk(center=complex(centers[0]), radius=float(radii[0]))
 
 
-def _euclidean_disks(centers: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _euclidean_disks(
+    centers: np.ndarray, r: float, sizes: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Centres and radii of the Euclidean images of the pseudohyperbolic disks of radius r around centers.
 
-    The array form of pseudo_disk_to_euclidean, with no checks.  m is
-    np.hypot of the parts, as Python's abs of a complex computes it (np.abs
-    of a complex array can differ in the last bit), and the phase divides
-    each part by m.
+    The array form of pseudo_disk_to_euclidean, with no checks; sizes are
+    one_minus_abs_sq(centers), computed when not given.  m is np.hypot of
+    the parts, as Python's abs of a complex computes it (np.abs of a
+    complex array can differ in the last bit), and the phase divides each
+    part by m.
     """
+    sizes = one_minus_abs_sq(centers) if sizes is None else sizes
     m = np.hypot(centers.real, centers.imag)
     denom = (1.0 - r * m) * (1.0 + r * m)
     p = (1.0 - r) * (1.0 + r) * m / denom
-    radii = r * (1.0 - m) * (1.0 + m) / denom
+    radii = r * sizes / denom
     safe = np.where(m > 0.0, m, 1.0)
     images = np.empty(centers.shape, dtype=complex)
     images.real = np.where(m > 0.0, centers.real / safe, 1.0) * p
@@ -354,10 +394,11 @@ def kernel_bounds_check(
         (1 - |z|^2) / |1 - conj(a) z| >= 1 - s.
 
     Raises PrecisionViolation if any bound fails by more than 1e-12, which
-    signals a bug rather than bad input.  rho and |1 - conj(a) z| come from
-    the kernel (1 - |a|^2) + conj(a) (a - z), exact where a and z nearly
-    coincide near the circle, ROW_BLOCK rows of a at a time; the witness is
-    the first pair in row-major order with the worst slack.
+    signals a bug rather than bad input.  1 / |1 - conj(a) z| comes from
+    the one kernel, ROW_BLOCK rows of a at a time.  The pair of least
+    1 - rho^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2 is the farthest,
+    at beta's distance; the witness is the first pair in row-major order
+    with the worst slack.
     """
     a = disk_values(a_points)
     z = disk_values(z_points)
@@ -370,7 +411,10 @@ def kernel_bounds_check(
     size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
     mid_z = (1.0 - s * np.abs(z)) / size_z
     mid_a = (1.0 - s * np.abs(a)) / size_a
-    slacks = {
+    # each check maps rows of a, their 1 / |1 - conj(a) z| and an output buffer to its values;
+    # closeness is (1 - rho^2) / (1 - |a|^2), least on each row's farthest pair
+    checks = {
+        "closeness": lambda rows, inv, out: np.multiply(np.square(inv, out=out), size_z, out=out),
         "floor_slack": lambda rows, inv, out: np.subtract(mid_z, 1.0 - s, out=out),
         "z_kernel_slack": lambda rows, inv, out: np.subtract(inv, mid_z, out=out),
         "a_kernel_slack": lambda rows, inv, out: np.subtract(inv, mid_a[rows, None], out=out),
@@ -380,42 +424,38 @@ def kernel_bounds_check(
     }
     buffers = Buffers()
 
-    def kernels(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """rho and 1 / |1 - conj(a) z| of rows of a against every z, the kernel as (1 - |a|^2) + conj(a) (a - z)."""
+    def inverse_kernels(rows: slice) -> np.ndarray:
+        """1 / |1 - conj(a) z| of rows of a against every z."""
         shape = (a[rows].size, z.size)
-        gaps = np.subtract(a[rows, None], z, out=buffers.take("gaps", shape))
-        dist = np.abs(gaps, out=buffers.take("dist", shape, float))
-        # the product goes to its own buffer: numpy's in-place complex product
-        # of a single element takes another loop, with other bits
-        kernel = np.multiply(np.conj(a[rows])[:, None], gaps, out=buffers.take("kernel", shape))
+        gaps = np.subtract(z, a[rows, None], out=buffers.take("gaps", shape))
+        kernel = _kernel(a[rows, None], size_a[rows, None], gaps, buffers.take("kernel", shape))
         # the gaps are read: their memory takes 1 / |kernel|
-        inv = np.abs(np.add(size_a[rows, None], kernel, out=kernel), out=buffers.take("gaps", shape, float))
-        np.divide(dist, inv, out=dist)
-        return dist, np.divide(1.0, inv, out=inv)
+        inv = np.abs(kernel, out=buffers.take("gaps", shape, float))
+        return np.divide(1.0, inv, out=inv)
 
-    def row_extremes(rows: slice) -> np.ndarray:
-        dist, inv = kernels(rows)
-        extremes = [dist.max(axis=1)]
-        # dist is read: its memory takes each slack in turn
-        extremes += [slack(rows, inv, dist).min(axis=1) for slack in slacks.values()]
-        return np.array(extremes)
+    def row_least(rows: slice) -> np.ndarray:
+        inv = inverse_kernels(rows)
+        out = buffers.take("check", inv.shape, float)
+        return np.array([check(rows, inv, out).min(axis=1) for check in checks.values()])
 
-    nearest, *row_worst = _in_row_blocks(a.size, row_extremes)
-    # rho near the circle can round to 1: capped, that is distance inf, not NaN.
-    with np.errstate(divide="ignore"):
-        sup_beta = float(np.arctanh(min(nearest.max(), 1.0)))
+    least = dict(zip(checks, _in_row_blocks(a.size, row_least)))
+    least["closeness"] *= size_a
+
+    def first_least(name: str) -> tuple[int, int]:
+        """The first pair in row-major order where check name is least: its first row, then that row alone."""
+        j = int(least[name].argmin())
+        inv = inverse_kernels(slice(j, j + 1))
+        return j, int(checks[name](slice(j, j + 1), inv, buffers.take("check", inv.shape, float)).argmin())
+
+    j, k = first_least("closeness")
+    sup_beta = beta(a[j], z[k])
     if sup_beta > r * (1.0 + 1e-12) + 1e-12:
         raise ValueError(
             f"pair at hyperbolic distance {sup_beta:.17g} exceeds the stated radius {r:.17g}"
         )
 
-    worst = {name: float(row.min()) for name, row in zip(slacks, row_worst)}
-    worst_name = min(worst, key=worst.get)
-    # the first row-major witness: the first row that holds the worst, and its first column
-    j = int(row_worst[list(slacks).index(worst_name)].argmin())
-    dist, inv = kernels(slice(j, j + 1))
-    witness = (j, int(slacks[worst_name](slice(j, j + 1), inv, dist).argmin()))
-
+    worst = {name: float(least[name].min()) for name in checks if name != "closeness"}
+    witness = first_least(min(worst, key=worst.get))
     report = KernelBoundsReport(s=s, witness=witness, **worst)
     if report.min_slack() < -1e-12:
         raise PrecisionViolation(

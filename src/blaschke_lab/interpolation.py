@@ -46,7 +46,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import Buffers, PointLike, _in_row_blocks, as_point, one_minus_abs_sq, wrap_angle
+from .geometry import Buffers, PointLike, _in_row_blocks, as_point, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -366,7 +366,7 @@ def _clark_matrix(b: BlaschkeProduct, target: complex) -> np.ndarray:
     """
     zs = b.zeros.values
     n = zs.size
-    w = np.sqrt(one_minus_abs_sq(zs))
+    w = np.sqrt(b.zeros._sizes)
     ones = np.ones(1, dtype=complex)
     # steps[k, j] = -conj(a_{k-1}) below the first subdiagonal, so the
     # column-wise cumulative product is the chain prod_{j<l<k} (-conj(a_l)).

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blaschke import TargetVector, ZeroSequence, _nearest_pair, as_targets
 from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
-from .geometry import _euclidean_disks, elementwise_rho, pairwise_rho
+from .geometry import Buffers, _euclidean_disks, _rho, pairwise_rho
 
 __all__ = [
     "DEPTH_CAP",
@@ -59,7 +59,7 @@ class PairedSequences:
     @property
     def index_distances(self) -> np.ndarray:
         """rho(a_n, z_n) for every n, without the full pairwise matrix."""
-        return elementwise_rho(self.A.values, self.Z.values)
+        return _rho(self.A.values, self.Z.values, self.A._sizes, Buffers())
 
     @property
     def nearness(self) -> float:
@@ -177,7 +177,7 @@ def perturb_sample(
             f"{a_seq.min_separation:.6g} of the centers"
         )
 
-    centers, radii = _euclidean_disks(a_seq.values, r)
+    centers, radii = _euclidean_disks(a_seq.values, r, a_seq._sizes)
     rng = np.random.default_rng(seed)
     count = len(a_seq)
 

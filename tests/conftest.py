@@ -10,9 +10,11 @@ from blaschke_lab import (
     DiskPoint,
     KernelBoundsReport,
     ZeroSequence,
+    beta,
     one_minus_abs_sq,
     pairwise_rho,
 )
+from blaschke_lab.geometry import _depth, _kernel
 
 ACCEPTANCE_LINES = []
 
@@ -67,8 +69,9 @@ def random_deep_sequence(seed, n, depth_min=1e-6, depth_max=0.5):
 def mirrored_deep_sequence(seed, half):
     """Check-deep's family, 1 - |a| log-uniform in [1e-3, 0.5], as half points S followed by -S.
 
-    Negating both points of a pair negates z - a and leaves conj(a) z as it
-    is, bit for bit, so rho(-a, -z) = rho(a, z) exactly: every least pair
+    Negating both points of a pair negates z - a, leaves 1 - |a|^2 and
+    conj(a) (z - a) as they are, bit for bit, and so the kernel
+    (1 - |a|^2) - conj(a) (z - a) and rho(-a, -z) = rho(a, z): every least pair
     has a twin half the length further on.  With half a multiple of 8 and
     2 half > 128, numpy's pairwise sum splits each row at half, so the Cohn
     rows of a and -a, whose halves are swapped, tie exactly too.
@@ -77,10 +80,17 @@ def mirrored_deep_sequence(seed, half):
     return ZeroSequence(np.concatenate([values, -values]))
 
 
+def whole_kernels(a, gaps):
+    """The kernels 1 - conj(a) z of one whole matrix, from the gaps z - a; a broadcasts against them."""
+    a = np.asarray(a, dtype=complex)
+    return _kernel(a, one_minus_abs_sq(a), gaps, np.empty(gaps.shape, dtype=complex))
+
+
 def whole_nearest_pair(a, z=None):
     """The least rho(a_j, z_k) of one whole matrix, its first (j, k) in row-major order and each row's least.
 
-    The whole-matrix form of blaschke._nearest_pair (z None: z = a, j != k).
+    The whole-matrix form of blaschke._nearest_pair (z None: z = a, j != k),
+    from pairwise_rho.
     """
     dist = pairwise_rho(a, a if z is None else z)
     if z is None:
@@ -93,7 +103,8 @@ def whole_node_cofactors(b):
     """B_j(a_j) for every j from one whole N x N matrix of factors, by prefix and suffix products."""
     zeros = b.zeros.values
     prefactors = np.where(zeros == 0, 1.0, -np.abs(zeros) / np.where(zeros == 0, 1.0, zeros))
-    factors = prefactors[None, :] * (zeros[:, None] - zeros[None, :]) / (1.0 - np.conj(zeros)[None, :] * zeros[:, None])
+    gaps = zeros[:, None] - zeros[None, :]
+    factors = prefactors[None, :] * (gaps / whole_kernels(zeros[None, :], gaps))
     ones = np.ones((zeros.size, 1), dtype=complex)
     prefix = np.concatenate([ones, np.cumprod(factors, axis=1)[:, :-1]], axis=1)
     suffix = np.concatenate([np.cumprod(factors[:, ::-1], axis=1)[:, ::-1][:, 1:], ones], axis=1)
@@ -108,8 +119,8 @@ def _first_maximum(name, rows):
 def whole_cohn_sum(a_seq):
     """cohn_sum from one whole N x N kernel matrix."""
     values = a_seq.values
-    weights = 1.0 - np.abs(values)
-    kernels = np.abs(1.0 - np.conj(values)[None, :] * values[:, None])
+    weights = _depth(values, one_minus_abs_sq(values))
+    kernels = np.abs(whole_kernels(values, values[:, None] - values[None, :]))
     return _first_maximum("cohn", np.sum(weights[None, :] / kernels, axis=1))
 
 
@@ -117,21 +128,21 @@ def whole_dyakonov_sup(b, alpha):
     """dyakonov_sup from one whole N x N matrix."""
     zeros = b.zeros.values
     coefficients = np.asarray(alpha, dtype=complex) * b._node_weights
-    inner = coefficients[None, :] / (1.0 - zeros[None, :] * np.conj(zeros)[:, None])
+    inner = coefficients[None, :] / whole_kernels(zeros[:, None], zeros[None, :] - zeros[:, None])
     return _first_maximum("dyakonov", np.abs(np.sum(inner, axis=1)))
 
 
 def whole_kernel_bounds_check(a, z, r):
-    """kernel_bounds_check's report from whole points x N matrices, with the kernel (1 - |a|^2) + conj(a) (a - z).
+    """kernel_bounds_check's report from whole points x N matrices, with the one kernel.
 
-    Returns the report and the largest rho; the witness is the first
-    row-major entry of the worst slack's matrix.
+    Returns the report and the largest hyperbolic distance, that of the
+    first pair of least 1 - rho^2; the witness is the first row-major entry
+    of the worst slack's matrix.
     """
     a, z = np.asarray(a, dtype=complex), np.asarray(z, dtype=complex)
     s = math.tanh(r)
     size_a, size_z = one_minus_abs_sq(a), one_minus_abs_sq(z)
-    shifted = a[:, None] - z[None, :]
-    kernel = np.abs(size_a[:, None] + np.conj(a)[:, None] * shifted)
+    kernel = np.abs(whole_kernels(a[:, None], z[None, :] - a[:, None]))
     inv_kernel = 1.0 / kernel
     mid_z = ((1.0 - s * np.abs(z)) / size_z)[None, :]
     mid_a = ((1.0 - s * np.abs(a)) / size_a)[:, None]
@@ -143,14 +154,15 @@ def whole_kernel_bounds_check(a, z, r):
     }
     worst = {name: float(np.min(grid)) for name, grid in slacks.items()}
     witness = divmod(int(np.argmin(slacks[min(worst, key=worst.get)])), z.size)
-    return KernelBoundsReport(s=s, witness=witness, **worst), float(np.max(np.abs(shifted) / kernel))
+    j, k = divmod(int(np.argmin(np.outer(size_a, size_z) * inv_kernel**2)), z.size)
+    return KernelBoundsReport(s=s, witness=witness, **worst), beta(a[j], z[k])
 
 
 def deep_tolerance(seq):
     """Relative error allowance 16 N eps / min(1 - |a|^2) for values built on deep zeros.
 
-    Near the circle 1 - conj(a) z is formed with absolute error about eps,
-    so its relative error grows like eps / (1 - |a|^2), once per factor.
+    It lets each 1 - conj(a) z carry an absolute error of about eps, a
+    relative error of eps / (1 - |a|^2), once per factor.
     """
     return 16 * len(seq) * np.finfo(float).eps / float(one_minus_abs_sq(seq.values).min())
 

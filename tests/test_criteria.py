@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from blaschke_lab import (
 )
 from blaschke_lab import blaschke, criteria, geometry
 from blaschke_lab.criteria import GOLDEN, GOLDEN_STEPS_PER_ROUND, REFINE_SEEDS
-from blaschke_lab.geometry import TWO_PI, one_minus_abs_sq
+from blaschke_lab.geometry import TWO_PI, _depth, one_minus_abs_sq
 from tests.conftest import (
     deep_tolerance,
     mirrored_deep_sequence,
@@ -45,9 +46,11 @@ from tests.conftest import (
     split_separated,
     whole_cohn_sum,
     whole_dyakonov_sup,
+    whole_kernels,
 )
 
 GRID = CircleGrid(base_count=256, refinement_rounds=1)
+EPS = np.finfo(float).eps
 
 
 class TestCircleGrid:
@@ -130,7 +133,7 @@ def _scalar_scan(f, grid, mode):
 
 
 def _frostman_total(seq):
-    weights = 1.0 - np.abs(seq.values)
+    weights = _depth(seq.values, one_minus_abs_sq(seq.values))
 
     def total(angles):
         zeta = np.exp(1j * angles)
@@ -423,6 +426,41 @@ class TestVasyuninSum:
         )
 
 
+class TestDeepExampleAgainstMpmath:
+    """frostman_example(49), with 1 - |a_n| = 2^-n, against 50-digit mpmath on the stored doubles.
+
+    Each depth, kernel and term is exact to a few eps relative, so a sum of
+    N positive terms is within 8 eps plus N eps of the addition.
+    """
+
+    @staticmethod
+    def worst_error(got, exact):
+        with mpmath.workdps(50):
+            return max(float(abs(mpmath.mpf(g) / e - 1)) for g, e in zip(got, exact)) / EPS
+
+    def test_cohn_rows(self):
+        seq = frostman_example(49)
+        with mpmath.workdps(50):
+            points = [mpmath.mpc(complex(a)) for a in seq.values]
+            rows = [mpmath.fsum((1 - abs(ak)) / abs(1 - mpmath.conj(ak) * an) for ak in points) for an in points]
+        assert self.worst_error(cohn_sum(seq).per_index, rows) <= 8 + len(seq)
+
+    def test_frostman_terms(self):
+        seq = frostman_example(49)
+        report = frostman_sum(seq, GRID)
+        with mpmath.workdps(50):
+            zeta = mpmath.mpc(report.argmax_or_argmin.value)
+            terms = [(1 - abs(mpmath.mpc(complex(a)))) / abs(zeta - complex(a)) for a in seq.values]
+        assert self.worst_error(report.per_index, terms) <= 8
+
+    def test_vasyunin_sum(self):
+        seq = frostman_example(49)
+        with mpmath.workdps(50):
+            depths = [1 - abs(mpmath.mpc(complex(a))) for a in seq.values]
+            exact = mpmath.fsum(-d * mpmath.log(d) for d in depths)
+        assert self.worst_error([vasyunin_sum(seq)], [exact]) <= 8 + len(seq)
+
+
 class TestCrossModulus:
     def test_single_factor(self):
         b = BlaschkeProduct(ZeroSequence([0.0]))
@@ -542,9 +580,9 @@ class TestPerturbationReport:
         paired = perturb_sample(centre, 0.3, seed, min_sep=0.01)
         report = perturbation_report(paired, 0.3, GRID)
         c3, c4 = _mpmath_boundary_infima(mpmath, paired)
-        bound = _size_rounding(paired)
-        assert abs(report.empirical_C3 / c3 - 1.0) <= bound
-        assert abs(report.empirical_C4 / c4 - 1.0) <= bound
+        # the sizes and the gaps are exact to an ulp, so the closed form is too, however deep the points
+        assert abs(report.empirical_C3 / c3 - 1.0) <= 8 * EPS
+        assert abs(report.empirical_C4 / c4 - 1.0) <= 8 * EPS
 
     def test_frostman_fields_use_shared_grid(self):
         a = frostman_example(12)
@@ -644,12 +682,11 @@ def _reference_report(paired, r, grid):
     c_r = (1.0 + r) / (1.0 - r)
     violations = int(np.sum(size_z > c_r * size_a + 1e-12)) + int(np.sum(size_a > c_r * size_z + 1e-12))
     ratios = size_z / size_a
-    kernel_a = np.abs(1.0 - np.conj(a)[:, None] * a[None, :]) ** 2
-    kernel_z = np.abs(1.0 - np.conj(z)[:, None] * z[None, :]) ** 2
+    kernel_a = np.abs(whole_kernels(a[:, None], a[None, :] - a[:, None])) ** 2
+    kernel_z = np.abs(whole_kernels(z[:, None], z[None, :] - z[:, None])) ** 2
     pair_ratios = (np.outer(size_z, size_z) / kernel_z) / (np.outer(size_a, size_a) / kernel_a)
     # inf over the circle of |1 - conj(z) zeta| / |1 - conj(a) zeta| is (1 - |z|^2) / K
-    gap = np.abs(z - a)
-    k = np.sqrt(gap * gap + size_a * size_z) + gap
+    k = np.abs(whole_kernels(a, z - a)) + np.abs(z - a)
     c3, c4 = float(np.min(size_z / k)), float(np.min(size_a / k))
     fa, fz = (scan_circle(f, grid, "max")[0] for f, grid in _reference_scans(paired, grid))
     return PerturbationReport(

@@ -1,9 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blaschke_lab import (
@@ -11,6 +12,7 @@ from blaschke_lab import (
     CirclePoint,
     DiskPoint,
     EuclideanDisk,
+    PairedSequences,
     PointOutsideDisk,
     beta,
     kernel_bounds_check,
@@ -23,6 +25,8 @@ from blaschke_lab import (
 from blaschke_lab import geometry
 from blaschke_lab.sequences import perturb_sample
 from tests.conftest import mirrored_deep_sequence, random_separated, whole_kernel_bounds_check
+
+EPS = np.finfo(float).eps
 
 
 def disk_points(max_mod=0.999):
@@ -130,9 +134,9 @@ class TestRho:
                 assert mat[j, k] == pytest.approx(rho(aw, zw), abs=1e-15)
 
     def test_elementwise_keeps_the_bits_of_the_pairwise_diagonal(self):
-        a = random_separated(1, 12).values
-        z = random_separated(2, 12).values
-        assert geometry.elementwise_rho(a, z).tobytes() == np.diag(pairwise_rho(a, z)).tobytes()
+        paired = PairedSequences(random_separated(1, 12), random_separated(2, 12))
+        diagonal = np.diag(pairwise_rho(paired.A.values, paired.Z.values))
+        assert paired.index_distances.tobytes() == diagonal.tobytes()
 
 
 class TestBeta:
@@ -158,12 +162,67 @@ class TestMobius:
 
 class TestCancellationSafety:
     def test_one_minus_abs_sq_near_boundary(self):
-        # naive 1 - |z|^2 loses half the digits here; the factored form keeps them
+        # naive 1 - |z|^2 loses half the digits here; the error-free sum keeps them
         gap = 1e-12
         z = (1.0 - gap) * np.exp(0.7j)
         value = float(one_minus_abs_sq([z])[0])
         expected = gap * (2.0 - gap)
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+def deep_points():
+    """Points with 1 - |a| log-uniform down to 1e-15, inside the boundary margin."""
+    return st.builds(
+        lambda depth, t: (1.0 - 10.0**depth) * complex(math.cos(t), math.sin(t)),
+        st.floats(-15.0, 0.0),
+        st.floats(0.0, 2.0 * math.pi),
+    ).filter(lambda w: math.hypot(w.real, w.imag) < 1.0 - BOUNDARY_MARGIN)
+
+
+@st.composite
+def deep_pairs(draw):
+    """Two deep points, the second often a tiny turn and step away from the first."""
+    a = draw(deep_points())
+    if draw(st.booleans()):
+        z = draw(deep_points())
+    else:
+        turn = 10.0 ** draw(st.floats(-16.0, -1.0))
+        step = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -1.0))
+        z = a * complex(math.cos(turn), math.sin(turn)) * (1.0 - step)
+    assume(z != a and math.hypot(z.real, z.imag) < 1.0 - BOUNDARY_MARGIN)
+    return a, z
+
+
+def _relative_error(got, exact) -> float:
+    return float(abs(mpmath.mpf(got) - exact) / abs(exact)) / EPS
+
+
+class TestAgainstMpmath:
+    """Sizes, depths, rho, 1 - rho^2 and beta of the stored doubles, against 50-digit mpmath, to 8 eps."""
+
+    @given(deep_points())
+    @settings(max_examples=300, deadline=None)
+    def test_size_and_depth(self, a):
+        size = one_minus_abs_sq([a])
+        with mpmath.workdps(50):
+            exact = 1 - abs(mpmath.mpc(a)) ** 2
+            assert _relative_error(size[0], exact) <= 8
+            assert _relative_error(geometry._depth(np.array([a]), size)[0], 1 - abs(mpmath.mpc(a))) <= 8
+
+    @given(deep_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_rho_and_beta(self, pair):
+        a, z = pair
+        gap, kernel, sizes = geometry._pair(a, z)
+        with mpmath.workdps(50):
+            ma, mz = mpmath.mpc(a), mpmath.mpc(z)
+            exact_kernel = abs(1 - mpmath.conj(ma) * mz)
+            exact_rho = abs(mz - ma) / exact_kernel
+            exact_co = (1 - abs(ma) ** 2) * (1 - abs(mz) ** 2) / exact_kernel**2
+            assert _relative_error(rho(a, z), exact_rho) <= 8
+            assert _relative_error(pairwise_rho([a], [z])[0, 0], exact_rho) <= 8
+            assert _relative_error(sizes[0] * sizes[1] / abs(kernel) ** 2, exact_co) <= 8
+            assert _relative_error(beta(a, z), mpmath.atanh(exact_rho)) <= 8
 
 
 class TestPseudoDiskConversion:
@@ -212,7 +271,7 @@ def _scalar_disk(c, r):
     phase = c / m if m > 0.0 else 1.0
     denom = (1.0 - r * m) * (1.0 + r * m)
     p = (1.0 - r) * (1.0 + r) * m / denom
-    return phase * p, r * (1.0 - m) * (1.0 + m) / denom
+    return phase * p, r * float(one_minus_abs_sq(c)) / denom
 
 
 class TestEuclideanDisks:
@@ -264,12 +323,17 @@ class TestKernelBounds:
 
     @pytest.mark.parametrize("depth", [1e-9, 1e-12])
     def test_pair_whose_rho_rounds_to_one_is_rejected_without_a_warning(self, depth):
+        # rho = 1 - depth^2 / 2 rounds to 1, but 1 - rho^2 is exact: the distance stays finite
         a, z = 1.0 - depth, -(1.0 - depth)
         assert pairwise_rho([a], [z])[0, 0] >= 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="hyperbolic distance inf"):
+            with pytest.raises(ValueError, match="hyperbolic distance") as raised:
                 kernel_bounds_check([a], [z], 1.0)
+        distance = float(str(raised.value).split("distance ")[1].split()[0])
+        with mpmath.workdps(50):
+            exact = mpmath.atanh(abs(mpmath.mpf(z) - a) / abs(1 - mpmath.mpf(a) * z))
+        assert abs(distance / float(exact) - 1.0) <= 8 * EPS
 
     def test_pair_near_the_circle_is_at_its_hyperbolic_distance(self):
         # 1 - |a| = 5.5e-14 and 1 - |z| = 3.9e-11: the naive 1 - conj(a) z gives rho = 1 + 1e-12,
@@ -288,8 +352,8 @@ class TestKernelBounds:
         a = mirrored_deep_sequence(seed, 72).values
         z = a * (1.0 - 1e-4)
         assert a.size >= 2 * geometry.ROW_BLOCK + 1
-        whole, rho_max = whole_kernel_bounds_check(a, z, 12.0)
-        assert math.atanh(rho_max) < 12.0
+        whole, farthest = whole_kernel_bounds_check(a, z, 12.0)
+        assert farthest < 12.0
         monkeypatch.setattr(geometry, "ROW_BLOCK", block)
         assert repr(kernel_bounds_check(a, z, 12.0)) == repr(whole)
 

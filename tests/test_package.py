@@ -2,6 +2,8 @@
 
 import importlib
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,3 +61,26 @@ def test_public_names():
         "assert blaschke_lab.geometry.rho is blaschke_lab.rho"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+# The naive spellings of the kernel 1 - conj(a) z and of the sizes 1 - |a|^2
+# and 1 - |a|, which lose their accuracy near the circle.  Each of these is
+# formed once, exactly, by geometry's helpers (_kernel, one_minus_abs_sq and
+# _depth), which spell none of them.
+NAIVE_SPELLINGS = {
+    "kernel": re.compile(r"1\.0 - np\.conj|\.conjugate\(\) \*|np\.subtract\(1\.0, "),
+    "depth": re.compile(r"1\.0 - np\.abs\("),
+    "size": re.compile(r"\(1\.0 - (m\w*)\) \* \(1\.0 \+ \1\)"),
+}
+
+
+def test_no_module_spells_the_kernel_or_the_sizes():
+    package = pathlib.Path(blaschke_lab.__file__).parent
+    found = [
+        f"{path.name}:{number}: naive {quantity}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for quantity, pattern in NAIVE_SPELLINGS.items()
+        if pattern.search(line)
+    ]
+    assert not found, "\n".join(found)
