@@ -75,7 +75,8 @@ class ZeroSequence(Sequence[DiskPoint]):
     rejected as duplicates.  The empty sequence is allowed so that the
     cofactor of a degree-one product (a constant) is representable;
     generators always produce at least one point.  Indexing and iteration
-    build DiskPoints on demand.  The sizes 1 - |a|^2 are formed once, with the array.
+    build DiskPoints on demand.  The sizes 1 - |a|^2 are formed once, with
+    the array.
     """
 
     __slots__ = ("_values", "_sizes", "_min_separation")
