@@ -42,17 +42,16 @@ COINCIDENCE_TOL = 1e-13
 
 
 def _nearest_pair(
-    a: np.ndarray, z: Optional[np.ndarray] = None, sizes: Optional[np.ndarray] = None
+    a: np.ndarray, sizes: np.ndarray, z: Optional[np.ndarray] = None
 ) -> tuple[float, int, int, np.ndarray]:
     """Least rho(a_j, z_k), its first (j, k) in row-major order, and each row's least (z None: z = a, j != k).
 
-    sizes are one_minus_abs_sq(a), computed when not given.  The row minima
-    go ROW_BLOCK rows at a time; row j of the least is then computed alone
-    for its first k.  Each entry has the bits of pairwise_rho's.
+    sizes are one_minus_abs_sq(a).  The row minima go ROW_BLOCK rows at a
+    time; row j of the least is then computed alone for its first k.  Each
+    entry has the bits of pairwise_rho's.
     """
     square = z is None
     z = a if square else z
-    sizes = one_minus_abs_sq(a) if sizes is None else sizes
     buffers = Buffers()
 
     def distances(block: slice) -> np.ndarray:
@@ -76,32 +75,32 @@ class ZeroSequence(Sequence[DiskPoint]):
     cofactor of a degree-one product (a constant) is representable;
     generators always produce at least one point.  Indexing and iteration
     build DiskPoints on demand.  The sizes 1 - |a|^2 are formed once, with
-    the array.
+    the array, and a part takes its points' sizes from its parent's.
     """
 
     __slots__ = ("_values", "_sizes", "_min_separation")
 
     def __init__(self, points: Iterable[PointLike]):
-        self._adopt(disk_values(points))
+        values = disk_values(points)
+        self._adopt(values, one_minus_abs_sq(values))
         if len(self) > 1:
-            nearest, j, k, _ = _nearest_pair(self._values, sizes=self._sizes)
+            nearest, j, k, _ = _nearest_pair(self._values, self._sizes)
             if nearest <= COINCIDENCE_TOL:
                 raise DuplicatePoint(f"points {j} and {k} coincide (rho = {nearest:.3e})")
             self._min_separation = nearest
 
     @classmethod
-    def _subset(cls, values: np.ndarray) -> "ZeroSequence":
-        """Points taken from a checked sequence, so distinct by construction: held without a check."""
+    def _subset(cls, values: np.ndarray, sizes: np.ndarray) -> "ZeroSequence":
+        """Points taken from a checked sequence, so distinct by construction, with their sizes: held without a check."""
         part = cls.__new__(cls)
-        part._adopt(values)
+        part._adopt(values, sizes)
         return part
 
-    def _adopt(self, values: np.ndarray) -> None:
-        """Hold values, and their sizes, without checking them; min_separation is left to compute on demand."""
+    def _adopt(self, values: np.ndarray, sizes: np.ndarray) -> None:
+        """Hold values and their sizes without checking them; min_separation is left to compute on demand."""
         values.setflags(write=False)
-        self._values = values
-        self._sizes = one_minus_abs_sq(values)
-        self._sizes.setflags(write=False)
+        sizes.setflags(write=False)
+        self._values, self._sizes = values, sizes
         self._min_separation = math.inf if values.size < 2 else None
 
     @property
@@ -120,7 +119,7 @@ class ZeroSequence(Sequence[DiskPoint]):
         A subset computes it on first access: its value can be larger.
         """
         if self._min_separation is None:
-            self._min_separation = _nearest_pair(self._values, sizes=self._sizes)[0]
+            self._min_separation = _nearest_pair(self._values, self._sizes)[0]
         return self._min_separation
 
     def __len__(self) -> int:
@@ -128,7 +127,7 @@ class ZeroSequence(Sequence[DiskPoint]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ZeroSequence._subset(self._values[index])
+            return ZeroSequence._subset(self._values[index], self._sizes[index])
         return DiskPoint.from_complex(self._values[index])
 
     def __iter__(self):
@@ -275,7 +274,8 @@ class BlaschkeProduct:
         gaps = np.subtract(z[:, None], zs[None, :], out=buffers.take("partial", shape))
         kernel = _kernel(zs[None, :], self._zeros._sizes[None, :], gaps, buffers.take("factors", shape))
         # No complex product is written over one of its factors: numpy's in-place
-        # product of a single element takes another loop, with other bits.
+        # product of a single element takes another loop, with other bits.  numpy
+        # has one loop for the complex quotient, so the quotient takes the gaps' memory.
         return np.multiply(self._prefactors[None, :], np.divide(gaps, kernel, out=gaps), out=kernel)
 
     def _cofactor_parts(self, z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +334,9 @@ class BlaschkeProduct:
     def cofactor(self, j: int) -> "BlaschkeProduct":
         """The product with zero j removed, same rotation."""
         j = self._check_index(j)
-        return BlaschkeProduct(ZeroSequence._subset(np.delete(self._zeros.values, j)), self._rotation)
+        zeros = self._zeros
+        rest = ZeroSequence._subset(np.delete(zeros.values, j), np.delete(zeros._sizes, j))
+        return BlaschkeProduct(rest, self._rotation)
 
     def carleson(self) -> CarlesonReport:
         """Uniform-separation quantities (1 - |a_j|^2) |B'(a_j)| and their infimum.

@@ -351,7 +351,7 @@ def vasyunin_sum(a_seq: ZeroSequence) -> float:
 def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
     """Smallest modulus of B over the other sequence: eta-hat = inf_j |B(z_j)|."""
     if b.degree and len(z_seq):
-        nearest, j, k, _ = _nearest_pair(z_seq.values, b.zeros.values)
+        nearest, j, k, _ = _nearest_pair(z_seq.values, z_seq._sizes, b.zeros.values)
         if nearest <= COINCIDENCE_TOL:
             raise ZeroCollision(f"z_{j} coincides with zero {k} of the product")
     return _indexed("cross_modulus", np.abs(b.evaluate(z_seq.values)), np.argmin)
@@ -359,7 +359,7 @@ def cross_modulus(b: BlaschkeProduct, z_seq: ZeroSequence) -> CriterionReport:
 
 def separation(paired: PairedSequences) -> CriterionReport:
     """Exact inf over all pairs (j, k) of rho(a_j, z_k), with the witness pair."""
-    value, j, k, least = _nearest_pair(paired.A.values, paired.Z.values)
+    value, j, k, least = _nearest_pair(paired.A.values, paired.A._sizes, paired.Z.values)
     return CriterionReport(name="separation", value=value, argmax_or_argmin=(j, k), per_index=tuple(least.tolist()))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -202,7 +202,7 @@ class Buffers:
         memory = self._memory.get(name)
         if memory is None or memory.size < size:
             memory = self._memory[name] = np.empty(size, np.uint8)
-        return memory[:size].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, memory)
 
 
 def _in_row_blocks(count: int, reduce: Callable[[slice], np.ndarray], group: int = 1) -> np.ndarray:
@@ -264,19 +264,10 @@ def _kernel(a: np.ndarray, sizes: np.ndarray, gaps: np.ndarray, out: np.ndarray)
     return np.subtract(sizes, out, out=out)
 
 
-def _pair(a: PointLike, z: PointLike) -> tuple[complex, complex, np.ndarray]:
-    """z - a, 1 - conj(a) z (_kernel) and the sizes of a and z, for two points."""
-    points = np.array([as_point(a).z, as_point(z).z])
-    sizes = one_minus_abs_sq(points)
-    gap = points[1:] - points[:1]
-    kernel = _kernel(points[:1], sizes[:1], gap, np.empty(1, dtype=complex))
-    return complex(gap[0]), complex(kernel[0]), sizes
-
-
 def rho(a: PointLike, z: PointLike) -> float:
     """Pseudohyperbolic distance |z - a| / |1 - conj(a) z|."""
-    gap, kernel, _ = _pair(a, z)
-    return abs(gap) / abs(kernel)
+    a, z = np.array([as_point(a).z]), np.array([as_point(z).z])
+    return float(_rho(a, z, one_minus_abs_sq(a), Buffers())[0])
 
 
 def beta(a: PointLike, z: PointLike) -> float:
@@ -285,15 +276,19 @@ def beta(a: PointLike, z: PointLike) -> float:
     1 - rho^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2 has no cancellation: a
     pair whose rho rounds to 1 keeps its finite distance, and a close one its digits.
     """
-    gap, kernel, sizes = _pair(a, z)
-    dist = abs(gap) / abs(kernel)
-    return 0.5 * math.log1p(2.0 * dist * (1.0 + dist) / (sizes[0] * sizes[1] / abs(kernel) ** 2))
+    points = np.array([as_point(a).z, as_point(z).z])
+    sizes = one_minus_abs_sq(points)
+    gap = points[1:] - points[:1]
+    kernel = abs(complex(_kernel(points[:1], sizes[:1], gap, np.empty(1, dtype=complex))[0]))
+    dist = abs(complex(gap[0])) / kernel
+    return 0.5 * math.log1p(2.0 * dist * (1.0 + dist) / (sizes[0] * sizes[1] / kernel**2))
 
 
 def mobius(a: PointLike, z: PointLike) -> DiskPoint:
     """The involutive automorphism (a - z) / (1 - conj(a) z) applied to z."""
-    gap, kernel, _ = _pair(a, z)
-    return DiskPoint.from_complex(-gap / kernel)
+    a, z = np.array([as_point(a).z]), np.array([as_point(z).z])
+    gap = z - a
+    return DiskPoint.from_complex(-gap[0] / _kernel(a, one_minus_abs_sq(a), gap, np.empty(1, dtype=complex))[0])
 
 
 def _rho(a: np.ndarray, z: np.ndarray, sizes: np.ndarray, buffers: Buffers) -> np.ndarray:
@@ -301,7 +296,7 @@ def _rho(a: np.ndarray, z: np.ndarray, sizes: np.ndarray, buffers: Buffers) -> n
 
     sizes are one_minus_abs_sq(a), shaped like a.
     """
-    shape = np.broadcast_shapes(a.shape, z.shape)
+    shape = np.broadcast(a, z).shape
     gaps = np.subtract(z, a, out=buffers.take("gaps", shape))
     dist = np.abs(gaps, out=buffers.take("dist", shape, float))
     kernel = _kernel(a, sizes, gaps, buffers.take("kernel", shape))
@@ -331,22 +326,18 @@ def pseudo_disk_to_euclidean(center: PointLike, r: float) -> EuclideanDisk:
     return EuclideanDisk(center=complex(centers[0]), radius=float(radii[0]))
 
 
-def _euclidean_disks(
-    centers: np.ndarray, r: float, sizes: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _euclidean_disks(centers: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Centres and radii of the Euclidean images of the pseudohyperbolic disks of radius r around centers.
 
-    The array form of pseudo_disk_to_euclidean, with no checks; sizes are
-    one_minus_abs_sq(centers), computed when not given.  m is np.hypot of
-    the parts, as Python's abs of a complex computes it (np.abs of a
-    complex array can differ in the last bit), and the phase divides each
-    part by m.
+    The array form of pseudo_disk_to_euclidean, with no checks.  m is
+    np.hypot of the parts, as Python's abs of a complex computes it (np.abs
+    of a complex array can differ in the last bit), and the phase divides
+    each part by m.
     """
-    sizes = one_minus_abs_sq(centers) if sizes is None else sizes
     m = np.hypot(centers.real, centers.imag)
     denom = (1.0 - r * m) * (1.0 + r * m)
     p = (1.0 - r) * (1.0 + r) * m / denom
-    radii = r * sizes / denom
+    radii = r * one_minus_abs_sq(centers) / denom
     safe = np.where(m > 0.0, m, 1.0)
     images = np.empty(centers.shape, dtype=complex)
     images.real = np.where(m > 0.0, centers.real / safe, 1.0) * p

@@ -240,7 +240,7 @@ def interpolate_union(
 
     a_vals = b.zeros.values
     z_vals = c.zeros.values
-    sep, j, k, _ = _nearest_pair(a_vals, z_vals)
+    sep, j, k, _ = _nearest_pair(a_vals, b.zeros._sizes, z_vals)
     if sep <= COINCIDENCE_TOL:
         raise ZeroCollision(f"shared zero: a_{j} coincides with z_{k}")
     if sep < UNION_SEPARATION_FLOOR:

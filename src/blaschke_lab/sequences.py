@@ -69,7 +69,7 @@ class PairedSequences:
     @property
     def separation(self) -> float:
         """inf over all pairs (j, k) of rho(a_j, z_k); the diagonal counts."""
-        return _nearest_pair(self.A.values, self.Z.values)[0]
+        return _nearest_pair(self.A.values, self.A._sizes, self.Z.values)[0]
 
     @property
     def z_self_separation(self) -> float:
@@ -143,7 +143,7 @@ def interlace_targets(alpha: TargetVector, beta: TargetVector) -> TargetVector:
 def deinterlace(merged: ZeroSequence) -> tuple[ZeroSequence, ZeroSequence]:
     if len(merged) % 2:
         raise ValueError("deinterlace requires an even-length sequence")
-    return ZeroSequence._subset(merged.values[0::2]), ZeroSequence._subset(merged.values[1::2])
+    return merged[0::2], merged[1::2]
 
 
 def deinterlace_targets(merged: TargetVector) -> tuple[TargetVector, TargetVector]:
@@ -177,7 +177,7 @@ def perturb_sample(
             f"{a_seq.min_separation:.6g} of the centers"
         )
 
-    centers, radii = _euclidean_disks(a_seq.values, r, a_seq._sizes)
+    centers, radii = _euclidean_disks(a_seq.values, r)
     rng = np.random.default_rng(seed)
     count = len(a_seq)
 

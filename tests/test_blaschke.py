@@ -21,6 +21,7 @@ from blaschke_lab import (
     dyakonov_sup,
     frostman_sum,
     kernel_bounds_check,
+    one_minus_abs_sq,
     pairwise_rho,
     perturb_sample,
     perturbation_reports,
@@ -191,7 +192,7 @@ class TestNearestPair:
         z = None if square else drawn(1)
         # rows go 1 to 3 at a time, so the repeated points tie across blocks
         with mock.patch.object(geometry, "ROW_BLOCK", block):
-            value, j, k, row_minima = blaschke._nearest_pair(a, z)
+            value, j, k, row_minima = blaschke._nearest_pair(a, one_minus_abs_sq(a), z)
         dist = pairwise_rho(a, a if square else z)
         expected, witness, minima = _first_least_pair(dist, skip_diagonal=square)
         assert (value, (j, k)) == (expected, witness)
@@ -209,12 +210,13 @@ class TestNearestPair:
             value, j, k, least = whole_nearest_pair(a, other)
             dist = pairwise_rho(a, a if other is None else other)
             assert np.count_nonzero(dist == value) >= 2 and (j + 72) // block != j // block
-            assert _bits(blaschke._nearest_pair(a, other)) == _bits((value, j, k, least))
+            assert _bits(blaschke._nearest_pair(a, one_minus_abs_sq(a), other)) == _bits((value, j, k, least))
 
     def test_planted_tie_goes_to_the_first_pair(self):
         p, q = 0.3 + 0.1j, -0.2j
-        assert blaschke._nearest_pair(np.array([q, p, 0.9, p, q]))[1:3] == (0, 4)
-        assert blaschke._nearest_pair(np.array([0.5, p, p]), np.array([0.0, p, p]))[1:3] == (1, 1)
+        a, b = np.array([q, p, 0.9, p, q]), np.array([0.5, p, p])
+        assert blaschke._nearest_pair(a, one_minus_abs_sq(a))[1:3] == (0, 4)
+        assert blaschke._nearest_pair(b, one_minus_abs_sq(b), np.array([0.0, p, p]))[1:3] == (1, 1)
 
 
 class TestTargetVector:
@@ -358,7 +360,7 @@ def _row_block_outputs():
             a.tobytes() for a in criteria._grid_pass(*criteria._perturbation_scans(pairs), grid, criteria.REFINE_SEEDS)
         ],
         "perturbation_reports": repr(perturbation_reports(pairs, 0.3, grid)),
-        "nearest_pair": _bits(blaschke._nearest_pair(seq.values, points[150:])),
+        "nearest_pair": _bits(blaschke._nearest_pair(seq.values, seq._sizes, points[150:])),
         "cohn_sum": repr(cohn_sum(seq)),
         "dyakonov_sup": repr(dyakonov_sup(b, TargetVector(alpha))),
         "kernel_bounds_check": repr(kernel_bounds_check(seq.values, seq.values * (1.0 - 1e-3), 12.0)),

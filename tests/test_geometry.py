@@ -213,7 +213,9 @@ class TestAgainstMpmath:
     @settings(max_examples=300, deadline=None)
     def test_rho_and_beta(self, pair):
         a, z = pair
-        gap, kernel, sizes = geometry._pair(a, z)
+        points = np.array([a, z])
+        sizes = one_minus_abs_sq(points)
+        kernel = geometry._kernel(points[:1], sizes[:1], points[1:] - points[:1], np.empty(1, dtype=complex))[0]
         with mpmath.workdps(50):
             ma, mz = mpmath.mpc(a), mpmath.mpc(z)
             exact_kernel = abs(1 - mpmath.conj(ma) * mz)
