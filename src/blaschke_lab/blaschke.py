@@ -205,11 +205,12 @@ class BlaschkeProduct:
 
     Each factor is (|a|/(-a)) (z - a) / (1 - conj(a) z), reducing to z for
     a zero at the origin.  Evaluation accepts scalars or numpy arrays of
-    points in the closed disk and multiplies factors directly; cofactors
-    share the rotation.  Instances are immutable, so the node cofactors
-    B_j(a_j) and the node weights w_j = 1 / B'(a_j) are computed once, at
-    construction.  The weights give the Lagrange basis of K_B in Cauchy
-    form, L_j(z) = B(z) w_j / (z - a_j).
+    finite points in the closed disk and multiplies factors directly;
+    cofactors share the rotation.  Instances are immutable, so the node
+    cofactors B_j(a_j), evaluate's product at a_j with the own factor (an
+    exact 0) read as 1, and the node weights w_j = 1 / B'(a_j) are computed
+    once, at construction.  The weights give the Lagrange basis of K_B in
+    Cauchy form, L_j(z) = B(z) w_j / (z - a_j).
     """
 
     __slots__ = ("_zeros", "_rotation", "_prefactors", "_node_cofactors", "_node_weights")
@@ -234,9 +235,12 @@ class BlaschkeProduct:
         buffers = Buffers()
 
         def node_cofactors(rows: slice) -> np.ndarray:
-            # row i of the block is the point a_j, j = rows.start + i, and B_j(a_j) takes column j
-            prefix, suffix = self._cofactor_parts(zs[rows], buffers)
-            return rotation * prefix[:, rows].diagonal() * suffix[:, rows].diagonal()
+            # row i of the block is evaluate's product at a_j, j = rows.start + i,
+            # with its own factor, an exact 0 in column j, read as 1
+            factors = self._factors(zs[rows], buffers)
+            own = np.arange(factors.shape[0])
+            factors[own, rows.start + own] = 1.0
+            return rotation * np.prod(factors, axis=1)
 
         self._node_cofactors = _in_row_blocks(zs.size, node_cofactors)
         self._node_cofactors.setflags(write=False)
@@ -263,7 +267,8 @@ class BlaschkeProduct:
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(np.abs(arr) > 1.0 + 1e-9):
+        # a NaN fails the comparison, so non-finite points are rejected too
+        if not np.all(np.abs(arr) <= 1.0 + 1e-9):
             raise ValueError("evaluation points must lie in the closed unit disk")
         return arr, scalar
 
@@ -271,30 +276,12 @@ class BlaschkeProduct:
         """Matrix of single-factor values, rows over points, columns over zeros, written into buffers."""
         zs = self._zeros.values
         shape = (z.size, zs.size)
-        gaps = np.subtract(z[:, None], zs[None, :], out=buffers.take("partial", shape))
+        gaps = np.subtract(z[:, None], zs[None, :], out=buffers.take("gaps", shape))
         kernel = _kernel(zs[None, :], self._zeros._sizes[None, :], gaps, buffers.take("factors", shape))
         # No complex product is written over one of its factors: numpy's in-place
         # product of a single element takes another loop, with other bits.  numpy
         # has one loop for the complex quotient, so the quotient takes the gaps' memory.
         return np.multiply(self._prefactors[None, :], np.divide(gaps, kernel, out=gaps), out=kernel)
-
-    def _cofactor_parts(self, z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
-        """The prefix and suffix products of the factors at each point: B_j(z) = rotation * prefix_j * suffix_j.
-
-        No factor is ever divided out, so this stays exact when z hits a zero.
-        """
-        m, n = z.size, self._zeros.values.size
-        # Each row is one running product over all n factors, in each direction, as numpy
-        # runs it: a shorter run would change the loop, and with it the bits.  Column 0
-        # holds the empty product.  The prefixes take the memory of the factors'
-        # gaps, taken at its full size first and spent before it is written.
-        prefix = buffers.take("partial", (m, n + 1))
-        suffix = buffers.take("suffix", (m, n + 1))
-        factors = self._factors(z, buffers)
-        prefix[:, 0] = suffix[:, 0] = 1.0
-        np.cumprod(factors, axis=1, out=prefix[:, 1:])
-        np.cumprod(factors[:, ::-1], axis=1, out=suffix[:, 1:])
-        return prefix[:, :n], suffix[:, :n][:, ::-1]
 
     def evaluate(self, z) -> Union[complex, np.ndarray]:
         """B(z), factor by factor, for |z| <= 1."""
@@ -307,16 +294,16 @@ class BlaschkeProduct:
     __call__ = evaluate
 
     def derivative(self, z) -> Union[complex, np.ndarray]:
-        """B'(z) = sum over j of b_j'(z) B_j(z), for |z| <= 1, zeros included.
+        """B'(z) = B(z) sum over j of (1 - |a_j|^2) / ((z - a_j)(1 - conj(a_j) z)), for |z| <= 1.
 
-        Each factor has b_j'(z) = prefactor_j (1 - |a_j|^2) / (1 - conj(a_j) z)^2,
-        the kernel formed from the gaps z - a_j (_kernel); the cofactors come
-        from prefix/suffix products, so no factor is ever divided out.
+        Each term is b_j'(z) / b_j(z), the kernel 1 - conj(a_j) z formed from
+        the gaps z - a_j (_kernel).  At a zero, z - a_j == 0 exactly, B'(a_j)
+        is 1 / w_j from the node weights.
         """
         arr, scalar = self._coerce_arg(z)
         zs = self._zeros.values
         sizes = self._zeros._sizes
-        rotation = self._rotation.value
+        outer = self.evaluate(arr)
         buffers = Buffers()
 
         def rows(block: slice) -> np.ndarray:
@@ -324,9 +311,14 @@ class BlaschkeProduct:
             shape = (points.size, zs.size)
             gaps = np.subtract(points[:, None], zs, out=buffers.take("gaps", shape))
             kernel = _kernel(zs, sizes, gaps, buffers.take("kernel", shape))
-            slopes = self._prefactors * sizes / (kernel * kernel)
-            prefix, suffix = self._cofactor_parts(points, buffers)
-            return np.sum(slopes * (rotation * prefix * suffix), axis=1)
+            hits = np.equal(gaps, 0, out=buffers.take("hits", shape, bool))
+            np.copyto(gaps, 1.0, where=hits)
+            terms = np.divide(sizes, np.multiply(gaps, kernel, out=buffers.take("terms", shape)), out=kernel)
+            out = outer[block] * np.sum(terms, axis=1)
+            # a zero's sum has a pole: its B' is the node's
+            point, node = np.nonzero(hits)
+            out[point] = 1.0 / self._node_weights[node]
+            return out
 
         result = _in_row_blocks(arr.size, rows)
         return complex(result[0]) if scalar else result

@@ -100,15 +100,13 @@ def whole_nearest_pair(a, z=None):
 
 
 def whole_node_cofactors(b):
-    """B_j(a_j) for every j from one whole N x N matrix of factors, by prefix and suffix products."""
+    """B_j(a_j) for every j as the product of one whole N x N matrix of factors, each own factor (an exact 0) read as 1."""
     zeros = b.zeros.values
     prefactors = np.where(zeros == 0, 1.0, -np.abs(zeros) / np.where(zeros == 0, 1.0, zeros))
     gaps = zeros[:, None] - zeros[None, :]
     factors = prefactors[None, :] * (gaps / whole_kernels(zeros[None, :], gaps))
-    ones = np.ones((zeros.size, 1), dtype=complex)
-    prefix = np.concatenate([ones, np.cumprod(factors, axis=1)[:, :-1]], axis=1)
-    suffix = np.concatenate([np.cumprod(factors[:, ::-1], axis=1)[:, ::-1][:, 1:], ones], axis=1)
-    return np.diagonal(b.rotation.value * prefix * suffix)
+    np.fill_diagonal(factors, 1.0)
+    return b.rotation.value * np.prod(factors, axis=1)
 
 
 def _first_maximum(name, rows):
@@ -167,8 +165,8 @@ def deep_tolerance(seq):
     return 16 * len(seq) * np.finfo(float).eps / float(one_minus_abs_sq(seq.values).min())
 
 
-def mp_product(b):
-    """B as an mpmath function, factor by factor at the working precision.
+def mp_product(b, without=None):
+    """B as an mpmath function, factor by factor at the working precision; without=j leaves factor j out (B_j).
 
     The zeros and the rotation are taken exactly as stored; call the result
     inside mpmath.workdps.
@@ -176,7 +174,7 @@ def mp_product(b):
     import mpmath
 
     rotation = mpmath.mpc(b.rotation.value)
-    zeros = [mpmath.mpc(complex(a)) for a in b.zeros.values]
+    zeros = [mpmath.mpc(complex(a)) for k, a in enumerate(b.zeros.values) if k != without]
 
     def product(w):
         w = mpmath.mpc(w)

@@ -310,6 +310,15 @@ class TestBlaschkeEvaluate:
         with pytest.raises(ValueError):
             b(1.1)
 
+    @pytest.mark.parametrize(
+        "z", [np.nan, complex(np.nan, 0.1), complex(0.1, np.inf), -np.inf, np.array([0.1, np.nan])]
+    )
+    def test_rejects_non_finite_points(self, z):
+        b = BlaschkeProduct(ZeroSequence([0.5, -0.3j]))
+        for call in (b.evaluate, b.derivative, solve_kb(b, [1, 1])):
+            with pytest.raises(ValueError, match="closed unit disk"):
+                call(z)
+
     @given(st.integers(0, 10_000), st.floats(0.0, 2.0 * math.pi))
     @settings(max_examples=40)
     def test_unimodular_on_circle(self, seed, angle):
@@ -375,6 +384,7 @@ def _linear_memory_inputs(n):
 
 # Each pass that built a whole points x N matrix, on the inputs above.
 _LINEAR_MEMORY_CALLS = {
+    "BlaschkeProduct": lambda seq, near, b: BlaschkeProduct(seq),
     "ZeroSequence": lambda seq, near, b: ZeroSequence(seq.values),
     "min_separation": lambda seq, near, b: seq[1:].min_separation,
     "cohn_sum": lambda seq, near, b: cohn_sum(seq),
@@ -473,6 +483,11 @@ class TestDerivative:
             expected = [complex(mpmath.diff(product, complex(z))) for z in points]
         np.testing.assert_allclose(got, expected, rtol=deep_tolerance(seq), atol=0)
 
+    @pytest.mark.parametrize("degree", [1, 2, 130])
+    def test_at_the_zeros_is_one_over_the_node_weights(self, degree):
+        b = BlaschkeProduct(random_deep_sequence(degree, degree), rotation=np.exp(0.3j))
+        assert b.derivative(b.zeros.values).tobytes() == (1.0 / b._node_weights).tobytes()
+
     def test_degree_one_derivative(self):
         b = BlaschkeProduct(ZeroSequence([0.0]))
         assert b.derivative(0.3 + 0.2j) == pytest.approx(1.0)
@@ -503,6 +518,19 @@ class TestCarleson:
         assert [q for _, q in report.per_zero] == pytest.approx(
             expected, rel=deep_tolerance(seq)
         )
+
+    @pytest.mark.parametrize("degree", [2, 40, 130])
+    def test_node_cofactors_against_mpmath(self, degree):
+        mpmath = pytest.importorskip("mpmath")
+        # zeros down to 1 - |a| = 1e-12
+        seq = random_deep_sequence(degree, degree, depth_min=1e-12)
+        b = BlaschkeProduct(seq, rotation=np.exp(0.7j))
+        with mpmath.workdps(40):
+            expected = [complex(mp_product(b, without=j)(a)) for j, a in enumerate(seq.values)]
+        # (8 + N) eps, far inside deep_tolerance(seq) (up to 0.23 here), which
+        # allows each kernel an absolute error of eps; the kernel is exact to a few eps
+        bound = min(deep_tolerance(seq), (8 + degree) * np.finfo(float).eps)
+        np.testing.assert_allclose(b._node_cofactors, expected, rtol=bound, atol=0)
 
     def test_rotation_invariant(self):
         seq = ZeroSequence([0.2, -0.5j, 0.1 + 0.6j])
