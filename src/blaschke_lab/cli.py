@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -550,8 +551,8 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
     trials = config.inputs["trials"]
     min_sep = _min_sep(config, seq)
 
-    master = np.random.default_rng(config.seed)
-    trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
+    master = random.Random(config.seed)
+    trial_seeds = [master.getrandbits(63) for _ in range(trials)]
     pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
     # the fields are plain numbers, so a shallow copy equals asdict's deep one
     reports = [dict(vars(report)) for report in crit.perturbation_reports(pairs, radius, grid)]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -29,10 +29,10 @@ __all__ = [
 # generators; the near-boundary guard usually triggers sooner.
 DEPTH_CAP = 60
 
-# Seeds are plain 64-bit integers fed to numpy's Generator; identical seed
-# means an identical, bit-exact sample stream.  The SeedSequence is named as
-# a string so that importing this module does not import numpy.random.
-Seed = Union[int, "np.random.SeedSequence"]
+# Seeds are non-negative ints fed to the standard library's Mersenne Twister,
+# random.Random; CPython keeps random() the same sequence for the same int
+# seed, so an identical seed means an identical, bit-exact sample stream.
+Seed = int
 
 RESAMPLING_ROUNDS = 1000
 
@@ -166,7 +166,12 @@ def perturb_sample(
     at least min_sep, up to 1000 rounds; min_sep must stay below the
     self-separation of the centers or no draw can ever succeed reliably.
     A round with a draw past the boundary margin is redrawn as well.
+    Each round draws all of its u's, then all of its t's, from
+    random.Random(seed); seed must be a non-negative int.
     """
+    # random.Random would seed None from the OS and -s like s
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed {seed!r} must be a non-negative int")
     if not 0.0 < r < 1.0:
         raise ValueError(f"perturbation radius {r} must lie in (0, 1)")
     if len(a_seq) == 0:
@@ -178,12 +183,12 @@ def perturb_sample(
         )
 
     centers, radii = _euclidean_disks(a_seq.values, r)
-    rng = np.random.default_rng(seed)
+    uniform = random.Random(seed).random
     count = len(a_seq)
 
     for _ in range(RESAMPLING_ROUNDS):
-        u = rng.random(count)
-        t = rng.random(count)
+        u = np.array([uniform() for _ in range(count)])
+        t = np.array([uniform() for _ in range(count)])
         draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
         if np.max(np.diag(pairwise_rho(a_seq.values, draws))) > r:
             continue

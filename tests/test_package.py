@@ -84,3 +84,16 @@ def test_no_module_spells_the_kernel_or_the_sizes():
         if pattern.search(line)
     ]
     assert not found, "\n".join(found)
+
+
+def test_no_module_uses_numpy_random():
+    # Loading numpy.random also loads secrets and OpenSSL's libcrypto, about
+    # 6.2 MiB of RSS; the draws come from the standard library's random.Random.
+    package = pathlib.Path(blaschke_lab.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(np|numpy)\.random\b", line)
+    ]
+    assert not found, "\n".join(found)

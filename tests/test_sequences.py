@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -168,18 +169,24 @@ def _draw_rounds(a, r, seed):
     disks = [pseudo_disk_to_euclidean(p, r) for p in a]
     centers = np.array([d.center for d in disks], dtype=complex)
     radii = np.array([d.radius for d in disks])
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     while True:
-        u, t = rng.random(len(a)), rng.random(len(a))
+        u = np.array([rng.random() for _ in range(len(a))])
+        t = np.array([rng.random() for _ in range(len(a))])
         yield centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
 
 
-def _replayed(a, r, seed, min_sep):
-    """perturb_sample's rejection loop: the kept draws, their rho matrix and the number of rounds."""
+def _replayed(a, r, seed, min_sep, margin=False):
+    """perturb_sample's rejection loop: the kept draws, their rho matrix and the number of rounds.
+
+    With margin, a round holding a point past the boundary margin is
+    redrawn as well.
+    """
     for rounds, draws in enumerate(_draw_rounds(a, r, seed), 1):
         sep = pairwise_rho(draws, draws)
         np.fill_diagonal(sep, np.inf)
-        if np.max(np.diag(pairwise_rho(a.values, draws))) <= r and sep.min() >= min_sep:
+        inside = not margin or np.all(np.hypot(draws.real, draws.imag) < 1.0 - BOUNDARY_MARGIN)
+        if np.max(np.diag(pairwise_rho(a.values, draws))) <= r and sep.min() >= min_sep and inside:
             return draws, sep, rounds
 
 
@@ -259,17 +266,32 @@ class TestPerturbSample:
         assert any(outside[:-1]) and not outside[-1]
         assert perturb_sample(a, r, 0, min_sep=min_sep).Z.values.tobytes() == draws.tobytes()
 
-    @pytest.mark.parametrize("master", [1, 2, 3])
+    @pytest.mark.parametrize("master", [2, 4, 5])
     def test_a_round_drawing_past_the_margin_is_redrawn(self, master):
-        # The trial seeds of perturb --n 49 --radius 0.6 --trials 20 --seed 1,
-        # 2 or 3: some trials meet a round that passes the radius and min_sep
+        # The trial seeds of perturb --n 49 --radius 0.6 --trials 20 --seed 2,
+        # 4 or 5: some trials meet a round that passes the radius and min_sep
         # tests but holds a point past the boundary margin, and redraw it.
         a, r = frostman_example(49), 0.6
-        for seed in np.random.default_rng(master).integers(0, 2**63 - 1, size=20):
-            paired = perturb_sample(a, r, int(seed))
+        rng = random.Random(master)
+        redrawn = 0
+        for seed in [rng.getrandbits(63) for _ in range(20)]:
+            paired = perturb_sample(a, r, seed)
+            draws, _, rounds = _replayed(a, r, seed, 0.1, margin=True)
+            redrawn += _replayed(a, r, seed, 0.1)[2] < rounds
+            assert paired.Z.values.tobytes() == draws.tobytes()
             moduli = np.hypot(paired.Z.values.real, paired.Z.values.imag)
             assert np.all(moduli < 1.0 - BOUNDARY_MARGIN)
             assert paired.nearness <= r and paired.z_self_separation >= 0.1
+        assert redrawn > 0
+
+    def test_seed_must_be_a_non_negative_int(self):
+        # random.Random would seed None from the OS, and -1 like 1
+        a = ZeroSequence([0.0, 0.5])
+        for seed in (None, -1, 1.5, True):
+            with pytest.raises(ValueError):
+                perturb_sample(a, 0.2, seed, min_sep=0.05)
+        for seed in (0, 2**70):
+            assert perturb_sample(a, 0.2, seed, min_sep=0.05).nearness <= 0.2
 
     def test_min_sep_above_self_separation_rejected(self):
         a = ZeroSequence([0.0, 0.5])
