@@ -427,10 +427,10 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(config=config.as_dict(), results={"per_N": per_n}, tables=tables, series=series)
 
 
-def _boundary_series(f: Callable[[np.ndarray], np.ndarray], label: str) -> Series:
-    """|f| at BOUNDARY_SAMPLES equispaced points of the circle, against their arguments."""
+def _boundary_series(modulus: Callable[[np.ndarray], np.ndarray], label: str) -> Series:
+    """A modulus on the circle at BOUNDARY_SAMPLES equispaced arguments, against them."""
     angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-    return _series(label, "arg", "modulus", angles, np.abs(f(np.exp(1j * angles))))
+    return _series(label, "arg", "modulus", angles, modulus(angles))
 
 
 def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
@@ -462,7 +462,7 @@ def _run_interpolate(config: ExperimentConfig) -> ReportBundle:
             index=range(len(seq)), target_re=targets.values.real, target_im=targets.values.imag, residual=residuals
         )
     }
-    series = {"boundary_modulus": _boundary_series(rep, "interpolant modulus on the circle")}
+    series = {"boundary_modulus": _boundary_series(rep.circle_modulus, "interpolant modulus on the circle")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 
@@ -495,7 +495,7 @@ def _run_union(config: ExperimentConfig) -> ReportBundle:
     }
     tables = {"nodes_a": _table(index=range(len(res_a)), residual=res_a),
               "nodes_z": _table(index=range(len(res_z)), residual=res_z)}
-    series = {"boundary_modulus": _boundary_series(union, "union interpolant modulus")}
+    series = {"boundary_modulus": _boundary_series(union.G.circle_modulus, "union interpolant modulus")}
     return ReportBundle(config=config.as_dict(), results=results, tables=tables, series=series)
 
 

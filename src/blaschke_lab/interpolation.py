@@ -13,11 +13,13 @@ modified Lagrange form of Berrut and Trefethen),
     f(z) = B(z) sum_j alpha_j w_j / (z - a_j),
 
 which needs no cofactor at the evaluation point.  On the circle |B| = 1,
-so the Lagrange row sum sum_j |L_j| is a Frostman sum with weights |w_j|,
-and the norm constant of the interpolation map (the Lebesgue constant) is
-its maximum, found by the Frostman engine of criteria.  On top of the one
-form this module also builds the union construction that interpolates
-across two disjoint zero sets at once, the iterative scheme that
+so |f| there is the modulus of the Cauchy column sum alone, and the
+Lagrange row sum sum_j |L_j| is a Frostman sum with weights |w_j|: the
+norm constant of the interpolation map (the Lebesgue constant) is its
+maximum, found by the Frostman engine of criteria.  The union
+construction, which interpolates across two disjoint zero sets at once,
+is the interpolant of the merged product in the same form.  On top of
+the one form this module also builds the iterative scheme that
 transports an interpolant to a nearby node set (each step evaluates the
 interpolant of the residual at the nodes), and the preimages of a point
 under B, taken as the spectrum of a rank-one perturbation of the
@@ -32,7 +34,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .errors import (
     SeparationTooSmall,
     ZeroCollision,
 )
-from .geometry import Buffers, PointLike, _in_row_blocks, as_point, wrap_angle
+from .geometry import Buffers, CirclePoint, PointLike, _in_row_blocks, as_point, wrap_angle
 from .sequences import PairedSequences
 
 __all__ = [
@@ -77,7 +79,9 @@ class InterpolantRep:
     sum_j alpha_j L_j(z) is evaluated in Cauchy form,
     B(z) sum_j gamma_j / (z - a_j) with gamma_j = alpha_j / B'(a_j), and
     carries rounding error up to about N eps Lambda sup|alpha|, with Lambda
-    the Lebesgue constant of the space.  A node returns its value exactly.
+    the Lebesgue constant of the space: the sup of sum_j |w_j| / |zeta - a_j|
+    on the circle, which also bounds the column alone that circle_modulus
+    takes.  A node returns its value exactly.
     """
 
     __slots__ = ("space", "lagrange_coeffs")
@@ -89,7 +93,15 @@ class InterpolantRep:
     def __call__(self, z) -> Union[complex, np.ndarray]:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         # B(z), which also rejects points outside the closed disk
-        outer = self.space.evaluate(arr)
+        result = self._column(arr, self.space.evaluate(arr))
+        return complex(result[0]) if np.ndim(z) == 0 else result
+
+    def circle_modulus(self, angles: np.ndarray) -> np.ndarray:
+        """|f(e^{i angles})|: on the circle |B| = 1, so the modulus of the Cauchy column alone."""
+        return np.abs(self._column(np.exp(1j * np.asarray(angles, dtype=float))))
+
+    def _column(self, arr: np.ndarray, outer: Optional[np.ndarray] = None) -> np.ndarray:
+        """outer times sum_j gamma_j / (z - a_j) at each point, ROW_BLOCK points at a time; a node gets its value."""
         zeros = self.space.zeros.values
         alpha = self.lagrange_coeffs.values
         gamma = alpha * self.space._node_weights
@@ -100,14 +112,16 @@ class InterpolantRep:
             gaps = np.subtract(arr[rows, None], zeros, out=buffers.take("complex", shape))
             hits = np.equal(gaps, 0, out=buffers.take("hits", shape, bool))
             np.copyto(gaps, 1.0, where=hits)
-            out = outer[rows] * np.sum(np.divide(gamma, gaps, out=gaps), axis=1)
+            out = np.sum(np.divide(gamma, gaps, out=gaps), axis=1)
+            if outer is not None:
+                # not *=: numpy's in-place product of one element has other bits (BlaschkeProduct._factors)
+                out = outer[rows] * out
             # a node's sum has a pole: the node gets its value exactly
             point, node = np.nonzero(hits)
             out[point] = alpha[node]
             return out
 
-        result = _in_row_blocks(arr.size, values)
-        return complex(result[0]) if np.ndim(z) == 0 else result
+        return _in_row_blocks(arr.size, values)
 
     def __repr__(self) -> str:
         return f"InterpolantRep(degree={self.space.degree})"
@@ -115,20 +129,21 @@ class InterpolantRep:
 
 @dataclass(frozen=True)
 class UnionConstruction:
-    """Interpolant across two disjoint zero sets, kept as G = G1 + G2.
+    """Interpolant across two disjoint zero sets, G = G1 + G2, in the merged product's space.
 
-    G1 carries the factor C and therefore vanishes on the second zero
-    set; G2 carries B and vanishes on the first.  tilde_gamma stores the
-    conjugated normalized coefficients in interleaved order (even slots
-    from the first set, odd from the second).
+    G, G1 and G2 are interpolants of the one product BC: G takes both
+    target sets, G1 the first with zeros on the second zero set, G2 the
+    second with zeros on the first.  tilde_gamma stores the conjugated
+    normalized coefficients in interleaved order (even slots from the
+    first set, odd from the second).
     """
 
     B: BlaschkeProduct
     C: BlaschkeProduct
     tilde_gamma: tuple[complex, ...]
-    G: Callable[[np.ndarray], np.ndarray]
-    G1: Callable[[np.ndarray], np.ndarray]
-    G2: Callable[[np.ndarray], np.ndarray]
+    G: InterpolantRep
+    G1: InterpolantRep
+    G2: InterpolantRep
 
     def __call__(self, z):
         return self.G(z)
@@ -171,18 +186,19 @@ def solve_kb(b: BlaschkeProduct, targets) -> InterpolantRep:
 def sup_norm(f, grid: Optional[CircleGrid] = None) -> float:
     """Estimated sup of |f| over the unit circle, never below the grid max.
 
-    f may be an InterpolantRep, a UnionConstruction, or any callable that
-    accepts an array of circle points; the arguments of the zeros of the
-    first two join the grid.
+    f may be an InterpolantRep, a UnionConstruction (whose G is scanned),
+    or any callable that accepts an array of circle points.  An
+    interpolant's zeros join the grid by their arguments, and its modulus
+    is its circle_modulus, which needs no B.
     """
     grid = grid or CircleGrid()
+    f = f.G if isinstance(f, UnionConstruction) else f
     if isinstance(f, InterpolantRep):
         grid = grid.with_injected(f.space.zeros)
-    elif isinstance(f, UnionConstruction):
-        grid = grid.with_injected(f.B.zeros, f.C.zeros)
-
-    def magnitude(angles: np.ndarray) -> np.ndarray:
-        return np.abs(f(np.exp(1j * angles)))
+        magnitude = f.circle_modulus
+    else:
+        def magnitude(angles: np.ndarray) -> np.ndarray:
+            return np.abs(f(np.exp(1j * angles)))
 
     value, _, _ = scan_circle(magnitude, grid, mode="max")
     return float(value)
@@ -220,16 +236,17 @@ def interpolate_union(
 ) -> UnionConstruction:
     """Interpolate alpha on the zeros of B and beta on the zeros of C at once.
 
-    With the targets normalized to alpha_j' = alpha_j / C(a_j) and
-    beta_j' = beta_j / B(z_j), the parts are G1 = C * (the K_B interpolant
-    of alpha') and G2 = B * (the K_C interpolant of beta'), so G = G1 + G2
-    hits both target sets while each part vanishes on the other node set.
-    tilde_gamma holds the conjugated coefficients
+    K_BC = K_C + C K_B, so the paper's G = G1 + G2, with G1 = C * (the K_B
+    interpolant of alpha_j / C(a_j)) and G2 = B * (the K_C interpolant of
+    beta_k / B(z_k)), is the interpolant of (alpha, beta) on the zeros of
+    the merged product D = BC; G1 and G2 are those of (alpha, 0) and
+    (0, beta).  Each takes its node values exactly.  tilde_gamma holds
 
-        tilde_gamma_a[j] = (-conj(a_j)/|a_j|) conj(alpha_j') / conj(B_j(a_j))
+        tilde_gamma_a[j] = (-conj(a_j)/|a_j|) conj(alpha_j / C(a_j)) / conj(B_j(a_j))
 
     (origin convention as in the product factors) and the symmetric
-    C-side expression.
+    C-side expression, which with gamma_j = alpha_j / D'(a_j) is
+    conj(gamma_j) / (1 - |a_j|^2).
     """
     alpha = as_targets(alpha)
     beta = as_targets(beta)
@@ -246,37 +263,19 @@ def interpolate_union(
     if sep < UNION_SEPARATION_FLOOR:
         raise SeparationTooSmall(
             f"separation {sep:.3e} below {UNION_SEPARATION_FLOOR:g}; "
-            "normalization would divide by vanishing cross values"
+            "the merged product's nodes nearly coincide, so its interpolation constant blows up"
         )
 
-    alpha_norm = alpha.values / c.evaluate(a_vals)
-    beta_norm = beta.values / b.evaluate(z_vals)
-    tilde_a = b._prefactors * np.conj(alpha_norm) / np.conj(b._node_cofactors)
-    tilde_z = c._prefactors * np.conj(beta_norm) / np.conj(c._node_cofactors)
-
-    part_a = InterpolantRep(b, TargetVector(alpha_norm))
-    part_z = InterpolantRep(c, TargetVector(beta_norm))
-
-    def g1(z):
-        return c(z) * part_a(z)
-
-    def g2(z):
-        return b(z) * part_z(z)
-
-    tilde = []
-    for j in range(max(len(tilde_a), len(tilde_z))):
-        if j < len(tilde_a):
-            tilde.append(complex(tilde_a[j]))
-        if j < len(tilde_z):
-            tilde.append(complex(tilde_z[j]))
-    return UnionConstruction(
-        B=b,
-        C=c,
-        tilde_gamma=tuple(tilde),
-        G=lambda z: g1(z) + g2(z),
-        G1=g1,
-        G2=g2,
-    )
+    # the check above proved the two zero sets apart, so the merged points are distinct
+    merged = ZeroSequence._subset(np.concatenate([a_vals, z_vals]), np.concatenate([b.zeros._sizes, c.zeros._sizes]))
+    d = BlaschkeProduct(merged, CirclePoint(b.rotation.arg + c.rotation.arg))
+    g = InterpolantRep(d, TargetVector(np.concatenate([alpha.values, beta.values])))
+    g1 = InterpolantRep(d, TargetVector(np.concatenate([alpha.values, np.zeros(c.degree, dtype=complex)])))
+    g2 = InterpolantRep(d, TargetVector(np.concatenate([np.zeros(b.degree, dtype=complex), beta.values])))
+    tilde = np.conj(g.lagrange_coeffs.values * d._node_weights) / merged._sizes
+    # interleaved: a_j sorts at 2j, z_k at 2k + 1
+    order = np.argsort(np.concatenate([2 * np.arange(b.degree), 2 * np.arange(c.degree) + 1]))
+    return UnionConstruction(B=b, C=c, tilde_gamma=tuple(tilde[order].tolist()), G=g, G1=g1, G2=g2)
 
 
 def nearby_iterate(

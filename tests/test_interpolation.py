@@ -226,9 +226,14 @@ class TestLagrangeBlocks:
         assert rep(points).tobytes() == singles.tobytes()
 
     def test_sup_norm_equals_the_scan_of_the_callable(self):
+        # sup_norm scans circle_modulus on the injected grid; the scan of |rep(zeta)|, which
+        # multiplies by the computed B(zeta), agrees within the N eps Lambda sup|alpha| bound.
         rep = _deep_rep(50)
-        value = sup_norm(lambda z: rep(z), GRID.with_injected(rep.space.zeros))
-        assert sup_norm(rep, GRID).hex() == value.hex()
+        grid = GRID.with_injected(rep.space.zeros)
+        column, _, _ = scan_circle(rep.circle_modulus, grid, mode="max")
+        assert sup_norm(rep, GRID).hex() == float(column).hex()
+        bound = 50 * np.finfo(float).eps * lebesgue_constant(rep.space, GRID) * rep.lagrange_coeffs.sup_norm
+        assert abs(sup_norm(rep, GRID) - sup_norm(lambda z: rep(z), grid)) <= bound
 
     def test_lebesgue_constant_equals_the_lagrange_row_sum_scan(self):
         # The weighted Frostman maximum against the circle scan of sum_j |L_j|, built from cofactors.
@@ -245,7 +250,8 @@ class TestLagrangeBlocks:
     @pytest.mark.parametrize("name", ["dyadic-126", "deep-50", "deep-200"])
     def test_values_match_mpmath(self, name):
         # Within N eps Lambda sup|alpha|, the bound that ill_conditioned reports, at interior
-        # points, at points 1e-9 from a node and on the circle.
+        # points, at points 1e-9 from a node and on the circle; circle_modulus at its circle
+        # points against |f| / |B| there, the modulus of the exact Cauchy column.
         mpmath = pytest.importorskip("mpmath")
         if name == "dyadic-126":
             seq = _dyadic_set([0.5 * (k % 2) for k in range(1, 7)])
@@ -257,11 +263,16 @@ class TestLagrangeBlocks:
         alpha = rep.lagrange_coeffs
         near = zeros[::9] * (1.0 - 1e-9 / np.abs(zeros[::9]))
         args = np.angle(zeros[::9])
-        points = np.concatenate([0.5 * CIRCLE_256[3::16], [0.0, 0.3 - 0.2j], near, np.exp(1j * args), CIRCLE_256[::16]])
+        angles = np.concatenate([args, 2.0 * np.pi * np.arange(0, 256, 16) / 256])
+        points = np.concatenate([0.5 * CIRCLE_256[3::16], [0.0, 0.3 - 0.2j], near, np.exp(1j * angles)])
         bound = len(zeros) * np.finfo(float).eps * lebesgue_constant(rep.space, GRID) * alpha.sup_norm
         with mpmath.workdps(40):
             exact = mp_interpolant(rep.space, alpha.values)
+            product = mp_product(rep.space)
             errors = [float(abs(mpmath.mpc(complex(v)) - exact(z))) for v, z in zip(rep(points), points)]
+            circle = np.exp(1j * angles)
+            column = [abs(exact(z)) / abs(product(z)) for z in circle]
+            errors += [float(abs(m - c)) for m, c in zip(rep.circle_modulus(angles), column)]
         assert max(errors) <= bound
 
     def test_nodes_are_exact_and_warning_free(self):
@@ -329,6 +340,13 @@ class TestInterpolateUnion:
             assert np.max(np.abs(u(z.values) - beta.values)) <= 1e-7 * norm
             assert np.max(np.abs(u.G1(z.values))) <= 1e-10
             assert np.max(np.abs(u.G2(a.values))) <= 1e-10
+            # every part takes its node values exactly
+            nothing = np.zeros(4, dtype=complex).tobytes()
+            for part, on_a, on_z in ((u.G, alpha.values.tobytes(), beta.values.tobytes()),
+                                     (u.G1, alpha.values.tobytes(), nothing),
+                                     (u.G2, nothing, beta.values.tobytes())):
+                assert part(a.values).tobytes() == on_a
+                assert part(z.values).tobytes() == on_z
 
             merged = ZeroSequence(np.concatenate([a.values, z.values]))
             oracle = solve_kb(
@@ -336,6 +354,35 @@ class TestInterpolateUnion:
                 TargetVector(np.concatenate([alpha.values, beta.values])),
             )
             assert np.max(np.abs(u(CIRCLE_256) - oracle(CIRCLE_256))) <= 1e-6
+            if rot_b == rot_c == 1.0:
+                assert u(CIRCLE_256).tobytes() == oracle(CIRCLE_256).tobytes()
+
+    @pytest.mark.parametrize("rot_b, rot_c", [(1.0, 1.0), (np.exp(0.7j), np.exp(-2.3j))])
+    @pytest.mark.parametrize("sizes", [(4, 4), (3, 5), (6, 2)])
+    def test_tilde_gamma_matches_the_papers_formula(self, sizes, rot_b, rot_c):
+        # (-conj(a_j)/|a_j|) conj(alpha_j / C(a_j)) / conj(B_j(a_j)) and its C-side mirror,
+        # from each product's own cofactors and cross values, in interleaved order.
+        n, m = sizes
+        a, z = split_separated(n + 7 * m, n, m, min_rho=0.4)
+        rng = np.random.default_rng(n)
+        alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+        beta = rng.normal(size=m) + 1j * rng.normal(size=m)
+        b, c = BlaschkeProduct(a, rot_b), BlaschkeProduct(z, rot_c)
+        u = interpolate_union(b, c, alpha, beta)
+
+        def paper(own, other, targets):
+            zeros = own.zeros.values
+            turn = np.array([1.0 if w == 0 else -np.conj(w) / abs(w) for w in zeros])
+            cofactors = np.array([own.cofactor(j)(complex(w)) for j, w in enumerate(zeros)])
+            return turn * np.conj(targets / other(zeros)) / np.conj(cofactors)
+
+        side_a, side_z = paper(b, c, alpha), paper(c, b, beta)
+        expected = [x for pair in zip(side_a, side_z) for x in pair]
+        expected += list(side_a[m:]) + list(side_z[n:])
+        assert len(u.tilde_gamma) == n + m
+        tolerance = (8 + n + m) * np.finfo(float).eps
+        for got, want in zip(u.tilde_gamma, expected):
+            assert abs(got - want) <= tolerance * abs(want)
 
     def test_parts_sum_pointwise(self):
         a, z = split_separated(11, 3, 4, min_rho=0.45)
