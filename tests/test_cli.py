@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab
 from blaschke_lab import cli, interpolation
-from blaschke_lab.blaschke import BlaschkeProduct, ZeroSequence
+from blaschke_lab.blaschke import BlaschkeProduct, TargetVector, ZeroSequence
 from blaschke_lab.cli import (
     ExperimentConfig,
     ReportBundle,
@@ -25,7 +25,8 @@ from blaschke_lab.cli import (
 )
 from blaschke_lab.errors import ConfigInvalid, IoFailure
 from blaschke_lab.geometry import DiskPoint
-from blaschke_lab.interpolation import interpolate_union
+from blaschke_lab.interpolation import interpolate_union, solve_kb
+from blaschke_lab.sequences import radial_sequence
 
 
 def minimal_criteria_config() -> dict:
@@ -45,6 +46,29 @@ def kind_config(kind, sequence=RADIAL3, **inputs) -> dict:
 
 def criteria_config(**top) -> dict:
     return {"kind": "criteria", "inputs": {"sequence": RADIAL3}, "N_schedule": [2], **top}
+
+
+def write_two_sequences(tmp_path) -> tuple[str, str]:
+    """Two disjoint two-point sequence files, a.json and b.json in tmp_path."""
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    write_sequence_file(path_a, ZeroSequence([DiskPoint(0.1, 0.0), DiskPoint(-0.3, 0.2)]))
+    write_sequence_file(path_b, ZeroSequence([DiskPoint(0.5, 0.0), DiskPoint(0.0, -0.4)]))
+    return str(path_a), str(path_b)
+
+
+def experiment_argv(tmp_path, command) -> list:
+    """argv for a small run of one experiment command; union runs on write_two_sequences."""
+    radial = ["--generator", "radial_sequence", "--n", "4"]
+    path_a, path_b = write_two_sequences(tmp_path)
+    argv = {
+        "check": ["check", *radial],
+        "interpolate": ["interpolate", *radial, "--fill", "1,0.5"],
+        "union": ["union", "--sequence", path_a, "--sequence-b", path_b],
+        "nearby": ["nearby", *radial, "--seed", "3"],
+        "perturb": ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.05", "--trials", "3"],
+        "shift": ["shift", *radial, "--point", "0.1,0"],
+    }[command]
+    return argv + ["--grid-size", "256"]
 
 
 def malformed(case_id, config=None, sequence_file=None, command="run"):
@@ -412,7 +436,7 @@ class TestMainCommands:
         assert data[0].startswith("# ")
         assert len(data) == 2
 
-    def test_interpolate_reports_small_residual(self, capsys):
+    def test_interpolate_nodes_are_exact(self, capsys):
         rc = cli.main(
             [
                 "interpolate",
@@ -428,22 +452,23 @@ class TestMainCommands:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["results"]["max_node_residual"] <= 1e-8
         assert payload["results"]["lebesgue_constant"] >= 1.0
         assert len(payload["series"]["boundary_modulus"]["x"]) == 256
+        assert payload["tables"]["nodes"]["rows"] == [[j, 1.0, 0.5] for j in range(5)]
+        # the report leaves the node values out: the interpolant takes its targets exactly
+        seq, targets = radial_sequence(0.5, 5), TargetVector(np.full(5, 1.0 + 0.5j))
+        rep = solve_kb(BlaschkeProduct(seq), targets)
+        assert rep(seq.values).tobytes() == targets.values.tobytes()
 
     def test_union_end_to_end(self, tmp_path, capsys):
-        path_a = tmp_path / "a.json"
-        path_b = tmp_path / "b.json"
-        write_sequence_file(path_a, ZeroSequence([DiskPoint(0.1, 0.0), DiskPoint(-0.3, 0.2)]))
-        write_sequence_file(path_b, ZeroSequence([DiskPoint(0.5, 0.0), DiskPoint(0.0, -0.4)]))
+        path_a, path_b = write_two_sequences(tmp_path)
         rc = cli.main(
             [
                 "union",
                 "--sequence",
-                str(path_a),
+                path_a,
                 "--sequence-b",
-                str(path_b),
+                path_b,
                 "--fill",
                 "1,0",
                 "--fill-b",
@@ -454,22 +479,19 @@ class TestMainCommands:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        results = payload["results"]
-        assert results["max_residual_a"] <= 1e-7
-        assert results["max_residual_z"] <= 1e-7
-        assert len(results["tilde_gamma"]) == 4
-        # the same fields, bit for bit, from the library's union on the same inputs
+        # tilde_gamma, bit for bit, from the library's union on the same inputs
         seq_a, seq_z = load_sequence_file(path_a)[0], load_sequence_file(path_b)[0]
         alpha, beta = np.ones(len(seq_a), complex), np.full(len(seq_z), 1j)
         union = interpolate_union(BlaschkeProduct(seq_a), BlaschkeProduct(seq_z), alpha, beta)
-        expected = {
-            "max_residual_a": np.abs(union(seq_a.values) - alpha).max(),
-            "max_residual_z": np.abs(union(seq_z.values) - beta).max(),
-            "g2_vanishing_on_a": np.abs(union.G2(seq_a.values)).max(),
-            "g1_vanishing_on_z": np.abs(union.G1(seq_z.values)).max(),
-        }
-        for key, value in expected.items():
-            assert results[key].hex() == float(value).hex(), key
+        reported = np.array([complex(t["re"], t["im"]) for t in payload["results"]["tilde_gamma"]])
+        assert reported.tobytes() == np.array(union.tilde_gamma).tobytes()
+        assert payload["tables"]["tilde_gamma"]["rows"] == [[j, t.real, t.imag] for j, t in enumerate(union.tilde_gamma)]
+        # the node values the report leaves out, exact by construction: G is alpha on A and
+        # beta on Z, G1 alpha and 0, G2 0 and beta
+        zero_a, zero_z = np.zeros_like(alpha), np.zeros_like(beta)
+        for f, on_a, on_z in ((union.G, alpha, beta), (union.G1, alpha, zero_z), (union.G2, zero_a, beta)):
+            assert f(seq_a.values).tobytes() == on_a.tobytes()
+            assert f(seq_z.values).tobytes() == on_z.tobytes()
 
     def test_nearby_converges(self, capsys):
         rc = cli.main(
@@ -489,7 +511,7 @@ class TestMainCommands:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["results"]["converged"] is True
+        # a run that does not converge exits 3 without a report
         assert payload["results"]["final_residual"] <= 1e-8
         steps = payload["tables"]["steps"]["rows"]
         assert len(steps) == payload["results"]["steps"]
@@ -507,7 +529,7 @@ class TestMainCommands:
         monkeypatch.setattr(interpolation, "_frostman_scan", counted)
         argv = ["nearby", "--generator", "radial_sequence", "--n", "4", "--seed", "3", "--grid-size", "256"]
         assert cli.main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["converged"] is True
+        assert json.loads(capsys.readouterr().out)["results"]["final_residual"] <= 1e-8
         assert len(calls) == 1
 
     def test_shift_roots_reported(self, capsys):
@@ -528,6 +550,40 @@ class TestMainCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["max_residual"] <= 1e-8
         assert len(payload["tables"]["roots"]["rows"]) == 3
+
+    # a field that cannot vary, like a residual the construction makes 0, has no place here
+    @pytest.mark.parametrize(
+        "command, results, tables, series",
+        [
+            pytest.param(
+                "interpolate", ["degree", "ill_conditioned", "sup_norm", "lebesgue_constant"],
+                {"nodes": ["index", "target_re", "target_im"]}, ["boundary_modulus"], id="interpolate",
+            ),
+            pytest.param(
+                "union", ["degrees", "tilde_gamma"], {"tilde_gamma": ["slot", "re", "im"]}, ["boundary_modulus"],
+                id="union",
+            ),
+            pytest.param(
+                "nearby",
+                ["M_used", "epsilon_used", "nearness", "radius", "steps", "contraction_marginal", "final_residual"],
+                {"steps": ["step", "residual_sup", "bound_curve"]}, ["residual_vs_step", "bound_vs_step"], id="nearby",
+            ),
+        ],
+    )
+    def test_report_layout(self, tmp_path, capsys, command, results, tables, series):
+        assert cli.main(experiment_argv(tmp_path, command)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["results"]) == results
+        assert {name: table["columns"] for name, table in payload["tables"].items()} == tables
+        assert list(payload["series"]) == series
+
+    @pytest.mark.parametrize("command", ["check", "interpolate", "union", "nearby", "perturb", "shift"])
+    def test_every_command_writes_csv_and_plotdata(self, tmp_path, command):
+        argv = experiment_argv(tmp_path, command)
+        assert cli.main(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        assert cli.main(argv + ["--format", "plotdata", "--out", str(tmp_path / "plots")]) == 0
+        assert list((tmp_path / "csv").glob("*.csv"))
+        assert list((tmp_path / "plots").glob("*.dat"))
 
     @pytest.mark.parametrize(
         "argv, table",
@@ -890,6 +946,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag", [("interpolate", "--targets-file"), ("union", "--targets-file-b")]
+    )
+    def test_target_file_one_value_short_is_two(self, tmp_path, capsys, command, flag):
+        path_a, path_b = write_two_sequences(tmp_path)
+        targets = write_json(tmp_path / "targets.json", {"values": [[1.0, 0.0]]})
+        sequences = {"interpolate": ["--sequence", path_b], "union": ["--sequence", path_a, "--sequence-b", path_b]}
+        assert cli.main([command, *sequences[command], flag, targets, "--grid-size", "256"]) == 2
+        assert "config error: target vector has 1 entries for 2 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["nearby", "--sequence", "empty.json"], "lebesgue constant requires at least one zero",
+                         id="nearby"),
+            pytest.param(["union", "--sequence", "empty.json", "--sequence-b", "b.json"],
+                         "both products need at least one zero", id="union-first"),
+            pytest.param(["union", "--sequence", "a.json", "--sequence-b", "empty.json"],
+                         "both products need at least one zero", id="union-second"),
+            pytest.param(["shift", "--sequence", "empty.json", "--point", "0.1,0"],
+                         "cannot shift a degree-zero product", id="shift"),
+        ],
+    )
+    def test_empty_sequence_is_three(self, tmp_path, monkeypatch, capsys, argv, message):
+        write_two_sequences(tmp_path)
+        write_json(tmp_path / "empty.json", {"points": []})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--grid-size", "256"]) == 3
+        assert f"numeric error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1062,6 +1062,11 @@ class TestPerturbationReports:
         with pytest.raises(NearnessExceeded, match="nearness 0.6 "):
             perturbation_reports([near, far[1], far[0]], 0.2, GRID)
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.3, 1.5])
+    def test_radius_outside_the_unit_interval_rejected(self, r):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            perturbation_reports(_trials("frostman20", 1), r, GRID)
+
     def test_empty_batch_and_unequal_lengths(self):
         assert perturbation_reports([], 0.3, GRID) == []
         short = PairedSequences(A=ZeroSequence([0.0]), Z=ZeroSequence([0.01]))

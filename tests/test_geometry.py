@@ -73,6 +73,11 @@ class TestCirclePoint:
         assert CirclePoint(-1e-17).arg == 0.0
         assert CirclePoint(2.0 * math.pi).arg == 0.0
 
+    @pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, arg):
+        with pytest.raises(ValueError, match="non-finite argument"):
+            CirclePoint(arg)
+
     def test_from_complex(self):
         w = CirclePoint.from_complex(1j)
         assert w.arg == pytest.approx(math.pi / 2)
@@ -334,6 +339,11 @@ class TestKernelBounds:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             kernel_bounds_check([], [0.1], 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_rejects_non_positive_radius(self, r):
+        with pytest.raises(ValueError, match="must be positive"):
+            kernel_bounds_check([0.0], [0.0], r)
 
     @pytest.mark.parametrize("depth", [1e-9, 1e-12])
     def test_pair_whose_rho_rounds_to_one_is_rejected_without_a_warning(self, depth):

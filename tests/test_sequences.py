@@ -126,6 +126,8 @@ class TestInterlace:
     def test_requires_equal_lengths(self):
         with pytest.raises(ValueError):
             interlace(ZeroSequence([0.1]), ZeroSequence([0.2, 0.3]))
+        with pytest.raises(ValueError, match="equal lengths"):
+            interlace_targets(TargetVector([1.0]), TargetVector([1.0, 2.0]))
 
     def test_shared_point_rejected(self):
         with pytest.raises(DuplicatePoint):
