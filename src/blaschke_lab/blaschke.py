@@ -30,11 +30,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "COINCIDENCE_TOL",
     "ZeroSequence",
     "TargetVector",
     "BlaschkeProduct",
     "CarlesonReport",
+    "as_targets",
 ]
 
 # Two points closer than this (pseudohyperbolically) count as the same point.

@@ -388,8 +388,9 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
     grid = config.circle_grid()
     spec = config.inputs["sequence"]
     if config.N_schedule and "generator" in spec:
-        # the schedule, not params.N, sets how many points are generated
+        # the schedule, not params.N, sets how many points are generated, and the echo says so
         spec = {**spec, "params": {**spec["params"], "N": max(config.N_schedule)}}
+        config = replace(config, inputs={**config.inputs, "sequence": spec})
     full = _resolve_sequence(spec)
     if not config.N_schedule:
         # check without --schedule runs the whole sequence

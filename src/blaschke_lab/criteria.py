@@ -18,8 +18,9 @@ constant of interpolation (weights |1 / B'(a_j)|), comes from one engine
 one pruned pass over the base grid per distinct zero set, which skips the
 points that provably cannot be refinement seeds, merges its best points
 with each scan's injected arguments, and refines all scans' seeds in
-lockstep; the extrema equal those of each scan's full grid.  So a centre
-sequence that many trials share is passed and searched once.  Every
+lockstep, each golden step's block of searches gathering the zero rows of
+its own searches; the extrema equal those of each scan's full grid.  So a
+centre sequence that many trials share is passed and searched once.  Every
 Frostman sum at circle points comes from one kernel, built ROW_BLOCK rows
 at a time (ROW_BLOCK * REFINE_SEEDS in the perturbation reports).
 """
@@ -50,6 +51,7 @@ __all__ = [
     "nearness",
     "perturbation_report",
     "perturbation_reports",
+    "scan_circle",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -476,25 +478,6 @@ def _injected_args(points: np.ndarray, grid: CircleGrid, base: np.ndarray) -> tu
     return args, keep
 
 
-def _search_slabs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Searches laid out REFINE_SEEDS to a slab, every slab against one zero set.
-
-    owner holds each search's row of zeros, sorted.  The searches of one
-    zero set fill consecutive slabs in order, and the spare places of a
-    slab repeat its first search.  Returns the search at each place of
-    each slab, and each search's slab and place.
-    """
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    counts = np.diff(starts, append=owner.size)
-    rank = np.arange(owner.size) - np.repeat(starts, counts)
-    slabs = -(-counts // REFINE_SEEDS)
-    slab = np.repeat(np.cumsum(slabs) - slabs, counts) + rank // REFINE_SEEDS
-    place = rank % REFINE_SEEDS
-    members = np.repeat(np.flatnonzero(place == 0)[:, None], REFINE_SEEDS, axis=1)
-    members[slab, place] = np.arange(owner.size)
-    return members, slab, place
-
-
 def _base_seeds(
     values: np.ndarray,
     weights: np.ndarray,
@@ -585,9 +568,10 @@ def _frostman_maxima(
     After the grid pass all golden-section searches run in lockstep, each
     against its own zeros.  A search depends only on its seed and its
     zeros, so a seed that scans of one zero set share is searched once for
-    all of them.  The searches of one zero set go REFINE_SEEDS to a slab,
-    whose points broadcast against one row of zeros, gathered once; the
-    slabs go ROW_BLOCK at a time, on one set of buffers for every step.
+    all of them.  At every step the searches go ROW_BLOCK * group at a
+    time: a block gathers the rows of zeros and weights of its searches
+    and sums each search's row by itself, so a value does not depend on
+    the other searches.  Every step's blocks share one set of buffers.
     """
     seeds, best = _grid_pass(zeros, injected, grid, group)
     # each distinct (zero set, seed) once, found by sorting
@@ -600,17 +584,21 @@ def _frostman_maxima(
     search = np.empty(order.size, dtype=int)
     search[order] = np.cumsum(new) - 1
     owner = owner[new]
-    members, slab, place = _search_slabs(owner)
-    own = owner[members[:, 0]]
-    values, weights = zeros.values[own], zeros.weights[own]
     buffers = Buffers()
 
     def sums(x: np.ndarray) -> np.ndarray:
-        zeta = np.exp(1j * (x % TWO_PI))[members]
-        by_place = _in_row_blocks(
-            len(members), lambda rows: _frostman_rows(zeta[rows], values[rows], weights[rows], buffers).T
-        )
-        return by_place[place, slab]
+        zeta = np.exp(1j * (x % TWO_PI))
+
+        # np.take in mode "clip" writes straight into out (every index is in
+        # range); mode "raise" would copy out first
+        def block(rows: slice) -> np.ndarray:
+            own = owner[rows]
+            shape = (own.size, zeros.values.shape[1])
+            values = np.take(zeros.values, own, axis=0, out=buffers.take("values", shape), mode="clip")
+            weights = np.take(zeros.weights, own, axis=0, out=buffers.take("weights", shape, float), mode="clip")
+            return _frostman_rows(zeta[rows, None], values, weights, buffers)[:, 0]
+
+        return _in_row_blocks(owner.size, block, group)
 
     val, arg = _golden(
         sums,

@@ -31,7 +31,6 @@ __all__ = [
     "kernel_bounds_check",
     "pairwise_rho",
     "one_minus_abs_sq",
-    "wrap_angle",
 ]
 
 # Points closer to the circle than this are rejected: kernels and the

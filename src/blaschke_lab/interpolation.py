@@ -163,7 +163,6 @@ class IterationTrace:
     bound_curve: tuple[float, ...]
     M_used: float
     epsilon_used: float
-    converged: bool
     contraction_marginal: bool = False
 
 
@@ -320,35 +319,33 @@ def nearby_iterate(
             stacklevel=2,
         )
 
+    ratio = 2.0 * m_const * nu
     total = np.zeros(b.degree, dtype=complex)
     achieved = np.zeros(b.degree, dtype=complex)
     residual = alpha.values.copy()
     residual_sup = []
-    converged = False
+    # B at the nodes is the same every step: each step's interpolant is only its column times it
+    outer = b.evaluate(z_seq.values)
     for _ in range(max_iter):
         total = total + residual
-        achieved = achieved + solve_kb(b, residual)(z_seq.values)
+        achieved = achieved + solve_kb(b, residual)._column(z_seq.values, outer)
         residual = alpha.values - achieved
         residual_sup.append(float(np.max(np.abs(residual))))
         if residual_sup[-1] <= tol:
-            converged = True
             break
-
-    ratio = 2.0 * m_const * nu
-    bound_curve = tuple(alpha.sup_norm * ratio**m for m in range(len(residual_sup)))
-    trace = IterationTrace(
-        residual_sup=tuple(residual_sup),
-        bound_curve=bound_curve,
-        M_used=m_const,
-        epsilon_used=1.0 - nu,
-        converged=converged,
-        contraction_marginal=marginal,
-    )
-    if not converged:
+    else:
         raise MaxIterExceeded(
             f"residual {residual_sup[-1]:.3e} above tol {tol:.3e} "
             f"after {max_iter} steps (contraction ratio bound {ratio:.3f})"
         )
+
+    trace = IterationTrace(
+        residual_sup=tuple(residual_sup),
+        bound_curve=tuple(alpha.sup_norm * ratio**m for m in range(len(residual_sup))),
+        M_used=m_const,
+        epsilon_used=1.0 - nu,
+        contraction_marginal=marginal,
+    )
     return solve_kb(b, TargetVector(total)), trace
 
 

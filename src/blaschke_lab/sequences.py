@@ -15,7 +15,6 @@ from .geometry import Buffers, _euclidean_disks, _rho, pairwise_rho
 __all__ = [
     "DEPTH_CAP",
     "PairedSequences",
-    "Seed",
     "frostman_example",
     "radial_sequence",
     "interlace",

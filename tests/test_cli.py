@@ -1046,6 +1046,19 @@ def test_check_reads_its_sequence_file_once(tmp_path, monkeypatch, capsys, sched
     assert report["config"]["N_schedule"] == ([2, 3, 5] if schedule else [5])
 
 
+def test_check_echoes_the_generated_length(tmp_path):
+    # the schedule sets how many points the generator makes, so the echo's params.N is its largest entry
+    out = tmp_path / "report.json"
+    argv = ["check", "--generator", "frostman_example", "--n", "5", "--schedule", "6,30", "--grid-size", "256"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    report = out.read_bytes()
+    config = json.loads(report)["config"]
+    assert config["inputs"]["sequence"]["params"]["N"] == max(config["N_schedule"]) == 30
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["run", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == report
+
+
 def equivalent_runs(seq_a: str, seq_b: str, values: str) -> dict:
     """kind -> (subcommand argv, the config that means the same, defaults left out)."""
     radial4 = {"generator": "radial_sequence", "params": {"q": 0.3, "N": 4}}

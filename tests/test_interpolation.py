@@ -433,7 +433,7 @@ class TestNearbyIterate:
         b = BlaschkeProduct(seq)
         alpha = TargetVector([1.0, -1.0, 1j, 0.5])
         rep, trace = nearby_iterate(b, seq, alpha, grid=GRID)
-        assert trace.converged
+        assert trace.residual_sup[-1] <= 1e-8
         assert len(trace.residual_sup) == 1
         assert trace.residual_sup[0] == 0.0
 
@@ -442,7 +442,7 @@ class TestNearbyIterate:
         rep, trace = nearby_iterate(
             b, ZeroSequence([0.1]), TargetVector([2.0]), grid=GRID
         )
-        assert trace.converged
+        assert trace.residual_sup[-1] <= 1e-8
         assert rep(0.1) == pytest.approx(2.0)
 
     def test_converges_and_interpolates(self):
@@ -452,10 +452,24 @@ class TestNearbyIterate:
         paired = perturb_sample(seq, 0.8 / (2.0 * m), 7, min_sep=0.01)
         alpha = TargetVector([1.0, 1j, -0.5, 0.25, 2.0])
         rep, trace = nearby_iterate(b, paired.Z, alpha, grid=GRID)
-        assert trace.converged
         assert trace.residual_sup[-1] <= 1e-8
         assert np.max(np.abs(rep(paired.Z.values) - alpha.values)) <= 2e-8
         assert trace.M_used == pytest.approx(m)
+
+    def test_evaluates_b_at_the_nodes_once(self, monkeypatch):
+        # every step's interpolant is B times its column at the nodes, and B there does not change
+        seq = random_separated(5, 5, min_rho=0.3)
+        b = BlaschkeProduct(seq)
+        paired = perturb_sample(seq, 0.8 / (2.0 * lebesgue_constant(b, GRID)), 7, min_sep=0.01)
+        alpha = TargetVector([1.0, 1j, -0.5, 0.25, 2.0])
+        points = []
+        evaluate = BlaschkeProduct.evaluate
+        monkeypatch.setattr(BlaschkeProduct, "evaluate", lambda self, z: points.append(z) or evaluate(self, z))
+        for tol, steps in ((1e-2, 3), (1e-12, 12)):
+            points.clear()
+            _, trace = nearby_iterate(b, paired.Z, alpha, tol=tol, grid=GRID)
+            assert len(trace.residual_sup) == steps
+            assert [np.array_equal(z, paired.Z.values) for z in points] == [True]
 
     def test_residuals_below_bound_curve(self):
         for seed in range(5):

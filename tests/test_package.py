@@ -45,6 +45,8 @@ def test_public_names():
     assert set(blaschke_lab.__all__) == {"__version__", *names}
     for module, module_names in PUBLIC.items():
         submodule = importlib.import_module(f"blaschke_lab.{module}")
+        # a submodule's own list of public names is its table entry, nothing more or less
+        assert sorted(submodule.__all__) == module_names
         for name in module_names:
             assert getattr(blaschke_lab, name) is getattr(submodule, name)
     star = {}
