@@ -8,7 +8,6 @@ serializes.  Output is deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -25,10 +24,11 @@ from .blaschke import BlaschkeProduct, TargetVector, ZeroSequence
 from .criteria import CircleGrid
 from .errors import BlaschkeLabError, ConfigInvalid, IoFailure
 from .geometry import CirclePoint, DiskPoint, disk_values
-from .sequences import frostman_example, perturb_sample, radial_sequence
+from .sequences import _perturb_samples, frostman_example, perturb_sample, radial_sequence
 
 # interpolation is imported inside the pipelines that call it, so that check
-# and perturb, each a fresh process, do not spend start-up time loading it.
+# and perturb, each a fresh process, do not spend start-up time loading it;
+# csv likewise inside _csv_text, so that only --format csv loads it.
 
 __all__ = [
     "ExperimentConfig",
@@ -534,7 +534,7 @@ def _run_perturb(config: ExperimentConfig) -> ReportBundle:
 
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(63) for _ in range(trials)]
-    pairs = [perturb_sample(seq, radius, s, min_sep=min_sep) for s in trial_seeds]
+    pairs = _perturb_samples(seq, radius, trial_seeds, min_sep=min_sep)
     # the fields are plain numbers, so a shallow copy equals asdict's deep one
     reports = [dict(vars(report)) for report in crit.perturbation_reports(pairs, radius, grid)]
     column = {key: [r[key] for r in reports] for key in reports[0]}
@@ -707,6 +707,8 @@ def _format_cell(value) -> Any:
 
 
 def _csv_text(table: Table) -> str:
+    import csv
+
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(table.columns)

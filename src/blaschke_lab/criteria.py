@@ -482,6 +482,7 @@ def _base_seeds(
     values: np.ndarray,
     weights: np.ndarray,
     base: np.ndarray,
+    circle: np.ndarray,
     centres: np.ndarray,
     reach: np.ndarray,
     group: int,
@@ -497,12 +498,12 @@ def _base_seeds(
     evaluated only when its bound, times 1 + BOUND_SLACK, reaches T.  A
     point left out has a computed value below T, so at least REFINE_SEEDS
     centres come before it, and under _trial_seeds' total order the result
-    is that of the whole base grid, bit for bit.  Points go
-    ROW_BLOCK * group at a time.
+    is that of the whole base grid, bit for bit.  circle holds the base
+    points exp(1j * base).  Points go ROW_BLOCK * group at a time.
     """
     first, bound = _in_row_blocks(
         centres.size,
-        lambda i: np.array(_frostman_rows(np.exp(1j * base[centres[i]]), values, weights, buffers, reach[i])),
+        lambda i: np.array(_frostman_rows(circle[centres[i]], values, weights, buffers, reach[i])),
         group,
     )
     threshold = np.partition(first, -REFINE_SEEDS)[-REFINE_SEEDS]
@@ -511,11 +512,31 @@ def _base_seeds(
     live[centres] = False
     rest = np.flatnonzero(live)
     rest_values = _in_row_blocks(
-        rest.size, lambda i: _frostman_rows(np.exp(1j * base[rest[i]]), values, weights, buffers), group
+        rest.size, lambda i: _frostman_rows(circle[rest[i]], values, weights, buffers), group
     )
     points = np.concatenate([centres, rest])
     seeds, top = _trial_seeds(np.zeros(points.size, dtype=int), np.concatenate([first, rest_values]), base[points], 1)
     return seeds[0], top[0]
+
+
+def _base_pass(zeros: _ZeroSets, base: np.ndarray, group: int, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the REFINE_SEEDS best base points of zero set i, best first (_base_seeds), and their values.
+
+    The base points exp(1j * base) and the cells are formed once for all
+    zero sets, and go when the pass ends.
+    """
+    starts = np.arange(0, base.size, CELL)
+    sizes = np.diff(starts, append=base.size)
+    # the arc to the farthest point of the cell bounds the chord; the slack
+    # and 64 eps cover the rounding of the computed points and distances
+    reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
+    centres = starts + sizes // 2
+    circle = np.exp(1j * base)
+    tops = np.array([
+        _base_seeds(values, weights, base, circle, centres, reach, group, buffers)
+        for values, weights in zip(zeros.values, zeros.weights)
+    ])
+    return tops[:, 0], tops[:, 1]
 
 
 def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: int) -> tuple[np.ndarray, np.ndarray]:
@@ -523,7 +544,7 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
 
     Scan (i, t) is the sum of the zero set in row zeros.row[i, t], on the
     base grid plus the extras of grid and the arguments of row t of
-    injected.  Each distinct zero set gets one base pass (_base_seeds): its
+    injected.  Each distinct zero set gets one base pass (_base_pass): its
     REFINE_SEEDS best base points are the only base points that can be
     seeds of any of its scans, since each other base point has that many
     ahead of it on every scan's grid.  Each scan merges them with its own
@@ -533,18 +554,12 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
     share one set of buffers.
     """
     base = replace(grid, extra_args=()).angles()
-    starts = np.arange(0, base.size, CELL)
-    sizes = np.diff(starts, append=base.size)
-    # the arc to the farthest point of the cell bounds the chord; the slack
-    # and 64 eps cover the rounding of the computed points and distances
-    reach = sizes // 2 * (TWO_PI / base.size) * (1.0 + BOUND_SLACK) + 64 * np.finfo(float).eps
-    centres = starts + sizes // 2
+    buffers = Buffers()
+    top_angles, top_values = _base_pass(zeros, base, group, buffers)
     args, keep = _injected_args(injected, grid, base)
     seeds = np.empty(zeros.row.shape + (REFINE_SEEDS,))
     best = np.empty(zeros.row.shape)
-    buffers = Buffers()
     for row, (values, weights) in enumerate(zip(zeros.values, zeros.weights)):
-        top_angles, top_values = _base_seeds(values, weights, base, centres, reach, group, buffers)
         side, trial = np.nonzero(zeros.row == row)
         extra_scan, extra = np.nonzero(keep[trial])[0], args[trial][keep[trial]]
         extra_values = _in_row_blocks(
@@ -552,8 +567,8 @@ def _grid_pass(zeros: _ZeroSets, injected: np.ndarray, grid: CircleGrid, group: 
         )
         picked, picked_values = _trial_seeds(
             np.concatenate([np.arange(trial.size).repeat(REFINE_SEEDS), extra_scan]),
-            np.concatenate([np.tile(top_values, trial.size), extra_values]),
-            np.concatenate([np.tile(top_angles, trial.size), extra]),
+            np.concatenate([np.tile(top_values[row], trial.size), extra_values]),
+            np.concatenate([np.tile(top_angles[row], trial.size), extra]),
             trial.size,
         )
         seeds[side, trial], best[side, trial] = picked, picked_values[:, 0]

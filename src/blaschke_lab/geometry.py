@@ -166,15 +166,21 @@ def complex_vector(values: Iterable[complex]) -> np.ndarray:
     return vector
 
 
-def disk_values(points: Iterable[PointLike]) -> np.ndarray:
-    """The points as a new complex array, checked at once by DiskPoint's rule and error.
+def _in_disk(values: np.ndarray) -> np.ndarray:
+    """Whether each point is strictly inside the disk by DiskPoint's rule.
 
     np.hypot of the parts is what Python's abs of a complex computes (np.abs
     can differ in the last bit), so every decision is DiskPoint's.
     """
+    re, im = values.real, values.imag
+    return np.isfinite(re) & np.isfinite(im) & (np.hypot(re, im) < 1.0 - BOUNDARY_MARGIN)
+
+
+def disk_values(points: Iterable[PointLike]) -> np.ndarray:
+    """The points as a new complex array, checked at once by DiskPoint's rule (_in_disk) and error."""
     values = complex_vector(points)
     re, im = values.real, values.imag
-    outside = ~(np.isfinite(re) & np.isfinite(im) & (np.hypot(re, im) < 1.0 - BOUNDARY_MARGIN))
+    outside = ~_in_disk(values)
     if outside.any():
         first = int(outside.argmax())
         raise _outside_disk(float(re[first]), float(im[first]))

@@ -409,12 +409,18 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
             w = candidate
         polished.append(w)
 
-    residuals = [abs(b.evaluate(w) - target) if abs(w) <= 1.0 else math.inf for w in polished]
-    bad = [i for i, res in enumerate(residuals) if res > ROOT_RESIDUAL_TOL or abs(polished[i]) >= 1.0]
-    if bad:
+    # np.hypot of the parts is Python's abs of a complex, so each decision is abs's
+    points = np.array(polished)
+    moduli = np.hypot(points.real, points.imag)
+    inside = moduli <= 1.0
+    residuals = np.full(points.size, math.inf)
+    shifted = b.evaluate(points[inside]) - target
+    residuals[inside] = np.hypot(shifted.real, shifted.imag)
+    bad = (residuals > ROOT_RESIDUAL_TOL) | (moduli >= 1.0)
+    if bad.any():
         raise RootVerificationFailed(
-            f"{len(bad)} of {len(polished)} roots failed verification "
-            f"(worst residual {max(residuals):.3e}, degree {degree})"
+            f"{np.count_nonzero(bad)} of {len(polished)} roots failed verification "
+            f"(worst residual {residuals.max():.3e}, degree {degree})"
         )
 
     def _sort_key(w: complex) -> tuple[float, float]:

@@ -1,16 +1,27 @@
-"""Named zero sequences, interlaced unions, and perturbation sampling."""
+"""Named zero sequences, interlaced unions, and perturbation sampling.
+
+A perturbation trial draws z_n in the pseudohyperbolic disk of radius r
+around each centre a_n from its own random.Random(seed), and redraws the
+whole vector until it passes the radius, disk and separation tests.
+Many trials are drawn together, one array pass per round, each with its
+own stream, draw order and rejection rules, so each is bit-identical to
+its trial drawn alone; perturb_sample is the one-trial case.  A round
+measures rho(a_n, z_n) entry by entry and the draws' separation ROW_BLOCK
+rows at a time, so no round holds an N x N matrix.
+"""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .blaschke import TargetVector, ZeroSequence, _nearest_pair, as_targets
-from .errors import DuplicatePoint, PointOutsideDisk, SamplingExhausted, TruncationTooDeep
-from .geometry import Buffers, _euclidean_disks, _rho, pairwise_rho
+from .blaschke import COINCIDENCE_TOL, TargetVector, ZeroSequence, _nearest_pair, as_targets
+from .errors import PointOutsideDisk, SamplingExhausted, TruncationTooDeep
+from .geometry import Buffers, _euclidean_disks, _in_disk, _in_row_blocks, _rho, one_minus_abs_sq
 
 __all__ = [
     "DEPTH_CAP",
@@ -166,11 +177,33 @@ def perturb_sample(
     self-separation of the centers or no draw can ever succeed reliably.
     A round with a draw past the boundary margin is redrawn as well.
     Each round draws all of its u's, then all of its t's, from
-    random.Random(seed); seed must be a non-negative int.
+    random.Random(seed); seed must be a non-negative int.  The one-trial
+    case of _perturb_samples.
     """
-    # random.Random would seed None from the OS and -s like s
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed {seed!r} must be a non-negative int")
+    return _perturb_samples(a_seq, r, [seed], min_sep)[0]
+
+
+def _perturb_samples(
+    a_seq: ZeroSequence,
+    r: float,
+    seeds: Sequence[Seed],
+    min_sep: float = 0.1,
+) -> list[PairedSequences]:
+    """perturb_sample for every seed at once, each trial bit-identical to its sample alone.
+
+    A round draws the u's, then the t's, of every trial still pending from
+    its own random.Random(seed) and tests them all as arrays.  A trial's
+    round is kept when its rho(a_n, z_n), formed entry by entry on the
+    centres' sizes (the bits of the pairwise matrix's diagonal), are at
+    most r; when its points pass disk_values' rule; and when its least
+    separation, taken as ZeroSequence's check takes it (_least_separations),
+    exceeds COINCIDENCE_TOL and is not below min_sep.  The kept points hold
+    that least as their min_separation, so no sequence is checked twice.
+    """
+    for seed in seeds:
+        # random.Random would seed None from the OS and -s like s
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed {seed!r} must be a non-negative int")
     if not 0.0 < r < 1.0:
         raise ValueError(f"perturbation radius {r} must lie in (0, 1)")
     if len(a_seq) == 0:
@@ -182,24 +215,56 @@ def perturb_sample(
         )
 
     centers, radii = _euclidean_disks(a_seq.values, r)
-    uniform = random.Random(seed).random
     count = len(a_seq)
+    streams = [random.Random(seed).random for seed in seeds]
+    samples: list[Optional[PairedSequences]] = [None] * len(streams)
+    pending = np.arange(len(streams))
+    buffers = Buffers()
 
     for _ in range(RESAMPLING_ROUNDS):
-        u = np.array([uniform() for _ in range(count)])
-        t = np.array([uniform() for _ in range(count)])
+        if not pending.size:
+            break
+        drawn = np.array([[uniform() for _ in range(2 * count)] for uniform in [streams[i] for i in pending]])
+        u, t = drawn[:, :count], drawn[:, count:]
         draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
-        if np.max(np.diag(pairwise_rho(a_seq.values, draws))) > r:
-            continue
-        try:
-            z_seq = ZeroSequence(draws)
-        except (DuplicatePoint, PointOutsideDisk):
-            continue
-        if z_seq.min_separation < min_sep:
-            continue
-        return PairedSequences(A=a_seq, Z=z_seq)
+        near = _rho(a_seq.values, draws, a_seq._sizes, buffers)
+        fit = np.flatnonzero(~(np.max(near, axis=1) > r) & np.all(_in_disk(draws), axis=1))
+        points = draws[fit]
+        sizes = one_minus_abs_sq(points)
+        least = _least_separations(points, sizes, buffers)
+        kept = (least > COINCIDENCE_TOL) & ~(least < min_sep)
+        for row in np.flatnonzero(kept):
+            z_seq = ZeroSequence._subset(points[row], sizes[row])
+            z_seq._min_separation = float(least[row])
+            samples[pending[fit[row]]] = PairedSequences(A=a_seq, Z=z_seq)
+        pending = np.delete(pending, fit[kept])
 
-    raise SamplingExhausted(
-        f"no rho-separated draw with min_sep = {min_sep} in {RESAMPLING_ROUNDS} rounds; "
-        f"radius {r} is too large for the separation of the centers"
-    )
+    if pending.size:
+        raise SamplingExhausted(
+            f"no rho-separated draw with min_sep = {min_sep} in {RESAMPLING_ROUNDS} rounds; "
+            f"radius {r} is too large for the separation of the centers"
+        )
+    return samples
+
+
+def _least_separations(points: np.ndarray, sizes: np.ndarray, buffers: Buffers) -> np.ndarray:
+    """Least rho(p_tj, p_tk) over j != k of every row t of points, inf for a row of one point.
+
+    sizes are one_minus_abs_sq(points).  Row (t, j) is rho from p_tj, with
+    its size, to every p_tk: _nearest_pair's orientation and bits, so the
+    least is ZeroSequence's min_separation of row t.  The (t, j) rows go
+    ROW_BLOCK at a time.
+    """
+    count, n = points.shape
+    flat, flat_sizes = points.ravel(), sizes.ravel()
+    index = np.arange(count * n)
+
+    # np.take in mode "clip" writes straight into out (every index is in range)
+    def row_least(rows: slice) -> np.ndarray:
+        t, j = np.divmod(index[rows], n)
+        row = np.take(points, t, axis=0, out=buffers.take("row", (t.size, n)), mode="clip")
+        dist = _rho(flat[rows, None], row, flat_sizes[rows, None], buffers)
+        dist[np.arange(t.size), j] = np.inf
+        return dist.min(axis=1)
+
+    return _in_row_blocks(count * n, row_least).reshape(count, n).min(axis=1)

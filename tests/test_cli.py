@@ -351,8 +351,16 @@ class TestEmit:
             emit(self.bundle(), format="yaml", path=None)
 
 
-# modules that no command runs
+def _child_env():
+    """The environment of a child interpreter that imports the same package as the tests, wherever it came from."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
+
+
+# modules that no command runs, and those that no json run needs
 _UNUSED_BY_ALL = ["numpy.ma", "numpy.random", "secrets", "_hashlib"]
+_UNUSED_BY_JSON = [*_UNUSED_BY_ALL, "csv"]
 
 
 class TestMainCommands:
@@ -647,10 +655,6 @@ class TestMainCommands:
         assert payload["results"]["shift_point"] == {"re": 0.2, "im": 0.1}
 
     def test_module_entry_point(self):
-        # the child imports the same package as this test, wherever it came from
-        src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -666,7 +670,7 @@ class TestMainCommands:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["kind"] == "criteria"
@@ -677,43 +681,43 @@ class TestMainCommands:
         [
             pytest.param(
                 ["gen", "--generator", "frostman_example", "--n", "8"],
-                [*_UNUSED_BY_ALL, "blaschke_lab.interpolation"],
+                [*_UNUSED_BY_JSON, "blaschke_lab.interpolation"],
                 id="gen",
             ),
             pytest.param(
                 ["check", "--generator", "frostman_example", "--n", "8", "--grid-size", "256"],
-                [*_UNUSED_BY_ALL, "blaschke_lab.interpolation"],
+                [*_UNUSED_BY_JSON, "blaschke_lab.interpolation"],
                 id="check",
             ),
             pytest.param(
                 ["run", "criteria.json"],
-                [*_UNUSED_BY_ALL, "blaschke_lab.interpolation"],
+                [*_UNUSED_BY_JSON, "blaschke_lab.interpolation"],
                 id="run-criteria",
             ),
             pytest.param(
                 ["union", "--sequence", "a.json", "--sequence-b", "b.json", "--grid-size", "256"],
-                _UNUSED_BY_ALL,
+                _UNUSED_BY_JSON,
                 id="union",
             ),
             pytest.param(
                 ["nearby", "--generator", "radial_sequence", "--n", "4", "--seed", "3", "--grid-size", "256"],
-                _UNUSED_BY_ALL,
+                _UNUSED_BY_JSON,
                 id="nearby",
             ),
             pytest.param(
                 ["interpolate", "--generator", "radial_sequence", "--n", "5", "--fill", "1,0.5", "--grid-size", "256"],
-                _UNUSED_BY_ALL,
+                _UNUSED_BY_JSON,
                 id="interpolate",
             ),
             pytest.param(
                 ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.3", "--trials", "3",
                  "--grid-size", "256"],
-                [*_UNUSED_BY_ALL, "blaschke_lab.interpolation"],
+                [*_UNUSED_BY_JSON, "blaschke_lab.interpolation"],
                 id="perturb",
             ),
             pytest.param(
                 ["shift", "--generator", "frostman_example", "--n", "8", "--point", "0.3,0.1", "--grid-size", "256"],
-                _UNUSED_BY_ALL,
+                _UNUSED_BY_JSON,
                 id="shift",
             ),
         ],
@@ -722,15 +726,12 @@ class TestMainCommands:
         # Each unused module costs start-up time in every run: numpy.ma about
         # 15 ms (np.unique is one way to pull it in), numpy.random with the
         # secrets and OpenSSL (_hashlib) modules it loads about 10 ms and
-        # 6.2 MiB of RSS, interpolation its compile time.
+        # 6.2 MiB of RSS, csv about 1 ms, interpolation its compile time.
         write_sequence_file(tmp_path / "a.json", ZeroSequence([0.2, 0.5j]))
         write_sequence_file(tmp_path / "b.json", ZeroSequence([-0.3, -0.4j]))
         criteria = {"kind": "criteria", "inputs": {"sequence": {"generator": "radial_sequence", "params": {"N": 6}}},
                     "grid": {"base_count": 256}, "N_schedule": [3, 6]}
         (tmp_path / "criteria.json").write_text(json.dumps(criteria), encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke_lab.__file__)))
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([inherited] if inherited else [])))
         code = (
             "import json, sys; from blaschke_lab import cli; rc = cli.main(sys.argv[2:]); "
             "print(json.dumps(sorted(set(json.loads(sys.argv[1])) & set(sys.modules))), file=sys.stderr); "
@@ -738,10 +739,50 @@ class TestMainCommands:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(unused), *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stderr.splitlines()[-1]) == []
+
+    @pytest.mark.parametrize("entry", [
+        "runpy.run_module('blaschke_lab', run_name='__main__')",
+        "from blaschke_lab.__main__ import main; sys.exit(main())",
+    ], ids=["module", "script"])
+    def test_entry_runs_main_with_the_import_frozen(self, entry):
+        # python -m blaschke_lab and the blaschke-lab script go through one
+        # entry, which freezes what the import made and turns the collector
+        # back on before main runs.
+        code = (
+            "import gc, json, runpy, sys\n"
+            "from blaschke_lab import cli\n"
+            "seen = []\n"
+            "cli.main = lambda: seen.append([gc.isenabled(), gc.get_freeze_count() > 0]) or 0\n"
+            "try:\n"
+            f"    {entry}\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps([exc.code, seen]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert json.loads(proc.stdout) == [0, [[True, True]]]
+
+    def test_no_collection_runs_while_the_entry_imports(self):
+        # The import is numpy's and the package's long-lived objects: the
+        # entry pauses the collector over it, so every collection of a run
+        # starts after the freeze.
+        code = (
+            "import gc, json, runpy, sys\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['blaschke_lab', 'gen', '--generator', 'radial_sequence', '--n', '3']\n"
+            "try:\n"
+            "    runpy.run_module('blaschke_lab', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps([exc.code, 'numpy' in sys.modules, starts]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        rc, loaded, starts = json.loads(proc.stderr.splitlines()[-1])
+        assert rc == 0 and loaded
+        assert all(starts)
 
 
 class TestDeterminism:

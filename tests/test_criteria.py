@@ -1002,9 +1002,13 @@ class TestPerturbationReports:
             pairs = _trials("frostman20", count)
             grid = CircleGrid(refinement_rounds=1)
             n, points = 20, grid.with_injected(pairs[0].A).angles().size
-            # the largest block, ROW_BLOCK scans of REFINE_SEEDS searches, with a
-            # complex and two real temporaries per point and zero; and 32 float
-            # arrays of grid length (points, values and sort temporaries)
+            # A golden block, ROW_BLOCK scans of REFINE_SEEDS searches, holds 48
+            # bytes per point and zero (gathered values 16, weights 8, gaps 16
+            # and distances 8); a grid-pass block of as many points holds 24.
+            # On these trials the peak comes in the grid pass's seed merge,
+            # when no golden block is alive: the bound counts 32 bytes per
+            # point and zero, and 32 float arrays of grid length (points,
+            # values and sort temporaries).
             bound = n * blaschke.ROW_BLOCK * REFINE_SEEDS * (16 + 2 * 8) + 32 * points * 8
             assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 

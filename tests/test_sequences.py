@@ -26,7 +26,7 @@ from blaschke_lab import (
 )
 from blaschke_lab import geometry
 from blaschke_lab import sequences as seq_mod
-from tests.conftest import random_separated
+from tests.conftest import peak_bytes, random_separated
 
 
 class TestFrostmanExample:
@@ -233,26 +233,60 @@ class TestPerturbSample:
         assert paired.z_self_separation == float(sep.min())
 
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_pairwise_calls_mark_each_round(self, monkeypatch, seed):
-        # A tracer counts rejection rounds as the pairwise_rho calls whose
-        # first argument is the centres' array and whose second is another
-        # array.
+    def test_each_round_measures_the_centres_once(self, monkeypatch, seed):
+        # A round measures its draws' rho(a_n, z_n) in one entry-by-entry
+        # _rho call on the centres' array and cached sizes, shaped like the
+        # draws, where a pairwise matrix was built to read its diagonal.
         a, r, min_sep = frostman_example(20), 0.5, 0.4
         _, _, rounds = _replayed(a, r, seed, min_sep)
         assert rounds > 1
         calls = []
-        original = geometry.pairwise_rho
+        original = seq_mod._rho
 
-        def recorded(a_values, z_values):
-            calls.append((a_values, z_values))
-            return original(a_values, z_values)
+        def recorded(x, z, sizes, buffers):
+            calls.append((x, sizes, np.shape(z)))
+            return original(x, z, sizes, buffers)
 
-        for module in (geometry, seq_mod):
-            monkeypatch.setattr(module, "pairwise_rho", recorded)
+        monkeypatch.setattr(seq_mod, "_rho", recorded)
         perturb_sample(a, r, seed, min_sep=min_sep)
-        assert sum(x is a.values and z is not x for x, z in calls) == rounds
-        # no call other than a round passes the centres' array first
-        assert sum(x is a.values for x, _ in calls) == rounds
+        centres = [shape for x, sizes, shape in calls if x is a.values]
+        assert centres == [(1, len(a))] * rounds
+        assert all(sizes is a._sizes for x, sizes, _ in calls if x is a.values)
+
+    @pytest.mark.parametrize("case", ["rounds", "margin"])
+    def test_a_batch_keeps_each_trials_replayed_draws(self, case):
+        # Trials drawn together each keep the draws of their own rejection
+        # loop run alone: those that need one round or many, and those that
+        # redraw a round passing every test but the boundary margin.
+        if case == "rounds":
+            a, r, min_sep, seeds = frostman_example(20), 0.5, 0.4, list(range(12))
+        else:
+            master = random.Random(2)
+            a, r, min_sep, seeds = frostman_example(49), 0.6, 0.1, [master.getrandbits(63) for _ in range(20)]
+        pairs = seq_mod._perturb_samples(a, r, seeds, min_sep=min_sep)
+        assert len(pairs) == len(seeds)
+        rounds = []
+        for seed, paired in zip(seeds, pairs):
+            draws, sep, count = _replayed(a, r, seed, min_sep, margin=True)
+            assert paired.A is a
+            assert paired.Z.values.tobytes() == draws.tobytes()
+            assert paired.z_self_separation == float(sep.min())
+            rounds.append(count)
+        if case == "rounds":
+            assert min(rounds) == 1 and max(rounds) > 2
+        else:
+            assert any(_replayed(a, r, seed, min_sep)[2] < count for seed, count in zip(seeds, rounds))
+
+    def test_memory_is_linear_in_the_length(self):
+        # No round holds an N x N matrix: rho(a_n, z_n) goes entry by entry,
+        # and the draws' separation ROW_BLOCK (trial, index) rows at a time,
+        # each row holding a gathered row, its gaps, kernels and distances.
+        n = 2000
+        rng = np.random.default_rng(0)
+        a = ZeroSequence(0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        r, min_sep = 1e-6, 0.5 * a.min_separation
+        bound = 4 * geometry.ROW_BLOCK * n * 16 + 32 * n * 8
+        assert peak_bytes(lambda: perturb_sample(a, r, 0, min_sep=min_sep)) <= bound
 
     def test_a_rejected_round_may_draw_outside_the_margin(self):
         # The deepest centre lies 2^-49 from the circle, so some rounds draw
