@@ -2,7 +2,8 @@
 
 A product is kept as its zero list and a unimodular rotation; nothing is
 ever expanded into polynomial coefficients here, so evaluation stays
-accurate arbitrarily close to the unit circle.
+accurate arbitrarily close to the unit circle.  The solutions of
+B(z) = a are found on the same factored form.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = [
 
 # Two points closer than this (pseudohyperbolically) count as the same point.
 COINCIDENCE_TOL = 1e-13
+
+# Lockstep sweeps of _preimages; a root still moving after the last is returned as it stands.
+PREIMAGE_SWEEPS = 200
 
 
 def _nearest_pair(
@@ -301,27 +305,86 @@ class BlaschkeProduct:
         is 1 / w_j from the node weights.
         """
         arr, scalar = self._coerce_arg(z)
-        zs = self._zeros.values
-        sizes = self._zeros._sizes
         outer = self.evaluate(arr)
         buffers = Buffers()
-
-        def rows(block: slice) -> np.ndarray:
-            points = arr[block]
-            shape = (points.size, zs.size)
-            gaps = np.subtract(points[:, None], zs, out=buffers.take("gaps", shape))
-            kernel = _kernel(zs, sizes, gaps, buffers.take("kernel", shape))
-            hits = np.equal(gaps, 0, out=buffers.take("hits", shape, bool))
-            np.copyto(gaps, 1.0, where=hits)
-            terms = np.divide(sizes, np.multiply(gaps, kernel, out=buffers.take("terms", shape)), out=kernel)
-            out = outer[block] * np.sum(terms, axis=1)
-            # a zero's sum has a pole: its B' is the node's
-            point, node = np.nonzero(hits)
-            out[point] = 1.0 / self._node_weights[node]
-            return out
-
-        result = _in_row_blocks(arr.size, rows)
+        result = _in_row_blocks(arr.size, lambda block: self._derivative_rows(arr[block], outer[block], buffers)[0])
         return complex(result[0]) if scalar else result
+
+    def _derivative_rows(self, points: np.ndarray, outer: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
+        """B' at one block of points from B there (outer), and the block's kernels 1 - conj(a_j) z, in buffers."""
+        zs = self._zeros.values
+        sizes = self._zeros._sizes
+        shape = (points.size, zs.size)
+        gaps = np.subtract(points[:, None], zs, out=buffers.take("gaps", shape))
+        kernel = _kernel(zs, sizes, gaps, buffers.take("kernel", shape))
+        hits = np.equal(gaps, 0, out=buffers.take("hits", shape, bool))
+        np.copyto(gaps, 1.0, where=hits)
+        terms = np.divide(sizes, np.multiply(gaps, kernel, out=buffers.take("terms", shape)), out=gaps)
+        out = outer * np.sum(terms, axis=1)
+        # a zero's sum has a pole: its B' is the node's
+        point, node = np.nonzero(hits)
+        out[point] = 1.0 / self._node_weights[node]
+        return out, kernel
+
+    def _preimages(self, target: complex) -> np.ndarray:
+        """The N solutions of B(z) = target, by lockstep Ehrlich-Aberth sweeps on the factored form.
+
+        They are the roots of the degree-N polynomial p = (B - target) Q,
+        Q = prod_j (1 - conj(a_j) z), whose Newton quotient p/p' is
+        (B - target) / (B' - (B - target) sum_j conj(a_j) / (1 - conj(a_j) z)).
+        A sweep moves each root w_i still moving by N_i / (1 - N_i sum_{k != i}
+        1 / (w_i - w_k)), N_i = p/p' at w_i (Aberth, Math. Comp. 27, 1973),
+        ROW_BLOCK roots at a time, and reflects one that leaves the disk,
+        where B can overflow, back in (w -> 1/conj(w)).  A root stops once
+        its step is within 4 eps |w|, or B - target within 4 N eps |B|, about
+        B's rounding.
+        Root i starts where it would be were its cofactor constant,
+        b_i(w) = target / B_i(a_i), held within pseudo-distance 0.94 of a_i
+        and turned by up to 5% so that no symmetry of the zeros holds the
+        roots.  B is 0 exactly at the zeros, so they solve B(z) = target to
+        within rounding for a target below the normal range.
+        """
+        zs = self._zeros.values
+        if abs(target) < np.finfo(float).tiny:
+            return zs.copy()
+        count = zs.size
+        eps = np.finfo(float).eps
+        turn = np.exp(1j * np.pi * (2 * np.arange(count) + 1) / count)
+        node = self._prefactors * self._node_cofactors
+        # a seed held at 0.94 keeps the phase of target / node; a node value below the double range has none
+        u = (0.94 * target / abs(target)) * np.where(node == 0, turn, np.exp(-1j * np.angle(node)))
+        np.divide(target, node, out=u, where=abs(target) < 0.94 * np.abs(node))
+        u *= 1.0 + 0.05 * turn
+        # a seed within eps of its zero in pseudo-distance starts on it: a gap of rounding size overflows B'/B
+        u[np.abs(u) < eps] = 0.0
+        roots = (u + zs) / (1.0 + np.conj(zs) * u)
+        moving = np.arange(count)
+        buffers = Buffers()
+
+        def sweep(rows: slice) -> np.ndarray:
+            """The steps of the block's roots, with B - target and B where they were taken."""
+            points = roots[moving[rows]]
+            value = self._rotation.value * np.prod(self._factors(points, buffers), axis=1)
+            derivative, kernel = self._derivative_rows(points, value, buffers)
+            pull = np.sum(np.divide(np.conj(zs), kernel, out=kernel), axis=1)
+            apart = np.subtract(points[:, None], roots, out=buffers.take("terms", kernel.shape))
+            apart[np.arange(points.size), moving[rows]] = np.inf
+            repulsion = np.sum(np.divide(1.0, apart, out=apart), axis=1)
+            shifted = value - target
+            newton = shifted / (derivative - shifted * pull)
+            return np.stack([newton / (1.0 - newton * repulsion), shifted, value])
+
+        for _ in range(PREIMAGE_SWEEPS):
+            step, shifted, value = _in_row_blocks(moving.size, sweep)
+            moved = roots[moving] - step
+            far = np.abs(moved) > 1.0
+            moved[far] = 1.0 / np.conj(moved[far])
+            roots[moving] = moved
+            settled = (np.abs(step) <= 4 * eps * np.abs(moved)) | (np.abs(shifted) <= 4 * count * eps * np.abs(value))
+            moving = moving[~settled]
+            if not moving.size:
+                break
+        return roots
 
     def cofactor(self, j: int) -> "BlaschkeProduct":
         """The product with zero j removed, same rotation."""

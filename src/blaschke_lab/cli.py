@@ -828,7 +828,7 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (BlaschkeLabError, ValueError, np.linalg.LinAlgError) as exc:
+    except (BlaschkeLabError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

@@ -43,9 +43,10 @@ TWO_PI = 2.0 * math.pi
 # points x N matrix goes through it: the closest-pair reduction (so the
 # duplicate check and every separation), kernel_bounds_check, evaluate and
 # the node cofactors (evaluate's product at each zero, its own factor read
-# as 1), derivative (B times a sum, node hits exact), the interpolant's
-# Cauchy sums, the Frostman sums (so the Lebesgue constant), cohn_sum and
-# dyakonov_sup.
+# as 1), derivative (B times a sum, node hits exact), the sweeps of the
+# shift root finder (B, B', the kernel sum and the roots' repulsion, so
+# ROW_BLOCK roots at a time), the interpolant's Cauchy sums, the Frostman
+# sums (so the Lebesgue constant), cohn_sum and dyakonov_sup.
 # frostman_sum takes ROW_BLOCK points at a time; the perturbation reports
 # take ROW_BLOCK * REFINE_SEEDS, the points of ROW_BLOCK golden scans, and so
 # many (trial, index) rows of their pair envelopes.  A pass writes its block

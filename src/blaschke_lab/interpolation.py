@@ -22,9 +22,9 @@ is the interpolant of the merged product in the same form.  On top of
 the one form this module also builds the iterative scheme that
 transports an interpolant to a nearby node set (each step evaluates the
 interpolant of the residual at the nodes), and the preimages of a point
-under B, taken as the spectrum of a rank-one perturbation of the
-compressed shift on K_B.  Like the product itself, every one of these is
-built from the zeros in factored form; no polynomial is ever expanded.
+under B, found all at once by the product's lockstep Ehrlich-Aberth sweeps.
+Like the product itself, every one of these is built from the zeros in
+factored form; no polynomial is ever expanded.
 """
 
 from __future__ import annotations
@@ -349,68 +349,22 @@ def nearby_iterate(
     return solve_kb(b, TargetVector(total)), trace
 
 
-def _clark_matrix(b: BlaschkeProduct, target: complex) -> np.ndarray:
-    """A matrix whose eigenvalues are the N solutions of B(z) = target.
-
-    With B = gamma prod (z - a_j)/(1 - conj(a_j) z), these solve the same
-    equation with target/gamma on the right.  In the Takenaka-Malmquist
-    basis of K_B (w_j = sqrt(1 - |a_j|^2)) the compressed shift S is lower
-    triangular, with diagonal a_j and S[k, j] = w_j w_k prod_{j<l<k} (-conj(a_l));
-    u holds the coordinates of the kernel at the origin and v those of
-    (B - B(0))/z.  The solutions are the spectrum of the rank-one Clark
-    perturbation S + c u v*, c = a'/(1 - a' conj(B(0))) for a' = target/gamma.
-    """
-    zs = b.zeros.values
-    n = zs.size
-    w = np.sqrt(b.zeros._sizes)
-    ones = np.ones(1, dtype=complex)
-    # steps[k, j] = -conj(a_{k-1}) below the first subdiagonal, so the
-    # column-wise cumulative product is the chain prod_{j<l<k} (-conj(a_l)).
-    lagged = np.concatenate([ones, -np.conj(zs[:-1])])
-    steps = np.where(np.tri(n, k=-2, dtype=bool), lagged[:, None], 1.0)
-    shift = np.tril(np.outer(w, w) * np.cumprod(steps, axis=0), -1) + np.diag(zs)
-    u = np.conj(w * np.concatenate([ones, np.cumprod(-zs)[:-1]]))
-    v = w * np.concatenate([np.cumprod(-zs[::-1])[::-1][1:], ones])
-    scaled = target / (b.rotation.value * np.prod(b._prefactors))
-    c = scaled / (1.0 - scaled * np.conj(np.prod(-zs)))
-    return shift + c * np.outer(u, np.conj(v))
-
-
 def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
     """All solutions in the disk of B(z) = a, the zeros of the shifted product.
 
-    Found as the eigenvalues of an N x N matrix built from the zeros alone
-    (see _clark_matrix), for any degree, then polished by Newton steps on
-    the factored form.  Each root must verify |B(root) - a| <= 1e-8 inside
-    the disk.
+    Found together by lockstep Ehrlich-Aberth sweeps on the factored form
+    (BlaschkeProduct._preimages), for any degree, in O(N^2) time per sweep
+    and O(ROW_BLOCK N) memory.  Each root must verify |B(root) - a| <= 1e-8
+    inside the disk.
     """
     target = as_point(a).z
     degree = b.degree
     if degree == 0:
         raise ValueError("cannot shift a degree-zero product")
 
-    roots = np.linalg.eigvals(_clark_matrix(b, target))
-
-    polished = []
-    for root in roots:
-        w = complex(root)
-        for _ in range(12):
-            if abs(w) > 1.0:
-                break
-            value = b.evaluate(w) - target
-            if abs(value) <= 1e-14 * (1.0 + abs(target)):
-                break
-            step = value / b.derivative(w)
-            if abs(step) > 0.5:
-                break
-            candidate = w - step
-            if abs(candidate) >= 1.0:
-                break
-            w = candidate
-        polished.append(w)
+    points = b._preimages(target)
 
     # np.hypot of the parts is Python's abs of a complex, so each decision is abs's
-    points = np.array(polished)
     moduli = np.hypot(points.real, points.imag)
     inside = moduli <= 1.0
     residuals = np.full(points.size, math.inf)
@@ -419,7 +373,7 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
     bad = (residuals > ROOT_RESIDUAL_TOL) | (moduli >= 1.0)
     if bad.any():
         raise RootVerificationFailed(
-            f"{np.count_nonzero(bad)} of {len(polished)} roots failed verification "
+            f"{np.count_nonzero(bad)} of {degree} roots failed verification "
             f"(worst residual {residuals.max():.3e}, degree {degree})"
         )
 
@@ -428,6 +382,6 @@ def frostman_shift_zeros(b: BlaschkeProduct, a: PointLike) -> ZeroSequence:
         return (0.0 if abs(arg) < ROOT_ARG_TOL else wrap_angle(arg), abs(w))
 
     try:
-        return ZeroSequence(sorted(polished, key=_sort_key))
+        return ZeroSequence(sorted(points.tolist(), key=_sort_key))
     except PointOutsideDisk as exc:
         raise RootVerificationFailed(f"root grazes the boundary guard: {exc}") from exc

@@ -199,6 +199,9 @@ def _perturb_samples(
     separation, taken as ZeroSequence's check takes it (_least_separations),
     exceeds COINCIDENCE_TOL and is not below min_sep.  The kept points hold
     that least as their min_separation, so no sequence is checked twice.
+    When the rounds run out, the error names a trial none of whose draws
+    ever passed the radius test as a radius that rho cannot resolve, and
+    otherwise the separation.
     """
     for seed in seeds:
         # random.Random would seed None from the OS and -s like s
@@ -219,6 +222,8 @@ def _perturb_samples(
     streams = [random.Random(seed).random for seed in seeds]
     samples: list[Optional[PairedSequences]] = [None] * len(streams)
     pending = np.arange(len(streams))
+    # whether any draw of each trial has passed the radius test
+    resolved = np.zeros(len(streams), dtype=bool)
     buffers = Buffers()
 
     for _ in range(RESAMPLING_ROUNDS):
@@ -227,8 +232,9 @@ def _perturb_samples(
         drawn = np.array([[uniform() for _ in range(2 * count)] for uniform in [streams[i] for i in pending]])
         u, t = drawn[:, :count], drawn[:, count:]
         draws = centers + radii * np.sqrt(u) * np.exp(2j * math.pi * t)
-        near = _rho(a_seq.values, draws, a_seq._sizes, buffers)
-        fit = np.flatnonzero(~(np.max(near, axis=1) > r) & np.all(_in_disk(draws), axis=1))
+        within = ~(np.max(_rho(a_seq.values, draws, a_seq._sizes, buffers), axis=1) > r)
+        resolved[pending[within]] = True
+        fit = np.flatnonzero(within & np.all(_in_disk(draws), axis=1))
         points = draws[fit]
         sizes = one_minus_abs_sq(points)
         least = _least_separations(points, sizes, buffers)
@@ -239,6 +245,13 @@ def _perturb_samples(
             samples[pending[fit[row]]] = PairedSequences(A=a_seq, Z=z_seq)
         pending = np.delete(pending, fit[kept])
 
+    if not resolved[pending].all():
+        # draws fill each image disk, so only rounding keeps all of them out: near a
+        # centre rho(a, z) reads about eps / (1 - |a|^2) however close z is
+        raise SamplingExhausted(
+            f"no draw came within rho {r} of all its centers in {RESAMPLING_ROUNDS} rounds; "
+            f"rho cannot resolve radius {r} near those centers"
+        )
     if pending.size:
         raise SamplingExhausted(
             f"no rho-separated draw with min_sep = {min_sep} in {RESAMPLING_ROUNDS} rounds; "

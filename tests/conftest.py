@@ -243,6 +243,34 @@ def mp_interpolant(b, alpha):
     return interpolant
 
 
+def clark_eigenvalues(b, target):
+    """The N solutions of B(z) = target as eigenvalues of a dense N x N matrix, an oracle independent of the sweeps.
+
+    With B = gamma prod (z - a_j)/(1 - conj(a_j) z), these solve the same
+    equation with target/gamma on the right.  In the Takenaka-Malmquist
+    basis of K_B (w_j = sqrt(1 - |a_j|^2)) the compressed shift S is lower
+    triangular, with diagonal a_j and S[k, j] = w_j w_k prod_{j<l<k} (-conj(a_l));
+    u holds the coordinates of the kernel at the origin and v those of
+    (B - B(0))/z.  The solutions are the spectrum of the rank-one Clark
+    perturbation S + c u v*, c = a'/(1 - a' conj(B(0))) for a' = target/gamma.
+    """
+    zs = b.zeros.values
+    n = zs.size
+    w = np.sqrt(one_minus_abs_sq(zs))
+    ones = np.ones(1, dtype=complex)
+    # steps[k, j] = -conj(a_{k-1}) below the first subdiagonal, so the
+    # column-wise cumulative product is the chain prod_{j<l<k} (-conj(a_l)).
+    lagged = np.concatenate([ones, -np.conj(zs[:-1])])
+    steps = np.where(np.tri(n, k=-2, dtype=bool), lagged[:, None], 1.0)
+    shift = np.tril(np.outer(w, w) * np.cumprod(steps, axis=0), -1) + np.diag(zs)
+    u = np.conj(w * np.concatenate([ones, np.cumprod(-zs)[:-1]]))
+    v = w * np.concatenate([np.cumprod(-zs[::-1])[::-1][1:], ones])
+    prefactors = np.where(zs == 0, 1.0, -np.abs(zs) / np.where(zs == 0, 1.0, zs))
+    scaled = target / (b.rotation.value * np.prod(prefactors))
+    c = scaled / (1.0 - scaled * np.conj(np.prod(-zs)))
+    return np.linalg.eigvals(shift + c * np.outer(u, np.conj(v)))
+
+
 def kernel_solve_oracle(zeros, targets):
     """Independent Cauchy-kernel solve, written out directly."""
     zeros = np.asarray(zeros, dtype=complex)

@@ -1012,6 +1012,18 @@ class TestPerturbationReports:
             bound = n * blaschke.ROW_BLOCK * REFINE_SEEDS * (16 + 2 * 8) + 32 * points * 8
             assert peak_bytes(lambda: perturbation_reports(pairs, 0.3, grid)) <= bound
 
+    @pytest.mark.parametrize("r", [0.3, 0.7])
+    def test_frostman_z_within_the_comparison_of_frostman_a(self, r):
+        # Each term obeys (1 - |z|) / |zeta - z| <= K (1 - |a|) / |zeta - a| with
+        # K = max_n (1 - |z_n|) / (1 - |a_n|) / C3, so F(Z) <= K F(A) for every
+        # trial; a scan that underestimates F(A) breaks it.  The least slack on
+        # these trials is 1.9 at r = 0.3 and 4.0 at r = 0.7.
+        pairs = _trials("frostman20", 200, r)
+        for paired, report in zip(pairs, perturbation_reports(pairs, r)):
+            depths = [_depth(seq.values, seq._sizes) for seq in (paired.A, paired.Z)]
+            k = np.max(depths[1] / depths[0]) / report.empirical_C3
+            assert report.frostman_Z <= k * report.frostman_A
+
     def test_only_the_frostman_sums_are_refined(self, monkeypatch):
         searches = []
         golden = criteria._golden

@@ -30,6 +30,7 @@ from blaschke_lab import (
 from blaschke_lab import blaschke, cli, geometry
 from blaschke_lab.interpolation import ROOT_RESIDUAL_TOL
 from tests.conftest import (
+    clark_eigenvalues,
     kernel_solve_oracle,
     kw_interpolant,
     lagrange_rows,
@@ -572,11 +573,47 @@ class TestFrostmanShiftZeros:
         assert np.all(np.diff(phases) >= -1e-15)
 
     def test_degree_cap(self):
-        # 41 is past where monomial-coefficient root finding degrades; the eigenproblem has no cap.
+        # 41 is past where monomial-coefficient root finding degrades; sweeps on the factored form have no cap.
         b = BlaschkeProduct(radial_sequence_like(41))
         roots = frostman_shift_zeros(b, DiskPoint(0.1, 0.0))
         assert len(roots) == 41
         assert np.max(np.abs(b(roots.values) - 0.1)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seq, a",
+        [
+            *(pytest.param(random_separated(seed, 30, min_rho=0.2, rmax=0.95), 0.4 * np.exp(1j * seed),
+                           id=f"separated-{seed}") for seed in range(4)),
+            pytest.param(frostman_example(20), 0.3 + 0.1j, id="frostman-20"),
+            pytest.param(frostman_example(20), 0.9 + 0j, id="frostman-20-at-0.9"),
+        ],
+    )
+    def test_roots_are_the_clark_eigenvalues(self, seq, a):
+        b = BlaschkeProduct(seq)
+        roots = frostman_shift_zeros(b, DiskPoint(a.real, a.imag)).values
+        gaps = np.abs(roots[:, None] - clark_eigenvalues(b, a)[None, :])
+        # each root has its own nearest eigenvalue
+        assert sorted(gaps.argmin(axis=1)) == list(range(len(seq)))
+        assert gaps.min(axis=1).max() <= 1e-12
+
+    @pytest.mark.parametrize("a", [1e-300j, 1e-310 + 1e-310j, 5e-324])
+    def test_tiny_shift_points(self, a):
+        # The roots lie within |a w_j| of the zeros: a seed that close starts on
+        # its zero, and below the normal range the zeros are the roots.  A gap
+        # of that size would overflow B'/B's pole terms.
+        for seq in (frostman_example(20), radial_sequence(0.5, 45), ZeroSequence([0.0, 0.5, -0.5j, 0.3 + 0.3j])):
+            b = BlaschkeProduct(seq)
+            roots = frostman_shift_zeros(b, DiskPoint(a.real, a.imag))
+            assert np.max(np.abs(np.sort_complex(roots.values) - np.sort_complex(seq.values))) <= 1e-15
+
+    def test_memory_is_bounded_by_the_block(self):
+        # The sweeps hold four complex temporaries of ROW_BLOCK roots x N zeros
+        # (gaps, factors, kernels and terms) and a bool one, never an N x N
+        # matrix: at N = 1000 an N x N complex array alone is 16 MB.
+        n = 1000
+        b = BlaschkeProduct(random_deep_sequence(7, n, 1e-3, 0.5))
+        bound = 6 * 16 * blaschke.ROW_BLOCK * n
+        assert peak_bytes(lambda: frostman_shift_zeros(b, DiskPoint(0.3, 0.1))) <= bound
 
     @pytest.mark.parametrize(
         "seq",

@@ -26,7 +26,7 @@ from blaschke_lab import (
 )
 from blaschke_lab import geometry
 from blaschke_lab import sequences as seq_mod
-from tests.conftest import peak_bytes, random_separated
+from tests.conftest import peak_bytes, random_deep_sequence, random_separated
 
 
 class TestFrostmanExample:
@@ -349,6 +349,19 @@ class TestPerturbSample:
         a = ZeroSequence([0.0, 0.5])
         with pytest.raises(SamplingExhausted):
             perturb_sample(a, 0.2, 0, min_sep=0.05)
+
+    def test_exhaustion_below_what_rho_resolves_names_the_cause(self):
+        # Near a centre with 1 - |a| down to 1e-6, rho(a, z) reads about
+        # eps / (1 - |a|^2) however close z is, so no draw ever passes r = 1e-20:
+        # the message says so, not that the radius is too large.
+        with pytest.raises(SamplingExhausted, match="rho cannot resolve radius 1e-20 near those centers"):
+            perturb_sample(random_deep_sequence(1, 50), 1e-20, 0, min_sep=0.0785)
+
+    def test_exhaustion_by_separation_keeps_its_message(self, monkeypatch):
+        # seed 8's one round passes the radius test and fails min_sep
+        monkeypatch.setattr(seq_mod, "RESAMPLING_ROUNDS", 1)
+        with pytest.raises(SamplingExhausted, match="radius 0.2 is too large for the separation of the centers"):
+            perturb_sample(ZeroSequence([0.0, 0.5]), 0.2, 8, min_sep=0.45)
 
     def test_pseudohyperbolic_comparison_inequality(self):
         # 1 - rho(a_j, a_k) <= ((1+r)/(1-r))^2 (1 - rho(z_j, z_k)) on all pairs
