@@ -88,7 +88,8 @@ def load_sequence_file(path) -> tuple[ZeroSequence, dict]:
 # experiment configuration
 #
 # Each config key is a Field; the experiment tables after the pipelines list
-# them, and validate_config, build_parser and _raw_from_args walk them.
+# them, each kind with only the keys it reads, and validate_config,
+# build_parser and _raw_from_args walk them.
 
 
 _REQUIRED = object()
@@ -251,15 +252,25 @@ def _generator_spec(name: str, args) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated configuration; a key its kind does not read is None.
+
+    grid is None for union, seed for all but nearby and perturb,
+    N_schedule for all but criteria, and tolerances for all but nearby.
+    """
+
     kind: str
     inputs: dict
-    grid: dict
-    seed: int
-    N_schedule: tuple[int, ...]
-    tolerances: dict
+    grid: Optional[dict] = None
+    seed: Optional[int] = None
+    N_schedule: Optional[tuple[int, ...]] = None
+    tolerances: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "N_schedule": list(self.N_schedule)}
+        """The echo of a report, a valid raw config: the keys the kind reads, in field order."""
+        echo = {key: value for key, value in asdict(self).items() if value is not None}
+        if self.N_schedule is not None:
+            echo["N_schedule"] = list(self.N_schedule)
+        return echo
 
     def circle_grid(self) -> CircleGrid:
         return CircleGrid(**self.grid)
@@ -278,12 +289,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigInvalid(f"config: unknown kind {kind!r}; expected one of {list(KINDS)}")
     rest = {key: value for key, value in raw.items() if key != "kind"}
     config = ExperimentConfig(kind=kind, **_check_section(_config_fields(kind), rest, "config"))
-    try:
-        config.circle_grid()
-    except ValueError as exc:
-        raise ConfigInvalid(f"config grid: {exc}") from exc
-    if kind == "criteria" and not config.N_schedule:
-        raise ConfigInvalid("config: criteria runs need a nonempty N_schedule")
+    if config.grid is not None:
+        try:
+            config.circle_grid()
+        except ValueError as exc:
+            raise ConfigInvalid(f"config grid: {exc}") from exc
     return config
 
 
@@ -332,19 +342,12 @@ def _witness_json(witness) -> Any:
 
 
 def _report_json(report: crit.CriterionReport) -> dict:
-    payload = {
+    return {
         "name": report.name,
         "value": report.value,
         "argmax_or_argmin": _witness_json(report.argmax_or_argmin),
         "per_index": report.per_index,
     }
-    if report.grid_meta is not None:
-        payload["grid"] = {
-            "base_count": report.grid_meta.base_count,
-            "refinement_rounds": report.grid_meta.refinement_rounds,
-            "extra_count": len(report.grid_meta.extra_args),
-        }
-    return payload
 
 
 def _table(**columns) -> Table:
@@ -393,7 +396,7 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
         config = replace(config, inputs={**config.inputs, "sequence": spec})
     full = _resolve_sequence(spec)
     if not config.N_schedule:
-        # check without --schedule runs the whole sequence
+        # an omitted or empty schedule runs the whole sequence
         config = replace(config, N_schedule=(len(full),))
     deepest = max(config.N_schedule)
     if deepest > len(full):
@@ -413,7 +416,8 @@ def _run_criteria(config: ExperimentConfig) -> ReportBundle:
             {
                 "N": n,
                 "carleson": {"delta": carleson.delta, "per_zero": carleson.per_zero},
-                "frostman": _report_json(frostman),
+                # the scan injects the n zeros' arguments into the config grid, which has no extras
+                "frostman": {**_report_json(frostman), "grid": {**config.grid, "extra_count": n}},
                 "cohn": _report_json(cohn),
                 "vasyunin": vasyunin,
             }
@@ -591,8 +595,9 @@ def _run_shift(config: ExperimentConfig) -> ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# the experiment tables: one field list per kind, beside the common fields
-# and the generators; every default, flag and bound is written here once
+# the experiment tables: per kind, its input fields and the other keys it
+# reads, beside the generators; every default, flag and bound is written
+# here once
 
 _N = Field("N", _INT, 20, ("--n",), "generator truncation depth")
 _Q = Field("q", _FLOAT, 0.5, ("--q",), "radial generator ratio")
@@ -624,42 +629,6 @@ _TARGETS, _TARGETS_B = (
 _MIN_SEP = Field("min_sep", _NON_NEGATIVE_FLOAT, None, ("--min-sep",),
                  "separation floor of the perturbed points")
 
-# kind -> (subcommand, its help, pipeline, input fields in echo order)
-_KINDS = {
-    "criteria": ("check", "run every sequence criterion across a truncation schedule",
-                 _run_criteria, (_SEQUENCE,)),
-    "interpolate": ("interpolate", "closed-form interpolation on one zero set",
-                    _run_interpolate, (_SEQUENCE, _TARGETS)),
-    "union": ("union", "joint interpolation across two disjoint zero sets", _run_union, (
-        _SEQUENCE,
-        Field("sequence_b", _sequence, _REQUIRED, ("--sequence-b",), "the second sequence file",
-              to_raw=(_path,)),
-        _TARGETS,
-        _TARGETS_B,
-    )),
-    "nearby": ("nearby", "iterative interpolation on a perturbed node set", _run_nearby, (
-        _SEQUENCE,
-        _TARGETS,
-        Field("radius_scale", _FLOAT, 0.8, ("--radius-scale",),
-              "perturbation radius as a fraction of the contraction threshold"),
-        Field("max_iter", _POSITIVE_INT, 30, ("--max-iter",), "correction steps allowed"),
-        _MIN_SEP,
-    )),
-    "perturb": ("perturb", "Monte Carlo perturbation inequality report", _run_perturb, (
-        _SEQUENCE,
-        Field("radius", _FLOAT, _REQUIRED, ("--radius",), "pseudohyperbolic perturbation radius"),
-        Field("trials", _POSITIVE_INT, 100, ("--trials",), "number of sampled perturbations"),
-        _MIN_SEP,
-    )),
-    "shift": ("shift", "zeros of the shifted product", _run_shift, (
-        _SEQUENCE,
-        Field("point", None, _REQUIRED, ("--point",), "shift point 're,im'",
-              to_raw=(lambda text, args: dict(zip(("re", "im"), text.split(",", 1))),), fields=_RE_IM),
-    )),
-}
-
-KINDS = tuple(_KINDS)
-
 _GRID = Field("grid", None, {}, fields=(
     Field("base_count", _INT, 4096, ("--grid-size",), "circle grid base count"),
     Field("refinement_rounds", _INT, 3),
@@ -672,11 +641,47 @@ _TOLERANCES = Field("tolerances", None, {}, fields=(
     Field("tol", _NON_NEGATIVE_FLOAT, 1e-8, ("--tol",), "iteration residual tolerance"),
 ))
 
+# kind -> (subcommand, its help, pipeline, input fields in echo order,
+#          the other keys it reads in echo order)
+_KINDS = {
+    "criteria": ("check", "run every sequence criterion across a truncation schedule",
+                 _run_criteria, (_SEQUENCE,), (_GRID, _SCHEDULE)),
+    "interpolate": ("interpolate", "closed-form interpolation on one zero set",
+                    _run_interpolate, (_SEQUENCE, _TARGETS), (_GRID,)),
+    "union": ("union", "joint interpolation across two disjoint zero sets", _run_union, (
+        _SEQUENCE,
+        Field("sequence_b", _sequence, _REQUIRED, ("--sequence-b",), "the second sequence file",
+              to_raw=(_path,)),
+        _TARGETS,
+        _TARGETS_B,
+    ), ()),
+    "nearby": ("nearby", "iterative interpolation on a perturbed node set", _run_nearby, (
+        _SEQUENCE,
+        _TARGETS,
+        Field("radius_scale", _FLOAT, 0.8, ("--radius-scale",),
+              "perturbation radius as a fraction of the contraction threshold"),
+        Field("max_iter", _POSITIVE_INT, 30, ("--max-iter",), "correction steps allowed"),
+        _MIN_SEP,
+    ), (_GRID, _SEED, _TOLERANCES)),
+    "perturb": ("perturb", "Monte Carlo perturbation inequality report", _run_perturb, (
+        _SEQUENCE,
+        Field("radius", _FLOAT, _REQUIRED, ("--radius",), "pseudohyperbolic perturbation radius"),
+        Field("trials", _POSITIVE_INT, 100, ("--trials",), "number of sampled perturbations"),
+        _MIN_SEP,
+    ), (_GRID, _SEED)),
+    "shift": ("shift", "zeros of the shifted product", _run_shift, (
+        _SEQUENCE,
+        Field("point", None, _REQUIRED, ("--point",), "shift point 're,im'",
+              to_raw=(lambda text, args: dict(zip(("re", "im"), text.split(",", 1))),), fields=_RE_IM),
+    ), (_GRID,)),
+}
+
+KINDS = tuple(_KINDS)
+
 
 def _config_fields(kind: str) -> tuple[Field, ...]:
-    """The fields of a config of this kind after "kind", in echo order; only check has --schedule."""
-    schedule = _SCHEDULE if kind == "criteria" else replace(_SCHEDULE, flags=())
-    return (Field("inputs", fields=_KINDS[kind][3]), _GRID, _SEED, schedule, _TOLERANCES)
+    """The fields of a config of this kind after "kind", in echo order."""
+    return (Field("inputs", fields=_KINDS[kind][3]), *_KINDS[kind][4])
 
 
 def run(config: ExperimentConfig) -> ReportBundle:
@@ -774,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--name", default=None, help="name stored in the file metadata")
     gen.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    for kind, (command, help_text, _, _) in _KINDS.items():
+    for kind, (command, help_text, *_) in _KINDS.items():
         experiment = sub.add_parser(command, help=help_text)
         _add_flags(experiment, _config_fields(kind))
         _add_output_flags(experiment)
@@ -783,17 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("config", help="path to a config file")
     _add_output_flags(runner)
     return parser
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    kind = next(kind for kind, entry in _KINDS.items() if entry[0] == args.command)
-    raw = {"kind": kind, **_raw_from_args(_config_fields(kind), args)}
-    if kind == "criteria" and "N_schedule" not in raw:
-        # Without --schedule, check runs the whole sequence: the config is
-        # validated with a one-entry stand-in, and _run_criteria takes the
-        # length from its one load of the sequence.
-        return replace(validate_config({**raw, "N_schedule": [1]}), N_schedule=())
-    return validate_config(raw)
 
 
 def _run_gen(args) -> int:
@@ -814,10 +808,11 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _run_gen(args)
         if args.command == "run":
-            config = validate_config(_read_json(args.config, "config file"))
+            raw = _read_json(args.config, "config file")
         else:
-            config = _config_from_args(args)
-        bundle = run(config)
+            kind = next(kind for kind, entry in _KINDS.items() if entry[0] == args.command)
+            raw = {"kind": kind, **_raw_from_args(_config_fields(kind), args)}
+        bundle = run(validate_config(raw))
         text = emit(bundle, format=args.format, path=args.out)
         if text is not None:
             sys.stdout.write(text)

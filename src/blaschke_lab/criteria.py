@@ -112,7 +112,6 @@ class CriterionReport:
     value: float
     argmax_or_argmin: Union[int, tuple[int, int], CirclePoint, None]
     per_index: tuple[float, ...]
-    grid_meta: Optional[CircleGrid] = None
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,6 @@ def frostman_sum(a_seq: ZeroSequence, grid: Optional[CircleGrid] = None) -> Crit
         value=value,
         argmax_or_argmin=witness,
         per_index=tuple(float(t) for t in terms),
-        grid_meta=grid.with_injected(a_seq),
     )
 
 

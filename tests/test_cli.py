@@ -1,5 +1,6 @@
 """Configuration validation, file round trips, and end-to-end CLI runs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -44,6 +45,14 @@ def kind_config(kind, sequence=RADIAL3, **inputs) -> dict:
     return {"kind": kind, "inputs": {"sequence": sequence, **inputs}}
 
 
+# the inputs, beyond a sequence, that a valid config of the kind needs
+REQUIRED_INPUTS = {
+    "union": {"sequence_b": RADIAL3},
+    "perturb": {"radius": 0.1},
+    "shift": {"point": {"re": 0.1, "im": 0}},
+}
+
+
 def criteria_config(**top) -> dict:
     return {"kind": "criteria", "inputs": {"sequence": RADIAL3}, "N_schedule": [2], **top}
 
@@ -68,7 +77,8 @@ def experiment_argv(tmp_path, command) -> list:
         "perturb": ["perturb", "--generator", "frostman_example", "--n", "8", "--radius", "0.05", "--trials", "3"],
         "shift": ["shift", *radial, "--point", "0.1,0"],
     }[command]
-    return argv + ["--grid-size", "256"]
+    # union scans no circle grid, so it has no --grid-size
+    return argv if command == "union" else argv + ["--grid-size", "256"]
 
 
 def malformed(case_id, config=None, sequence_file=None, command="run"):
@@ -99,12 +109,12 @@ def malformed_argv(tmp_path, config=None, sequence_file=None, command="run") -> 
 
 class TestValidateConfig:
     def test_defaults_filled(self):
-        config = validate_config(minimal_criteria_config())
+        config = validate_config(kind_config("nearby"))
         assert isinstance(config, ExperimentConfig)
         assert config.grid == {"base_count": 4096, "refinement_rounds": 3}
         assert config.seed == 0
         assert config.tolerances == {"tol": 1e-8}
-        assert config.N_schedule == (4, 8)
+        assert validate_config(minimal_criteria_config()).N_schedule == (4, 8)
 
     def test_unknown_top_level_key(self):
         raw = minimal_criteria_config()
@@ -125,7 +135,7 @@ class TestValidateConfig:
             validate_config(raw)
 
     def test_unknown_tolerance_key(self):
-        raw = minimal_criteria_config()
+        raw = kind_config("nearby")
         raw["tolerances"] = {"tol": 1e-8, "rtol": 1e-6}
         with pytest.raises(ConfigInvalid, match="rtol"):
             validate_config(raw)
@@ -157,11 +167,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigInvalid, match="integrate"):
             validate_config(raw)
 
-    def test_criteria_needs_schedule(self):
-        raw = minimal_criteria_config()
-        raw["N_schedule"] = []
-        with pytest.raises(ConfigInvalid, match="N_schedule"):
-            validate_config(raw)
+    def test_criteria_schedule_defaults_to_the_whole_sequence(self, tmp_path):
+        # run takes check's default: an omitted or empty schedule runs the whole sequence
+        check = tmp_path / "check.json"
+        assert cli.main(["check", "--generator", "radial_sequence", "--n", "6", "--out", str(check)]) == 0
+        config = {"kind": "criteria", "inputs": {"sequence": {"generator": "radial_sequence", "params": {"N": 6}}}}
+        for schedule in ({}, {"N_schedule": []}):
+            config_path, out = write_json(tmp_path / "config.json", {**config, **schedule}), tmp_path / "run.json"
+            assert cli.main(["run", config_path, "--out", str(out)]) == 0
+            assert out.read_bytes() == check.read_bytes()
 
     def test_schedule_entries_positive(self):
         raw = minimal_criteria_config()
@@ -481,8 +495,6 @@ class TestMainCommands:
                 "1,0",
                 "--fill-b",
                 "0,1",
-                "--grid-size",
-                "256",
             ]
         )
         assert rc == 0
@@ -695,7 +707,7 @@ class TestMainCommands:
                 id="run-criteria",
             ),
             pytest.param(
-                ["union", "--sequence", "a.json", "--sequence-b", "b.json", "--grid-size", "256"],
+                ["union", "--sequence", "a.json", "--sequence-b", "b.json"],
                 _UNUSED_BY_JSON,
                 id="union",
             ),
@@ -958,7 +970,7 @@ class TestExitCodes:
             malformed("min_sep-negative-flag", command=["perturb", "--radius", "0.1", "--min-sep", "-1"]),
             malformed("radius-not-a-number", kind_config("perturb", radius="big")),
             malformed("base_count-not-a-number", criteria_config(grid={"base_count": "big"})),
-            malformed("seed-not-a-number", criteria_config(seed="s")),
+            malformed("seed-not-a-number", {**kind_config("nearby"), "seed": "s"}),
             malformed("seed-negative", {**kind_config("perturb", radius=0.1, trials=2), "seed": -1}),
             malformed("seed-negative-flag", command=["nearby", "--seed", "-1"]),
             malformed("schedule-entry-not-a-number", criteria_config(N_schedule=["x"])),
@@ -994,20 +1006,23 @@ class TestExitCodes:
     def test_target_file_one_value_short_is_two(self, tmp_path, capsys, command, flag):
         path_a, path_b = write_two_sequences(tmp_path)
         targets = write_json(tmp_path / "targets.json", {"values": [[1.0, 0.0]]})
-        sequences = {"interpolate": ["--sequence", path_b], "union": ["--sequence", path_a, "--sequence-b", path_b]}
-        assert cli.main([command, *sequences[command], flag, targets, "--grid-size", "256"]) == 2
+        sequences = {
+            "interpolate": ["--sequence", path_b, "--grid-size", "256"],
+            "union": ["--sequence", path_a, "--sequence-b", path_b],
+        }
+        assert cli.main([command, *sequences[command], flag, targets]) == 2
         assert "config error: target vector has 1 entries for 2 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["nearby", "--sequence", "empty.json"], "lebesgue constant requires at least one zero",
-                         id="nearby"),
+            pytest.param(["nearby", "--sequence", "empty.json", "--grid-size", "256"],
+                         "lebesgue constant requires at least one zero", id="nearby"),
             pytest.param(["union", "--sequence", "empty.json", "--sequence-b", "b.json"],
                          "both products need at least one zero", id="union-first"),
             pytest.param(["union", "--sequence", "a.json", "--sequence-b", "empty.json"],
                          "both products need at least one zero", id="union-second"),
-            pytest.param(["shift", "--sequence", "empty.json", "--point", "0.1,0"],
+            pytest.param(["shift", "--sequence", "empty.json", "--point", "0.1,0", "--grid-size", "256"],
                          "cannot shift a degree-zero product", id="shift"),
         ],
     )
@@ -1015,7 +1030,7 @@ class TestExitCodes:
         write_two_sequences(tmp_path)
         write_json(tmp_path / "empty.json", {"points": []})
         monkeypatch.chdir(tmp_path)
-        assert cli.main(argv + ["--grid-size", "256"]) == 3
+        assert cli.main(argv) == 3
         assert f"numeric error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -1046,17 +1061,55 @@ class TestExitCodes:
             ("gen", "--grid-size", "256"),
             ("gen", "--format", "csv"),
             ("gen", "--tol", "1e-8"),
+            ("check", "--seed", "1"),
+            ("union", "--grid-size", "256"),
+            ("shift", "--tol", "1e-9"),
+            ("interpolate", "--seed", "0"),
         ],
     )
     def test_ignored_flags_are_rejected(self, tmp_path, capsys, command, flag, value):
         if command == "run":
             argv = malformed_argv(tmp_path)
-        else:
+        elif command == "gen":
             argv = ["gen", "--generator", "frostman_example", "--n", "3"]
+        else:
+            argv = experiment_argv(tmp_path, command)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv + [flag, value])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, key, value", [("interpolate", "seed", 0), ("union", "grid", {})], ids=["interpolate-seed", "union-grid"]
+    )
+    def test_key_the_kind_does_not_read_is_two(self, tmp_path, capsys, kind, key, value):
+        config = {**kind_config(kind, **REQUIRED_INPUTS.get(kind, {})), key: value}
+        assert cli.main(["run", write_json(tmp_path / "config.json", config)]) == 2
+        assert f"config error: config: unknown keys ['{key}']" in capsys.readouterr().err
+
+
+# kind -> (subcommand, its top-level config keys after kind and inputs, its flags that set them)
+KEYS_READ = {
+    "criteria": ("check", ["grid", "N_schedule"], ["--grid-size", "--schedule"]),
+    "interpolate": ("interpolate", ["grid"], ["--grid-size"]),
+    "union": ("union", [], []),
+    "nearby": ("nearby", ["grid", "seed", "tolerances"], ["--grid-size", "--seed", "--tol"]),
+    "perturb": ("perturb", ["grid", "seed"], ["--grid-size", "--seed"]),
+    "shift": ("shift", ["grid"], ["--grid-size"]),
+}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_each_kind_takes_only_the_keys_it_reads(kind):
+    command, keys, flags = KEYS_READ[kind]
+    raw = kind_config(kind, **REQUIRED_INPUTS.get(kind, {}))
+    assert list(validate_config(raw).as_dict()) == ["kind", "inputs", *keys]
+    for key in {"grid", "seed", "N_schedule", "tolerances"} - set(keys):
+        with pytest.raises(ConfigInvalid, match=f"unknown keys \\['{key}'\\]"):
+            validate_config({**raw, key: {} if key in ("grid", "tolerances") else 1})
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {option for action in commands[command]._actions for option in action.option_strings}
+    assert sorted(options & {"--grid-size", "--seed", "--schedule", "--tol"}) == sorted(flags)
 
 
 def test_readme_shift_example():
@@ -1166,11 +1219,11 @@ class TestFlagsMatchConfigKeys:
         values = write_json(tmp_path / "values.json", {"values": [[1, 0], [0, 1]]})
         argv, config = equivalent_runs(str(seq_a), str(seq_b), values)[kind]
 
+        # union scans no circle grid
+        grid = ([], {}) if kind == "union" else (["--grid-size", "256"], {"grid": {"base_count": 256}})
         from_flags = tmp_path / "flags.json"
-        assert cli.main(argv + ["--grid-size", "256", "--out", str(from_flags)]) == 0
-        config_path = write_json(
-            tmp_path / "config.json", {"kind": kind, "grid": {"base_count": 256}, **config}
-        )
+        assert cli.main(argv + grid[0] + ["--out", str(from_flags)]) == 0
+        config_path = write_json(tmp_path / "config.json", {"kind": kind, **grid[1], **config})
         from_config = tmp_path / "run.json"
         assert cli.main(["run", config_path, "--out", str(from_config)]) == 0
         assert from_flags.read_bytes() == from_config.read_bytes()
@@ -1204,8 +1257,11 @@ def fuzz_configs(seq_a: str, seq_b: str) -> list:
         "perturb": {"sequence": {"path": seq_a}, "radius": 0.05, "trials": 2},
         "shift": {"sequence": {"path": seq_a}, "point": {"re": 0.1, "im": 0.0}},
     }
-    common = {"grid": FUZZ_GRID, "seed": 1, "N_schedule": [2, 3], "tolerances": {"tol": 1e-8}}
-    return [{"kind": kind, "inputs": kind_inputs, **common} for kind, kind_inputs in inputs.items()]
+    settings = {"grid": FUZZ_GRID, "seed": 1, "N_schedule": [2, 3], "tolerances": {"tol": 1e-8}}
+    return [
+        {"kind": kind, "inputs": kind_inputs, **{f.key: settings[f.key] for f in cli._config_fields(kind)[1:]}}
+        for kind, kind_inputs in inputs.items()
+    ]
 
 
 def json_paths(node, prefix=()):
